@@ -42,6 +42,7 @@ from .loss import (
     utilization,
     utilization_integral,
     utilization_measure,
+    utilization_terms,
 )
 from .model import (
     CapacityAllocation,
@@ -55,6 +56,7 @@ from .model import (
     demand_matrix,
     incidence,
     load_model,
+    loss_groups,
     no_blocking_loads,
     offered_vector,
     serialize_model,
@@ -91,6 +93,7 @@ __all__ = [
     "incidence",
     "demand_matrix",
     "offered_vector",
+    "loss_groups",
     "no_blocking_loads",
     "check_feasible",
     # loss
@@ -103,6 +106,7 @@ __all__ = [
     "utilization",
     "utilization_measure",
     "utilization_integral",
+    "utilization_terms",
     "log_loss_ceiling",
     "register_family",
     "loss_kinds",

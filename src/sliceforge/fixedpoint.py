@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .loss import loss, utilization_measure
-from .model import CapacityAllocation, NetworkModel, demand_matrix, offered_vector
+from .model import CapacityAllocation, NetworkModel, demand_matrix, loss_groups, offered_vector
 
 __all__ = [
     "FixedPointOptions",
@@ -70,10 +70,11 @@ class Diagnostics:
     correction_bound: float
 
 
-def _blocking_vector(model: NetworkModel, rho: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    out = np.empty(model.m)
-    for i, lg in enumerate(model.logicals):
-        out[i] = loss(lg.loss, float(rho[i]), float(caps[i]))
+def _blocking_vector(groups, rho: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    # one loss() call per family; elementwise the same values as per entity
+    out = np.empty(rho.size)
+    for spec, idx in groups:
+        out[idx] = loss(spec, rho[idx], caps[idx])
     return out
 
 
@@ -99,12 +100,13 @@ def solve_fixed_point(
     nu = offered_vector(model)
     rho0 = demands @ nu if model.num_flows else np.zeros(model.m)
     rho = rho0.copy()
+    groups = loss_groups(model)
 
     converged = False
     iterations = 0
     residual = math.inf
     for _ in range(opts.max_iters):
-        blocking = _blocking_vector(model, rho, caps)
+        blocking = _blocking_vector(groups, rho, caps)
         survival = 1.0 - blocking
         per_flow = nu * _flow_survival(survival, demands)
         raw = demands @ per_flow
@@ -119,7 +121,7 @@ def solve_fixed_point(
             break
         rho = (1.0 - opts.damping) * rho + opts.damping * target
 
-    blocking = _blocking_vector(model, rho, caps)
+    blocking = _blocking_vector(groups, rho, caps)
     carried = nu * _flow_survival(1.0 - blocking, demands)
     return LoadState(
         offered=rho,
@@ -149,10 +151,9 @@ def diagnostics(model: NetworkModel, alloc: CapacityAllocation, state: LoadState
     total = carried_total(model, state)
     weighted = float(np.sum(lengths * state.carried_per_flow)) if model.num_flows else 0.0
     correction = 0.0
-    for i, lg in enumerate(model.logicals):
-        if caps[i] == 0.0:
-            continue  # zero capacity supplies nothing even when fully blocked
-        correction += utilization_measure(lg.loss, float(state.blocking[i]), float(caps[i]))
+    for spec, idx in loss_groups(model):
+        idx = idx[caps[idx] != 0.0]  # zero capacity supplies nothing even when fully blocked
+        correction += float(np.sum(utilization_measure(spec, state.blocking[idx], caps[idx])))
     bound = float(np.sum(state.offered * state.blocking))
     return Diagnostics(
         carried_total=total,

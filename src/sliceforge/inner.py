@@ -22,9 +22,10 @@ from .loss import (
     QuadratureError,
     log_loss_ceiling,
     utilization,
-    utilization_integral,
+    utilization_integral,  # noqa: F401  (perfbench/tracer.py wraps it under this module)
+    utilization_terms,
 )
-from .model import CapacityAllocation, NetworkModel, demand_matrix, offered_vector
+from .model import CapacityAllocation, NetworkModel, demand_matrix, loss_groups, offered_vector
 
 __all__ = [
     "InnerOptions",
@@ -69,32 +70,61 @@ def _check_y(model: NetworkModel, y: np.ndarray) -> np.ndarray:
     return y
 
 
-def inner_objective(model: NetworkModel, alloc: CapacityAllocation, y: np.ndarray) -> float:
+class _Batch:
+    """One allocation's flow arrays and per-family entity groups, built once
+    per surrogate call so each evaluation runs one batched kernel call per
+    loss family.  Objective evaluations remember U at every point they
+    visit until the next gradient, which then reuses the U of its point
+    instead of inverting again."""
+
+    def __init__(self, model: NetworkModel, alloc: CapacityAllocation):
+        self.caps = np.asarray(alloc.values, dtype=float)
+        self.nu = offered_vector(model)
+        self.demands = demand_matrix(model)
+        self.groups = loss_groups(model)
+        self._visited: dict[bytes, np.ndarray] = {}
+
+    def objective(self, y: np.ndarray) -> float:
+        flow_term = 0.0
+        if self.nu.size:
+            flow_term = float(self.nu @ np.exp(-(self.demands.T @ y)))
+        h = np.empty(y.size)
+        u = np.empty(y.size)
+        for spec, idx in self.groups:
+            h[idx], u[idx] = utilization_terms(spec, y[idx], self.caps[idx])
+        self._visited[y.tobytes()] = u
+        return flow_term + float(h.sum())
+
+    def gradient(self, y: np.ndarray) -> np.ndarray:
+        u = self._visited.pop(y.tobytes(), None)
+        self._visited.clear()
+        if u is None:
+            u = np.empty(y.size)
+            for spec, idx in self.groups:
+                u[idx] = utilization(spec, y[idx], self.caps[idx], tol=_GRAD_INVERSION_TOL)
+        if self.nu.size:
+            return u - self.demands @ (self.nu * np.exp(-(self.demands.T @ y)))
+        return u
+
+
+def inner_objective(
+    model: NetworkModel, alloc: CapacityAllocation, y: np.ndarray, batch: _Batch | None = None
+) -> float:
+    """sum_r nu_r exp(-(A^T y)_r) + sum_j H_j(y_j, C_j).
+
+    `batch` carries the arrays a surrogate call builds once; without it
+    they are built here.
+    """
     y = _check_y(model, y)
-    caps = alloc.values
-    nu = offered_vector(model)
-    flow_term = 0.0
-    if nu.size:
-        flow_term = float(nu @ np.exp(-(demand_matrix(model).T @ y)))
-    util_term = 0.0
-    for j, lg in enumerate(model.logicals):
-        util_term += utilization_integral(lg.loss, float(y[j]), float(caps[j]))
-    return flow_term + util_term
+    return (batch if batch is not None else _Batch(model, alloc)).objective(y)
 
 
-def inner_gradient(model: NetworkModel, alloc: CapacityAllocation, y: np.ndarray) -> np.ndarray:
+def inner_gradient(
+    model: NetworkModel, alloc: CapacityAllocation, y: np.ndarray, batch: _Batch | None = None
+) -> np.ndarray:
     """d/dy_j = -sum_r A_jr nu_r exp(-(A^T y)_r) + U_j(y_j, C_j)."""
     y = _check_y(model, y)
-    caps = alloc.values
-    nu = offered_vector(model)
-    if nu.size:
-        demands = demand_matrix(model)
-        grad = -(demands @ (nu * np.exp(-(demands.T @ y))))
-    else:
-        grad = np.zeros(model.m)
-    for j, lg in enumerate(model.logicals):
-        grad[j] += utilization(lg.loss, float(y[j]), float(caps[j]), tol=_GRAD_INVERSION_TOL)
-    return grad
+    return (batch if batch is not None else _Batch(model, alloc)).gradient(y)
 
 
 def _box_upper(model: NetworkModel, caps: np.ndarray, y_cap: float) -> np.ndarray:
@@ -135,7 +165,8 @@ def surrogate(
         y = np.clip(np.asarray(warm_start, dtype=float), 0.0, hi)
     else:
         y = np.zeros(model.m)
-    value = inner_objective(model, alloc, y)
+    batch = _Batch(model, alloc)
+    value = inner_objective(model, alloc, y, batch)
 
     iterations = 0
     converged = False
@@ -145,7 +176,7 @@ def surrogate(
     last_step = opts.step_init
     flat_streak = 0
     for _ in range(opts.max_iters):
-        grad = inner_gradient(model, alloc, y)
+        grad = inner_gradient(model, alloc, y, batch)
         grad_norm = float(np.linalg.norm(_projected_gradient(grad, y, hi)))
         if grad_norm <= opts.tol * (1.0 + abs(value)):
             converged = True
@@ -177,7 +208,7 @@ def surrogate(
             if not np.any(delta):
                 return None
             try:
-                trial = inner_objective(model, alloc, y_trial)
+                trial = inner_objective(model, alloc, y_trial, batch)
             except (InversionError, QuadratureError):
                 return None  # step left the evaluable region
             if trial <= value + opts.armijo_slope * float(grad @ delta):

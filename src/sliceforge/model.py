@@ -33,6 +33,7 @@ __all__ = [
     "incidence",
     "demand_matrix",
     "offered_vector",
+    "loss_groups",
     "no_blocking_loads",
     "check_feasible",
 ]
@@ -208,6 +209,15 @@ def demand_matrix(model: NetworkModel) -> np.ndarray:
 
 def offered_vector(model: NetworkModel) -> np.ndarray:
     return np.array([fl.offered for fl in model.flows], dtype=float)
+
+
+def loss_groups(model: NetworkModel) -> tuple[tuple[LossSpec, np.ndarray], ...]:
+    """Logical entities grouped by loss family, in order of first appearance:
+    (spec, indices) pairs, so each family's array kernels run once per group."""
+    groups: dict[LossSpec, list[int]] = {}
+    for i, lg in enumerate(model.logicals):
+        groups.setdefault(lg.loss, []).append(i)
+    return tuple((spec, np.array(idx)) for spec, idx in groups.items())
 
 
 def no_blocking_loads(model: NetworkModel) -> np.ndarray:

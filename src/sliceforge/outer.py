@@ -20,7 +20,7 @@ import numpy as np
 
 from .inner import InnerOptions, InnerSolution, surrogate
 from .loss import log_loss_ceiling, utilization_integral
-from .model import CapacityAllocation, NetworkModel, incidence
+from .model import CapacityAllocation, NetworkModel, incidence, loss_groups
 
 __all__ = [
     "Polytope",
@@ -190,15 +190,15 @@ def supergradient(
     if inner is None:
         inner = surrogate(model, alloc, inner_options)
     caps = np.asarray(alloc.values, dtype=float)
+    h = np.maximum(opts.fd_step_floor, opts.fd_step_rel * caps)
+    lo = np.maximum(0.0, caps - h)
+    hi = caps + h
     grad = np.zeros(model.m)
-    for j, lg in enumerate(model.logicals):
-        h = max(opts.fd_step_floor, opts.fd_step_rel * caps[j])
-        lo = max(0.0, caps[j] - h)
-        hi = caps[j] + h
-        y = min(float(inner.log_loss[j]), log_loss_ceiling(lg.loss, hi))
-        upper = utilization_integral(lg.loss, y, hi)
-        lower = utilization_integral(lg.loss, y, lo)
-        grad[j] = (upper - lower) / (hi - lo)
+    for spec, idx in loss_groups(model):
+        ceiling = np.array([log_loss_ceiling(spec, float(c)) for c in hi[idx]])
+        y = np.minimum(inner.log_loss[idx], ceiling)
+        both = utilization_integral(spec, np.concatenate([y, y]), np.concatenate([hi[idx], lo[idx]]))
+        grad[idx] = (both[: idx.size] - both[idx.size :]) / (hi[idx] - lo[idx])
     return grad
 
 

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-__all__ = ["format_float", "render_json", "render_csv", "sha256_bytes", "sha256_file"]
+__all__ = ["format_float", "render_json", "render_csv", "sha256_bytes"]
 
 
 def format_float(value: float) -> str:
@@ -88,8 +88,3 @@ def render_csv(header: list[str], rows: list[list]) -> str:
 
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def sha256_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return sha256_bytes(fh.read())
