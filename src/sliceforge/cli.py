@@ -12,7 +12,6 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -41,7 +40,7 @@ EXIT_INVALID = 1
 EXIT_UNCONVERGED = 2
 EXIT_IO = 3
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def _read_bytes(path: str) -> tuple[str, str]:
@@ -60,7 +59,6 @@ def _base_report(command: str, inputs: dict, options: dict) -> dict:
         "tool": {"name": "sliceforge", "version": __version__},
         "command": command,
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        "threads": os.environ.get("SLICEFORGE_THREADS"),
         "inputs": inputs,
         "options": options,
     }
@@ -119,6 +117,7 @@ def _trace_section(trace: SolveTrace) -> dict:
         "values": list(trace.values),
         "gaps": list(trace.gaps),
         "steps": list(trace.steps),
+        "probes": list(trace.probes),
     }
 
 

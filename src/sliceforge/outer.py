@@ -3,8 +3,9 @@
 The surrogate phi(C) is concave, so each iteration solves the linear
 program max_s <g, s> over the polytope at a supergradient g, giving both
 a step direction and the duality gap <g, s - C>, which upper-bounds the
-suboptimality of the current iterate.  The LP solver is a dense tableau
-simplex with Bland's rule, deliberately deterministic.
+suboptimality of the current iterate.  The step zeroes the slope of phi
+along s - C (the gap at C).  The LP solver is a dense tableau simplex
+with Bland's rule, deliberately deterministic.
 
 The reconfigurable variant optimizes jointly over (C, P) where P are
 fractional physical activations subject to a budget, then rounds P
@@ -82,6 +83,7 @@ def capacity_polytope(model: NetworkModel) -> Polytope:
 
 _PIVOT_EPS = 1e-12
 _COST_EPS = 1e-9
+_USAGE_TIE = 1e-6  # relative gap below which solve_reconfig ties two usages
 
 
 def lp_solve(objective: np.ndarray, polytope: Polytope) -> tuple[np.ndarray, float]:
@@ -158,6 +160,7 @@ class SolveTrace:
     values: tuple[float, ...]  # phi at the start of each iteration
     gaps: tuple[float, ...]  # duality gap per iteration
     steps: tuple[float, ...]  # step size taken (0 on the converged check)
+    probes: tuple[int, ...]  # line-search surrogate solves per iteration
     final_alloc: np.ndarray = field(repr=False)
     final_value: float
     status: str  # "converged" | "max_iters" | "stalled"
@@ -202,41 +205,41 @@ def supergradient(
     return grad
 
 
-def _golden_section(evaluate, base_value, budget, tol):
-    """Maximize gamma -> evaluate(gamma).value on [0, 1].
+def _slope_search(probe, base_value, slope0, budget, tol):
+    """Maximize a concave phi(gamma) on [0, 1] by the root of its slope.
 
-    Returns (gamma, solution) for the best point seen, never worse than
-    the current iterate (gamma=0, base_value).
+    `probe(gamma)` returns (phi, phi', payload); slope0 = phi'(0) > 0.
+    gamma = 1 goes first and is kept when phi'(1) >= 0; otherwise regula
+    falsi (Anderson-Bjorck, else Illinois) narrows the bracket to `tol`,
+    to |phi'| <= tol * min(slope0, 1 + |phi|), or to `budget` probes.  A
+    probe below base_value is a right end whatever its slope (concavity).
+    Returns (gamma, payload, probes) of the best probe, or gamma = 0 and
+    the last probe's payload when none beats base_value.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    best_gamma, best_sol = 0.0, None
-    best_value = base_value
-    evals = 0
-
-    def probe(gamma):
-        nonlocal best_gamma, best_sol, best_value, evals
-        sol = evaluate(gamma)
-        evals += 1
-        if sol.value > best_value:
-            best_gamma, best_sol, best_value = gamma, sol, sol.value
-        return sol.value
-
-    probe(1.0)
-    a, b = 0.0, 1.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1 = probe(x1)
-    f2 = probe(x2)
-    while (b - a) > tol and evals < budget:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = probe(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = probe(x1)
-    return best_gamma, best_sol
+    best_gamma, best_payload, best_value = 0.0, None, base_value
+    ends = [[0.0, slope0], [1.0, 0.0]]  # [gamma, phi'] with phi' > 0, then phi' <= 0
+    gamma, moved, probes = 1.0, -1, 0
+    while True:
+        value, slope, payload = probe(gamma)
+        probes += 1
+        if value > best_value:
+            best_gamma, best_payload, best_value = gamma, payload, value
+        if value < base_value:
+            slope = min(slope, 0.0)
+        elif (gamma == 1.0 and slope >= 0.0) or abs(slope) <= tol * min(slope0, 1.0 + abs(value)):
+            break
+        k = 0 if slope > 0.0 else 1  # the end this probe replaces
+        if k == moved:  # the other end is kept twice: shrink its slope
+            shrink = 1.0 - slope / ends[k][1] if ends[k][1] else 0.0
+            ends[1 - k][1] *= shrink if shrink > 0.0 else 0.5
+        ends[k], moved = [gamma, slope], k
+        (lo, s_lo), (hi, s_hi) = ends
+        if hi - lo <= tol or probes >= budget:
+            break
+        gamma = lo + (hi - lo) * s_lo / (s_lo - s_hi)
+        if not lo < gamma < hi:
+            gamma = 0.5 * (lo + hi)
+    return best_gamma, payload if best_payload is None else best_payload, probes
 
 
 def _frank_wolfe(model, polytope, objective_dim, opts, inner_opts, lift, grad_lift):
@@ -244,43 +247,55 @@ def _frank_wolfe(model, polytope, objective_dim, opts, inner_opts, lift, grad_li
 
     `lift(z)` maps a polytope point to the allocation whose surrogate is
     the objective; `grad_lift(z, sol)` returns the full-dimensional
-    objective gradient (zeros for coordinates phi ignores).
+    objective gradient (zeros for coordinates phi ignores).  The step
+    solves phi'(gamma) = <grad_lift(z + gamma d), d> = 0 along d = s - z
+    (`_slope_search`); the accepted probe's gradient gives the next gap.
+    When no probe improves, g may sit on a kink of phi (a zero-capacity
+    entity, where y* is not unique): z is re-solved from the last probe's
+    y* and the step retried once before reporting "stalled".
     """
     z = np.zeros(objective_dim)
     sol = surrogate(model, lift(z), inner_opts)
-    values, gaps, steps = [], [], []
-    status = "max_iters"
+    grad = grad_lift(z, sol)
+    values, gaps, steps, probes = [], [], [], []
+    status, retried = "max_iters", False
     for k in range(opts.max_iters):
-        grad = grad_lift(z, sol)
         vertex, _ = lp_solve(grad, polytope)
-        gap = float(grad @ (vertex - z))
+        direction = vertex - z
+        gap = float(grad @ direction)
         values.append(sol.value)
         gaps.append(gap)
         if gap <= opts.gap_tol * (1.0 + abs(sol.value)):
             steps.append(0.0)
+            probes.append(0)
             status = "converged"
             break
-        direction = vertex - z
 
-        def evaluate(gamma, _z=z, _d=direction, _warm=sol.log_loss):
-            return surrogate(model, lift(_z + gamma * _d), inner_opts, warm_start=_warm)
+        def probe(gamma, _z=z, _d=direction, _warm=sol.log_loss):
+            trial = surrogate(model, lift(_z + gamma * _d), inner_opts, warm_start=_warm)
+            g = grad_lift(_z + gamma * _d, trial)
+            return trial.value, float(g @ _d), (trial, g)
 
         if opts.line_search:
-            gamma, trial = _golden_section(evaluate, sol.value, opts.line_search_evals, opts.line_search_tol)
-            if trial is None:
-                steps.append(0.0)
-                status = "stalled"  # no improvement along the LP direction
-                break
+            gamma, accepted, count = _slope_search(probe, sol.value, gap, opts.line_search_evals, opts.line_search_tol)
         else:
-            gamma = 2.0 / (k + 2.0)
-            trial = evaluate(gamma)
+            gamma, count = 2.0 / (k + 2.0), 1
+            accepted = probe(gamma)[2]
+        probes.append(count)
         steps.append(gamma)
-        z = z + gamma * direction
-        sol = trial
+        if gamma > 0.0:
+            z, (sol, grad), retried = z + gamma * direction, accepted, False
+        elif retried:
+            status = "stalled"  # no improvement along the LP direction, even after a re-solve
+            break
+        else:
+            sol = surrogate(model, lift(z), inner_opts, warm_start=accepted[0].log_loss)
+            grad, retried = grad_lift(z, sol), True
     return z, sol, SolveTrace(
         values=tuple(values),
         gaps=tuple(gaps),
         steps=tuple(steps),
+        probes=tuple(probes),
         final_alloc=z.copy(),
         final_value=sol.value,
         status=status,
@@ -354,8 +369,10 @@ def solve_reconfig(
     allocation to fractional activations, P <= 1 boxes them, and
     1^T P <= budget caps the active count.  phi ignores P, so its
     gradient coordinates are zero.  Rounding keeps the floor(budget)
-    physicals with the largest fractional usage S^T C* (ties to the
-    lowest index), then re-solves for C on that 0/1 substrate.
+    physicals with the largest fractional usage S^T C* (usages within
+    _USAGE_TIE * max(1, max usage) of the floor(budget)-th largest tie
+    with it, and ties go to the lowest index), then re-solves for C on
+    that 0/1 substrate.
     """
     opts = options or OuterOptions()
     model = problem.model
@@ -381,9 +398,12 @@ def solve_reconfig(
     z, _, trace_joint = _frank_wolfe(model, joint, m + n, opts, inner_options, lift, grad_lift)
 
     usage = usage_map @ z[:m]
-    order = np.argsort(-usage, kind="stable")  # stable: ties keep lowest index first
+    count = int(math.floor(problem.budget))
+    kth = np.sort(usage)[::-1][max(count - 1, 0)]  # the count-th largest usage
+    near = np.abs(usage - kth) <= _USAGE_TIE * max(1.0, float(usage.max()))
+    order = np.argsort(-np.where(near, kth, usage), kind="stable")  # stable: ties keep lowest index first
     active = np.zeros(n)
-    active[order[: int(math.floor(problem.budget))]] = 1.0
+    active[order[:count]] = 1.0
     restricted = Polytope(usage_map, active)
     alloc, trace_final = maximize_surrogate(
         model, options=opts, inner_options=inner_options, polytope=restricted

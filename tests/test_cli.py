@@ -35,7 +35,7 @@ def test_validate_ok(capsys):
     code, out, _ = invoke(capsys, "validate", REFERENCE)
     assert code == 0
     rep = report_of(out)
-    assert rep["report_version"] == 1
+    assert rep["report_version"] == 2
     assert rep["tool"]["name"] == "sliceforge"
     assert rep["command"] == "validate"
     assert rep["ok"] is True
@@ -174,12 +174,10 @@ def test_reports_deterministic_modulo_timestamp(tmp_path, capsys):
 
 
 def test_threads_env_is_echoed(capsys, monkeypatch):
+    # nothing is threaded, so reports carry no threads field (report version 2)
     monkeypatch.setenv("SLICEFORGE_THREADS", "4")
     _, out, _ = invoke(capsys, "validate", REFERENCE)
-    assert report_of(out)["threads"] == "4"
-    monkeypatch.delenv("SLICEFORGE_THREADS")
-    _, out, _ = invoke(capsys, "validate", REFERENCE)
-    assert report_of(out)["threads"] is None
+    assert "threads" not in report_of(out)
 
 
 def test_solve_symmetric_instance(capsys):
@@ -193,7 +191,7 @@ def test_solve_symmetric_instance(capsys):
     assert solver["status"] == "converged"
     assert solver["certificate"] <= 1e-5 * (1.0 + abs(rep["surrogate"]["value"]))
     assert rep["feasibility"]["ok"] is True
-    assert solver["iterations"] == len(solver["values"]) == len(solver["gaps"])
+    assert solver["iterations"] == len(solver["values"]) == len(solver["gaps"]) == len(solver["probes"])
 
 
 def test_solve_unconverged_exit_code(tmp_path, capsys, monkeypatch):
@@ -204,6 +202,7 @@ def test_solve_unconverged_exit_code(tmp_path, capsys, monkeypatch):
         values=(1.0,),
         gaps=(0.5,),
         steps=(0.0,),
+        probes=(0,),
         final_alloc=alloc,
         final_value=1.0,
         status="max_iters",

@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import sliceforge.outer
 from sliceforge import (
     CapacityAllocation,
     Flow,
@@ -16,14 +18,18 @@ from sliceforge import (
     ReconfigProblem,
     capacity_polytope,
     check_feasible,
+    load_model,
     lp_solve,
     maximize_surrogate,
     solve_reconfig,
     supergradient,
     surrogate,
 )
+from sliceforge.outer import _slope_search
 
-from conftest import single_entity, symmetric_pair, three_potentials
+from conftest import random_small_instance, single_entity, symmetric_pair, three_potentials
+
+MODELS = Path(__file__).resolve().parent.parent / "demos" / "models"
 
 
 # --- polytope ---------------------------------------------------------------
@@ -122,6 +128,104 @@ def test_supergradient_matches_full_finite_difference():
             - surrogate(model, CapacityAllocation(dn)).value
         ) / (2 * h)
         assert g[j] == pytest.approx(full, rel=1e-3, abs=1e-6)
+
+
+# --- line search ------------------------------------------------------------
+
+
+def _search(phi, dphi):
+    """Run the slope search on an analytic phi; returns (gamma, payload, probed gammas)."""
+    probed = []
+
+    def probe(gamma):
+        probed.append(gamma)
+        return phi(gamma), dphi(gamma), gamma
+
+    opts = OuterOptions()
+    gamma, payload, count = _slope_search(
+        probe, phi(0.0), dphi(0.0), opts.line_search_evals, opts.line_search_tol
+    )
+    assert count == len(probed)
+    return gamma, payload, probed
+
+
+@pytest.mark.parametrize(
+    "phi, dphi",
+    [
+        (lambda g: -((g - 0.3) ** 2), lambda g: -2.0 * (g - 0.3)),
+        (lambda g: math.log1p(g) - g / 1.3, lambda g: 1.0 / (1.0 + g) - 1.0 / 1.3),
+        (lambda g: -math.cosh(3.0 * (g - 0.3)), lambda g: -3.0 * math.sinh(3.0 * (g - 0.3))),
+    ],
+    ids=["quadratic", "log", "cosh"],
+)
+def test_slope_search_interior_maximizer(phi, dphi):
+    gamma, payload, probed = _search(phi, dphi)
+    assert abs(gamma - 0.3) <= OuterOptions().line_search_tol
+    assert payload == gamma
+    assert probed[0] == 1.0
+    assert len(probed) <= 6
+
+
+@pytest.mark.parametrize("peak", [1.0, 1.5])
+def test_slope_search_full_step_takes_one_probe(peak):
+    gamma, payload, probed = _search(lambda g: -((g - peak) ** 2), lambda g: -2.0 * (g - peak))
+    assert probed == [1.0]
+    assert gamma == payload == 1.0
+
+
+def test_slope_search_without_improvement_stalls():
+    # phi'(0) claims ascent, but every probe is worse than the start
+    gamma, payload, probed = _search(lambda g: -g, lambda g: 1.0 if g == 0.0 else -1.0)
+    assert gamma == 0.0
+    assert payload == probed[-1]  # the last probe, for the caller's re-solve
+    assert 1 <= len(probed) <= OuterOptions().line_search_evals
+
+
+def test_slope_search_trusts_values_over_a_wrong_slope():
+    # the slope claims ascent everywhere, but phi peaks at 0.2; probes that
+    # fall below phi(0) must still narrow the bracket from the right
+    gamma, payload, probed = _search(lambda g: min(g, 0.4 - g), lambda g: 1.0)
+    assert 0.0 < gamma < 0.4
+    assert payload == gamma
+    assert len(probed) <= OuterOptions().line_search_evals
+
+
+def test_frank_wolfe_reports_stall(monkeypatch):
+    # no load: phi is flat, so a supergradient that claims ascent finds no better probe
+    model = single_entity(0.0, kind="linear_clip", phys_cap=4.0)
+    monkeypatch.setattr(sliceforge.outer, "supergradient", lambda model, alloc, **_: np.ones(model.m))
+    alloc, trace = maximize_surrogate(model)
+    assert trace.status == "stalled"
+    assert trace.steps == (0.0, 0.0)  # one re-solve at the iterate, then the stall
+    assert trace.probes == (1, 1)
+    assert alloc.values.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("seed, max_iters, floor", [(6, 500, 1.93), (7, 40, 1.33)])
+def test_frank_wolfe_leaves_zero_capacity_kinks(seed, max_iters, floor):
+    # Mixed loss families with entities at zero capacity: the supergradient
+    # there claims an ascent phi lacks, and without the re-solve the search
+    # stalls (seed 6 at phi = 0, seed 7 at 0.7077).  Golden section reached
+    # 1.3371 on seed 7 after 240 iterations and stalled on seed 6.
+    model, _ = random_small_instance(seed)
+    _, trace = maximize_surrogate(model, OuterOptions(max_iters=max_iters))
+    assert trace.status != "stalled"
+    assert 0.0 in trace.steps[:-1]
+    assert trace.final_value >= floor
+
+
+@pytest.mark.parametrize("name", ["reference_2x3", "three_potentials"])
+def test_demo_solve_takes_one_probe_per_step(name):
+    _, trace = maximize_surrogate(load_model((MODELS / f"{name}.json").read_text()))
+    assert trace.converged
+    assert trace.probes == (1,) * (trace.iterations - 1) + (0,)
+
+
+def test_symmetric_pair_probe_count():
+    _, trace = maximize_surrogate(load_model((MODELS / "symmetric_pair.json").read_text()))
+    assert trace.converged
+    assert len(trace.probes) == trace.iterations
+    assert sum(trace.probes) <= 8
 
 
 # --- Frank-Wolfe ------------------------------------------------------------
@@ -245,3 +349,35 @@ def test_reconfig_selects_loaded_potential():
     assert res.alloc.values[0] == pytest.approx(1.0, rel=1e-4)
     assert res.alloc.values[1] == pytest.approx(0.0, abs=1e-6)
     assert res.alloc.values[2] == pytest.approx(0.0, abs=1e-6)
+
+
+def test_reconfig_budget_two_keeps_lowest_tied_index():
+    # p1 and p2 carry equal loads, so their relaxed usages tie
+    res = solve_reconfig(ReconfigProblem(three_potentials(), 2.0))
+    assert res.active.tolist() == [1.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "u1, u2, active",
+    [
+        (0.5 + 1e-9, 0.5 - 1e-9, [1.0, 1.0, 0.0]),
+        (0.5 - 1e-9, 0.5 + 1e-9, [1.0, 1.0, 0.0]),
+        (0.5000014, 0.5000016, [1.0, 1.0, 0.0]),  # straddles a half-step of a 1e-6 grid
+        (0.5, 0.51, [1.0, 0.0, 1.0]),
+    ],
+)
+def test_reconfig_rounding_ties_within_tolerance(monkeypatch, u1, u2, active):
+    # usages within 1e-6 * max(1, max usage) of each other tie: lowest index wins
+    model = three_potentials()
+    solve = sliceforge.outer._frank_wolfe
+
+    def perturbed(model_, polytope, dim, *args):
+        z, sol, trace = solve(model_, polytope, dim, *args)
+        if dim > model_.m:  # the joint (C, P) solve; usage of p_i is C_i here
+            z = z.copy()
+            z[:3] = [1.0, u1, u2]
+        return z, sol, trace
+
+    monkeypatch.setattr(sliceforge.outer, "_frank_wolfe", perturbed)
+    res = solve_reconfig(ReconfigProblem(model, 2.0))
+    assert res.active.tolist() == active
