@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from sliceforge import (
     CapacityAllocation,
@@ -11,6 +12,12 @@ from sliceforge import (
     NetworkModel,
     PhysicalEntity,
 )
+
+# Property tests draw the same examples on every run (no database, fixed
+# seed) and carry no deadline: vCPU speed on shared machines drifts by up
+# to 1.8x, which would turn a deadline into a flaky failure.
+settings.register_profile("sliceforge", derandomize=True, database=None, deadline=None, max_examples=60)
+settings.load_profile("sliceforge")
 
 
 def erlang_recursion(nu: float, servers: int) -> float:

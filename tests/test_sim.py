@@ -1,7 +1,10 @@
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from sliceforge import (
     CapacityAllocation,
@@ -16,8 +19,10 @@ from sliceforge import (
     simulate,
     solve_fixed_point,
 )
+from sliceforge import sim as sim_module
 
 from conftest import erlang_recursion, single_entity
+from sim_oracle import CHUNK, flow_stream, oracle_simulate
 
 REFERENCE = Path(__file__).resolve().parent.parent / "demos" / "models" / "reference_2x3.json"
 
@@ -38,8 +43,11 @@ def test_preconditions():
     with pytest.raises(ValueError, match="erlang_b"):
         simulate(model, CapacityAllocation([2.0]), SimConfig(seed=1, horizon=100.0))
     model = single_entity(1.0, kind="erlang_b")
-    with pytest.raises(ValueError, match="integer"):
+    with pytest.raises(ValueError, match="integer") as err:
         simulate(model, CapacityAllocation([2.5]), SimConfig(seed=1, horizon=100.0))
+    assert str(err.value) == "simulate: capacity 2.5 of logical 'l' is not an integer"
+    with pytest.raises(ValueError, match=r"^simulate: allocation length 2 != m=1$"):
+        simulate(model, CapacityAllocation([2.0, 2.0]), SimConfig(seed=1, horizon=100.0))
 
 
 def test_horizon_too_short_for_batches():
@@ -125,3 +133,191 @@ def test_rng_identity_recorded():
     res = simulate(model, CapacityAllocation([1.0]), SimConfig(seed=1, horizon=200.0))
     assert "philox" in res.rng
     assert "seed" in res.rng and "flow" in res.rng
+
+
+_FIELDS = ("blocking", "blocking_se", "carried", "carried_se", "arrivals", "admitted", "blocked")
+
+
+def _mixed_model():
+    """A zero-rate flow, a zero-capacity entity (z) and a two-entity route."""
+    return NetworkModel(
+        physicals=(PhysicalEntity("p", "unit", 10.0), PhysicalEntity("q", "unit", 10.0)),
+        logicals=(
+            LogicalEntity("a", ("p",), LossSpec("erlang_b")),
+            LogicalEntity("b", ("q",), LossSpec("erlang_b")),
+            LogicalEntity("z", ("p", "q"), LossSpec("erlang_b")),
+        ),
+        flows=(
+            Flow("f_ab", 1.5, {"a": 1, "b": 2}),
+            Flow("f_idle", 0.0, {"a": 1}),
+            Flow("f_z", 2.0, {"z": 1}),
+            Flow("f_b", 3.0, {"b": 1}),
+        ),
+    )
+
+
+# Recorded from the whole-run simulator (now tests/sim_oracle.py) before it
+# streamed.  "long" crosses a 65,536-draw gap chunk on flow fa (79,770
+# arrivals) and several merge windows.
+GOLDEN = {
+    "reference": (
+        "reference", [8.0, 6.0], dict(seed=3, horizon=1e4, warmup=1e3),
+        ([39990, 30123, 19852], [35940, 24833, 14881], [4050, 5290, 4971], 165609),
+        {
+            "blocking": ["0.10223245326810322", "0.17688175184213936", "0.25012414930127796"],
+            "blocking_se": ["0.0022333773953794943", "0.0025632450848270226", "0.003628910121914893"],
+            "carried": ["3.5910701869275874", "2.4693547444735815", "1.4997517013974437"],
+            "carried_se": ["0.00893350958151797", "0.007689735254481076", "0.0072578202438297905"],
+        },
+    ),
+    "long": (
+        "reference", [8.0, 6.0], dict(seed=21, horizon=2e4, warmup=2e3),
+        ([79770, 59536, 39819], [71853, 49005, 29985], [7917, 10531, 9834], 329960),
+        {
+            "blocking": ["0.09885524053174657", "0.17697040201961814", "0.24725564323991328"],
+            "blocking_se": ["0.0015163151040888073", "0.002809764573567624", "0.002901379869451036"],
+            "carried": ["3.6045790378730147", "2.469088793941145", "1.5054887135201735"],
+            "carried_se": ["0.006065260416355233", "0.008429293720702858", "0.0058027597389020726"],
+        },
+    ),
+    "mixed": (
+        "mixed", [3.0, 4.0, 0.0], dict(seed=8, horizon=2e3, warmup=100.0, batches=10),
+        ([3010, 0, 3889, 6004], [1001, 0, 0, 3758], [2009, 0, 3889, 2246], 17661),
+        {
+            "blocking": ["0.6630343264167737", "0.0", "1.0", "0.37390139118198257"],
+            "blocking_se": ["0.005141473395035735", "0.0", "0.0", "0.008120046974493467"],
+            "carried": ["0.5054485103748393", "0.0", "0.0", "1.8782958264540526"],
+            "carried_se": ["0.007712210092553597", "0.0", "0.0", "0.02436014092348041"],
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_output(case):
+    which, caps, config, counts, estimates = GOLDEN[case]
+    model = load_model(REFERENCE.read_text()) if which == "reference" else _mixed_model()
+    res = simulate(model, CapacityAllocation(caps), SimConfig(**config))
+    assert (res.arrivals.tolist(), res.admitted.tolist(), res.blocked.tolist(), res.events) == counts
+    for name, expected in estimates.items():
+        assert [repr(float(x)) for x in getattr(res, name)] == expected, name
+
+
+@pytest.mark.parametrize(
+    "rate, horizon, delta",
+    [(4.0, 2e4, 1820.0), (4.0, 2e4, 5.0), (2.5, 300.0, 0.9), (0.01, 50.0, 5.0)],
+)
+def test_replayed_stream_is_the_whole_run_stream(rate, horizon, delta):
+    # Arrival times reach the results only through comparisons, so a slip of
+    # one ulp would pass every output check: compare the streams themselves.
+    # Pieces of 1 + rate * delta draws (7281, 21, 3, 1) cross the 65,536-draw
+    # chunk boundary in the first two cases.
+    reader = sim_module._flow(12, 3, rate, SimConfig(seed=12, horizon=horizon), delta)
+    next(reader)
+    windows = list(reader)
+    times, holds = flow_stream(12, 3, rate, horizon, CHUNK)
+    assert np.concatenate([w[0] for w in windows]).tobytes() == times.tobytes()
+    assert np.concatenate([w[1] for w in windows]).tobytes() == holds.tobytes()
+
+
+def _assert_bit_identical(a, b):
+    for name in _FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    assert a.events == b.events
+
+
+@st.composite
+def _small_erlang_cases(draw):
+    m = draw(st.integers(1, 4))
+    flows = []
+    for r in range(draw(st.integers(0, 5))):
+        rate = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0.05, 4.0))
+        route = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+        flows.append(Flow(f"f{r}", rate, {f"l{j}": draw(st.integers(1, 2)) for j in route}))
+    model = NetworkModel(
+        physicals=(PhysicalEntity("p", "unit", 1.0),),
+        logicals=tuple(LogicalEntity(f"l{j}", ("p",), LossSpec("erlang_b")) for j in range(m)),
+        flows=tuple(flows),
+    )
+    caps = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m))
+    horizon = float(draw(st.integers(1, 40)))
+    config = SimConfig(
+        seed=draw(st.integers(0, 2**64 - 1)),
+        horizon=horizon,
+        warmup=horizon * draw(st.sampled_from([0.0, 0.1, 0.5])),
+        batches=draw(st.integers(2, 5)),
+        debug=draw(st.booleans()),
+    )
+    return model, CapacityAllocation([float(c) for c in caps]), config
+
+
+class _GridGenerator(np.random.Generator):
+    """Philox draws rounded to multiples of 1/4: arrival times, departure
+    times and batch edges then coincide often, which exact draws never do."""
+
+    def exponential(self, scale=1.0, size=None):
+        return np.round(super().exponential(scale, size) * 4.0) / 4.0
+
+
+@settings(max_examples=300)
+@given(
+    case=_small_erlang_cases(),
+    window=st.integers(1, 40),
+    chunk=st.integers(1, 40),
+    grid=st.booleans(),
+)
+def test_streaming_matches_whole_run_oracle(case, window, chunk, grid):
+    # Small windows and gap chunks put many window edges and chunk
+    # boundaries inside a short run; the oracle draws with the same chunk.
+    model, alloc, config = case
+    generator = _GridGenerator if grid else np.random.Generator
+    with (
+        mock.patch.object(sim_module, "_WINDOW", window),
+        mock.patch.object(sim_module, "_CHUNK", chunk),
+        mock.patch.object(np.random, "Generator", generator),
+    ):
+        try:
+            expected = oracle_simulate(model, alloc, config, chunk=chunk)
+        except ValueError as exc:
+            assert "too short" in str(exc)
+            event("horizon too short")
+            with pytest.raises(ValueError, match="too short"):
+                simulate(model, alloc, config)
+            return
+        res = simulate(model, alloc, config)
+    _assert_bit_identical(res, expected)
+    assert np.array_equal(res.arrivals, res.admitted + res.blocked)
+    assert res.arrivals.sum() <= res.events <= 2 * res.arrivals.sum()
+    assert np.all((res.blocking >= 0.0) & (res.blocking <= 1.0))
+
+
+def test_empty_flow_set():
+    model = NetworkModel(
+        physicals=(PhysicalEntity("p", "unit", 1.0),),
+        logicals=(LogicalEntity("l", ("p",), LossSpec("erlang_b")),),
+        flows=(),
+    )
+    res = simulate(model, CapacityAllocation([3.0]), SimConfig(seed=1, horizon=10.0))
+    assert res.events == 0
+    for name in _FIELDS:
+        assert getattr(res, name).shape == (0,)
+    _assert_bit_identical(res, oracle_simulate(model, CapacityAllocation([3.0]), SimConfig(seed=1, horizon=10.0)))
+
+
+def test_memory_does_not_grow_with_horizon():
+    # H = 2e3 at total rate 9 already fills one merge window (about
+    # 16,384 arrivals); 10 H would hold some 180,000 arrivals if built whole.
+    model = load_model(REFERENCE.read_text())
+    alloc = CapacityAllocation([8.0, 6.0])
+
+    def peak(horizon):
+        tracemalloc.start()
+        try:
+            simulate(model, alloc, SimConfig(seed=7, horizon=horizon, warmup=100.0))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short = peak(2e3)
+    assert peak(2e4) <= 1.5 * short
