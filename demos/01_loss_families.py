@@ -28,13 +28,14 @@ for spec in (ERLANG, LINEAR, EXP):
     print(f"  {spec.kind:12s} U = {utilization(spec, y, 3.0):.6f}")
 print("  (linear_clip pins U = C for every y: carried load saturates at capacity)")
 
-# Int_0^y U(z,C) dz drives the concave surrogate.  utilization_integral
-# takes y; utilization_measure takes the blocking probability B = 1-e^-y.
-# Both describe the same area under the utilization curve.
+# H = Int_0^y U(z,C) dz drives the concave surrogate.  utilization_integral
+# takes the log-loss y; utilization_measure takes the blocking probability
+# B = 1-e^-y that the fixed point reports.  They are one computation, so the
+# two parameterizations give the same area under the utilization curve.
 b = -math.expm1(-y)
 print(f"\nutilization integral to y={y} (equivalently B={b:.4f}), C=3")
 for spec in (ERLANG, LINEAR, EXP):
-    tight = utilization_integral(spec, y, 3.0)
-    quad = utilization_measure(spec, b, 3.0)
-    print(f"  {spec.kind:12s} fast path {tight:.8f}   generic quadrature {quad:.8f}")
+    via_y = utilization_integral(spec, y, 3.0)
+    via_b = utilization_measure(spec, b, 3.0)
+    print(f"  {spec.kind:12s} H(y) {via_y:.8f}   H at B {via_b:.8f}   diff {abs(via_y - via_b):.1e}")
 print(f"  (linear_clip equals C*y = {3.0 * y:g} exactly)")

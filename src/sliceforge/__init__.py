@@ -34,7 +34,6 @@ from .loss import (
     LossDomainError,
     LossFamily,
     LossSpec,
-    QuadratureError,
     log_loss_ceiling,
     loss,
     loss_kinds,
@@ -101,7 +100,6 @@ __all__ = [
     "LossFamily",
     "LossDomainError",
     "InversionError",
-    "QuadratureError",
     "loss",
     "utilization",
     "utilization_measure",

@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .fixedpoint import diagnostics, solve_fixed_point
 from .inner import surrogate
-from .loss import LossDomainError
 from .model import (
     CapacityAllocation,
     ModelError,
@@ -430,10 +429,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except (ModelError, LossDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except ValueError as exc:  # ModelError and LossDomainError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

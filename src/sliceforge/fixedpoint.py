@@ -135,10 +135,7 @@ def solve_fixed_point(
 
 def carried_total(model: NetworkModel, state: LoadState) -> float:
     """T = sum_r nu_r prod_j (1 - B_j)^A_jr."""
-    nu = offered_vector(model)
-    if nu.size == 0:
-        return 0.0
-    return float(np.sum(nu * _flow_survival(1.0 - state.blocking, demand_matrix(model))))
+    return float(np.sum(state.carried_per_flow))
 
 
 def diagnostics(model: NetworkModel, alloc: CapacityAllocation, state: LoadState) -> Diagnostics:

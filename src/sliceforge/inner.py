@@ -19,7 +19,6 @@ import numpy as np
 
 from .loss import (
     InversionError,
-    QuadratureError,
     log_loss_ceiling,
     utilization,
     utilization_integral,  # noqa: F401  (perfbench/tracer.py wraps it under this module)
@@ -209,7 +208,7 @@ def surrogate(
                 return None
             try:
                 trial = inner_objective(model, alloc, y_trial, batch)
-            except (InversionError, QuadratureError):
+            except InversionError:
                 return None  # step left the evaluable region
             if trial <= value + opts.armijo_slope * float(grad @ delta):
                 return y_trial, trial

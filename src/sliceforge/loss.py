@@ -21,9 +21,13 @@ Derived quantities:
   U(z, cap) for z in [0, y].  ``utilization_terms`` returns H and U
   together from one inversion; all three accept arrays, one entity per
   element, and run as one batched call per family.
-* ``utilization_measure(spec, B, cap)``: integral of U(z, cap) for z in
-  [0, -log(1-B)]; the capacity-cost correction attached to a blocking
-  level B.
+* ``utilization_measure(spec, B, cap)``: H at the level y = -log(1-B);
+  the capacity-cost correction attached to a blocking level B.
+
+Every family's H has one numerical route: its own closed form, or else
+the default change of variables to offered load in
+``LossFamily.utilization_terms``.  The adaptive quadrature of U in z
+that checks it lives in the tests.
 
 Three families ship here; more can be added with ``register_family``.
 """
@@ -42,7 +46,6 @@ __all__ = [
     "LossFamily",
     "LossDomainError",
     "InversionError",
-    "QuadratureError",
     "loss",
     "utilization",
     "utilization_measure",
@@ -57,13 +60,11 @@ __all__ = [
 RHO_BRACKET_CAP = 1e12
 INVERSION_TOL = 1e-10
 INVERSION_MAX_ITERS = 200
-MEASURE_ABS_TOL = 1e-8
-MEASURE_REL_TOL = 1e-6
-MEASURE_MAX_DEPTH = 40
+_EPS = np.finfo(float).eps
 
-# Tight inversion tolerance for the generic integral path used inside
-# optimization loops, where finite differences of the objective divide
-# out steps ~1e-6 and would otherwise amplify quadrature noise past the
+# Inversion tolerance of the default utilization_terms, which runs inside
+# optimization loops: finite differences of the objective divide out
+# steps ~1e-6 and would otherwise amplify inversion noise past the
 # gradient checks.
 _TIGHT_INVERSION_TOL = 1e-13
 
@@ -76,69 +77,19 @@ class InversionError(RuntimeError):
     """The log-loss inverse left its bracket; loss family not saturating."""
 
 
-class QuadratureError(RuntimeError):
-    """An adaptive quadrature failed to reach its tolerance."""
-
-
 # ---------------------------------------------------------------------------
 # numerical kernels
-
-
-def _adaptive_simpson(f, b, abs_tol, rel_tol, max_depth):
-    """Adaptive Simpson integrals of f(z, i) over z in [0, b_i], for all i at once.
-
-    f takes an array of nodes z and the index i of the integral each
-    belongs to, and returns the integrands there.  A panel is accepted
-    when its Richardson estimate |S2 - S1| is within 15x its integral's
-    tolerance; the err/15 correction then leaves its true error far below
-    that bar.  The tolerance is judged per integral rather than split per
-    subdivision so that root-type edge behaviour (the Erlang utilization
-    curve rises like z^(1/cap) at 0) refines in depth ~ log of the target
-    instead of exhausting the budget.  A panel's fate depends only on the
-    panel, so the open panels of every integral are refined together, one
-    call of f per level.  Raises QuadratureError when max_depth is
-    exhausted anywhere.
-    """
-    n = b.size
-    lo, hi = np.zeros(n), np.asarray(b, dtype=float)
-    owner = np.arange(n)
-    values = np.asarray(f(np.concatenate([lo, 0.5 * hi, hi]), np.tile(owner, 3)), dtype=float)
-    f_lo, f_mid, f_hi = values[:n], values[n : 2 * n], values[2 * n :]
-    est = hi / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-    tol = 15.0 * np.maximum(abs_tol, rel_tol * np.abs(est))
-    total = np.zeros(n)
-    for depth in range(max_depth, -1, -1):
-        if owner.size == 0:
-            break
-        mid = 0.5 * (lo + hi)
-        quarters = np.asarray(f(np.concatenate([0.5 * (lo + mid), 0.5 * (mid + hi)]), np.tile(owner, 2)), dtype=float)
-        f_lm, f_rm = quarters[: owner.size], quarters[owner.size :]
-        left = (mid - lo) / 6.0 * (f_lo + 4.0 * f_lm + f_mid)
-        right = (hi - mid) / 6.0 * (f_mid + 4.0 * f_rm + f_hi)
-        err = left + right - est
-        done = np.abs(err) <= tol[owner]
-        np.add.at(total, owner[done], (left + right + err / 15.0)[done])
-        more = ~done
-        if depth == 0 and np.any(more):
-            raise QuadratureError("adaptive Simpson exceeded max depth")
-        owner = np.tile(owner[more], 2)
-        lo, hi, mid = lo[more], hi[more], mid[more]
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-        f_lo, f_mid, f_hi = (
-            np.concatenate([f_lo[more], f_mid[more]]),
-            np.concatenate([f_lm[more], f_rm[more]]),
-            np.concatenate([f_mid[more], f_hi[more]]),
-        )
-        est = np.concatenate([left[more], right[more]])
-    return total
 
 
 def _upper_inverse(family, y, cap, tol, bracket_cap=RHO_BRACKET_CAP, max_iters=INVERSION_MAX_ITERS):
     """rho(y) = sup{rho >= 0 : -log(1 - F(rho, cap)) <= y}.
 
     Bracket by doubling from max(1, cap), then bisect until the bracket's
-    log-loss spread is within tol.  The sup convention resolves plateaus of
-    F from above (so e.g. linear_clip gives rho(0) = cap, not 0).
+    log-loss spread is within tol * min(1, y), or the bracket is a few
+    ulps of rho wide; both are relative at small y, where rho can be
+    tiny (~y^(1/cap) on an s^cap curve).  The sup convention resolves
+    plateaus of F from above (so e.g. linear_clip gives rho(0) = cap,
+    not 0).
     """
     if y < 0.0 or not math.isfinite(y):
         raise LossDomainError("log-loss level must be finite and >= 0")
@@ -161,9 +112,7 @@ def _upper_inverse(family, y, cap, tol, bracket_cap=RHO_BRACKET_CAP, max_iters=I
     f_lo = log_loss(lo)
     f_hi = log_loss(hi)
     for _ in range(max_iters):
-        if f_hi - f_lo <= tol:
-            break
-        if hi - lo <= 1e-16 * (1.0 + hi):
+        if f_hi - f_lo <= tol * min(1.0, y) or hi - lo <= 4.0 * _EPS * hi:
             break
         mid = 0.5 * (lo + hi)
         f_mid = log_loss(mid)
@@ -213,15 +162,40 @@ def _log1mexp(y):
 # families
 
 
+# Gauss-Legendre rules on [0, 1]: _TAIL for the smooth stretches, _PANEL
+# for each dyadic panel of a graded head.  (numpy's leggauss rather than
+# scipy's roots_legendre, whose first call imports scipy.linalg: +7 MB.)
+def _legendre01(n):
+    t, w = leggauss(n)
+    return 0.5 * (t + 1.0), 0.5 * w
+
+
+_TAIL_T, _TAIL_W = _legendre01(64)
+_PANEL_T, _PANEL_W = _legendre01(12)
+# Dyadic panels toward s = 0 on a graded head: the dropped piece
+# [0, x 2^-K] is ~2^(-K(1 + cap)) of the head and is added back from its
+# leading term, whose own error is a further factor x 2^-K smaller.
+_HEAD_PANELS = 24
+_PANEL_LO = np.exp2(-np.arange(1, _HEAD_PANELS + 1, dtype=float))
+
+
 class LossFamily:
     """Extension point for additional loss families.
 
     Subclasses must implement ``blocking`` (accepting scalars or numpy
     arrays) and must satisfy the module axioms including saturation;
     the generic inversion raises InversionError otherwise.  Override
+    ``survival`` where 1 - F loses precision near F = 1, and
     ``offered_at``, ``utilization`` and ``utilization_terms`` when closed
     forms or array kernels exist.  Register instances with
     ``register_family``.
+
+    The default ``utilization_terms`` integrates the blocking curve with
+    fixed rules, which holds a family to this contract: near s = 0,
+    B(s, cap) behaves like s^cap (or is flatter), and B has no kink inside
+    [0, rho(y)].  A family whose blocking has a kink there overrides
+    ``utilization_terms``, as linear_clip does (its kink at rho = cap
+    would put the default H off by ~1e-3 relative at cap = 0.4).
     """
 
     name = "abstract"
@@ -231,7 +205,7 @@ class LossFamily:
 
     def survival(self, rho, cap):
         """1 - F; override where the subtraction loses precision near F = 1
-        (the inversion and quadrature kernels lean on this in saturation)."""
+        (the inversion and integration kernels lean on this in saturation)."""
         return 1.0 - self.blocking(rho, cap)
 
     def survival_scalar(self, rho, cap):
@@ -250,104 +224,16 @@ class LossFamily:
 
     def utilization_terms(self, y, cap):
         """H(y, cap) and U(y, cap) for 1-D arrays of checked levels and
-        capacities, one entity per element.
+        capacities, one entity per element, from one inversion.
 
-        The generic version integrates the pointwise utilization by
-        adaptive Simpson, refining all entities' panels together.
+        Changing variables z -> rho turns Int_0^y U dz into
+        Int_0^rho S(s) ds - rho e^(-y) = rho B(rho) - Int_0^rho B(s) ds.
+        The head [0, min(rho, max(1, cap))] integrates B, which keeps
+        low-load levels free of cancellation; past it the tail runs in
+        log space, where the carried curve s S(s) flattens in saturation,
+        so deep-saturation levels cost the same fixed rule.
         """
-        u = np.asarray(self.utilization(y, cap, _TIGHT_INVERSION_TOL), dtype=float)
-        h = np.zeros(y.size)
-        live = (y > 0.0) & (cap > 0.0)
-        if np.any(live):
-            caps = cap[live]
-            h[live] = _adaptive_simpson(
-                lambda z, i: self.utilization(z, caps[i], _TIGHT_INVERSION_TOL),
-                y[live],
-                MEASURE_ABS_TOL,
-                MEASURE_REL_TOL,
-                MEASURE_MAX_DEPTH,
-            )
-        return h, u
-
-    def log_loss_ceiling(self, cap):
-        """Largest y this family can be evaluated at before the inversion
-        bracket cap would be exceeded; inf when the inverse is analytic."""
-        return math.inf
-
-
-# Gauss-Legendre rules on [0, 1]: _TAIL for the smooth stretches, _PANEL
-# for each dyadic panel of a graded head.  (numpy's leggauss rather than
-# scipy's roots_legendre, whose first call imports scipy.linalg: +7 MB.)
-def _legendre01(n):
-    t, w = leggauss(n)
-    return 0.5 * (t + 1.0), 0.5 * w
-
-
-_TAIL_T, _TAIL_W = _legendre01(64)
-_PANEL_T, _PANEL_W = _legendre01(12)
-# Dyadic panels toward s = 0 on a graded head: the dropped piece
-# [0, x 2^-K] is ~2^(-K(1 + cap)) of the head and is added back from its
-# leading term, whose own error is a further factor x 2^-K smaller.
-_HEAD_PANELS = 24
-_PANEL_LO = np.exp2(-np.arange(1, _HEAD_PANELS + 1, dtype=float))
-
-# Log-load floor of the Erlang inversion: levels whose rho(y) provably
-# lies below it (tiny capacities at small y) resolve to rho = 0.
-_LOG_RHO_MIN = math.log(1e-300)
-_NEWTON_MAX_ITERS = 100
-_EPS = np.finfo(float).eps
-
-
-class _ErlangB(LossFamily):
-    """Continuous-capacity Erlang-B blocking.
-
-    1/B = rho * Int_0^inf e^(-rho t) (1+t)^cap dt, which equals
-    e^rho * rho^(-cap) * Gamma(cap+1, rho); see _erlang_log_rest for how B
-    and 1 - B are evaluated.  H and U come from a batched Newton
-    inversion (_erlang_invert) and fixed Gauss-Legendre rules.
-    """
-
-    name = "erlang_b"
-
-    def blocking(self, rho, cap):
-        r, c, shape = _broadcast(rho, cap)
-        out = np.zeros(r.size)
-        pos = r > 0.0
-        out[pos & (c <= 0.0)] = 1.0
-        work = pos & (c > 0.0)
-        if work.any():
-            out[work] = expit(-_erlang_log_rest(r[work], c[work]))
-        return _finish(out, shape)
-
-    def survival(self, rho, cap):
-        r, c, shape = _broadcast(rho, cap)
-        out = np.ones(r.size)
-        pos = r > 0.0
-        out[pos & (c <= 0.0)] = 0.0
-        work = pos & (c > 0.0)
-        if work.any():
-            out[work] = expit(_erlang_log_rest(r[work], c[work]))
-        return _finish(out, shape)
-
-    def offered_at(self, y, cap, tol=INVERSION_TOL):
-        # F strictly increasing from F(0, cap) = 0, so y = 0 <=> rho = 0;
-        # cap = 0 blocks everything offered, so rho(y) = 0 there too.  The
-        # Newton inversion always runs to rounding, below any tol.
-        ys, cs, shape = _levels(y, cap)
-        rho = np.zeros(ys.size)
-        live = (ys > 0.0) & (cs > 0.0)
-        if live.any():
-            rho[live] = _erlang_invert(ys[live], cs[live])
-        return _finish(rho, shape)
-
-    def utilization_terms(self, y, cap):
-        # Change of variables z -> rho turns Int_0^y U dz into
-        # Int_0^rho survival(s) ds - rho e^(-y) = rho B(rho) - Int_0^rho B(s) ds.
-        # The head [0, min(rho, max(1, cap))] integrates B, which keeps
-        # low-load levels free of cancellation; past it the tail runs in
-        # log space, where the saturated curve s * survival(s) ~ cap is
-        # nearly flat, so deep-saturation levels cost the same fixed rule.
-        rho = np.asarray(self.offered_at(y, cap), dtype=float)
+        rho = np.asarray(self.offered_at(y, cap, _TIGHT_INVERSION_TOL), dtype=float)
         u = rho * np.exp(-y)
         h = np.zeros(y.size)
         live = rho > 0.0
@@ -401,6 +287,60 @@ class _ErlangB(LossFamily):
         panels = b[n_smooth : n_smooth + n_graded].reshape(-1, _HEAD_PANELS, _PANEL_T.size)
         out[graded] = (width * (panels * _PANEL_W).sum(axis=2)).sum(axis=1) + b[n_smooth + n_graded :] * eps / (1.0 + cg)
         return out
+
+    def log_loss_ceiling(self, cap):
+        """Largest y this family can be evaluated at before the inversion
+        bracket cap would be exceeded; inf when the inverse is analytic."""
+        return math.inf
+
+
+# Log-load floor of the Erlang inversion: levels whose rho(y) provably
+# lies below it (tiny capacities at small y) resolve to rho = 0.
+_LOG_RHO_MIN = math.log(1e-300)
+_NEWTON_MAX_ITERS = 100
+
+
+class _ErlangB(LossFamily):
+    """Continuous-capacity Erlang-B blocking.
+
+    1/B = rho * Int_0^inf e^(-rho t) (1+t)^cap dt, which equals
+    e^rho * rho^(-cap) * Gamma(cap+1, rho); see _erlang_log_rest for how B
+    and 1 - B are evaluated.  offered_at is a batched Newton inversion
+    (_erlang_invert); H and U then come from the default fixed rules.
+    """
+
+    name = "erlang_b"
+
+    def blocking(self, rho, cap):
+        r, c, shape = _broadcast(rho, cap)
+        out = np.zeros(r.size)
+        pos = r > 0.0
+        out[pos & (c <= 0.0)] = 1.0
+        work = pos & (c > 0.0)
+        if work.any():
+            out[work] = expit(-_erlang_log_rest(r[work], c[work]))
+        return _finish(out, shape)
+
+    def survival(self, rho, cap):
+        r, c, shape = _broadcast(rho, cap)
+        out = np.ones(r.size)
+        pos = r > 0.0
+        out[pos & (c <= 0.0)] = 0.0
+        work = pos & (c > 0.0)
+        if work.any():
+            out[work] = expit(_erlang_log_rest(r[work], c[work]))
+        return _finish(out, shape)
+
+    def offered_at(self, y, cap, tol=INVERSION_TOL):
+        # F strictly increasing from F(0, cap) = 0, so y = 0 <=> rho = 0;
+        # cap = 0 blocks everything offered, so rho(y) = 0 there too.  The
+        # Newton inversion always runs to rounding, below any tol.
+        ys, cs, shape = _levels(y, cap)
+        rho = np.zeros(ys.size)
+        live = (ys > 0.0) & (cs > 0.0)
+        if live.any():
+            rho[live] = _erlang_invert(ys[live], cs[live])
+        return _finish(rho, shape)
 
     def log_loss_ceiling(self, cap):
         # Carried load <= cap gives rho(y) <= cap * e^y; keeping that under
@@ -692,38 +632,18 @@ def utilization_terms(spec: LossSpec, y, cap):
 
 
 def utilization_integral(spec: LossSpec, y, cap):
-    """Integral of U(z, cap) over [0, y]; same value as
-    utilization_measure at B = 1 - e^(-y), via each family's fast path.
-    Accepts scalars or broadcastable numpy arrays."""
+    """Integral of U(z, cap) over [0, y].  Accepts scalars or broadcastable
+    numpy arrays."""
     return utilization_terms(spec, y, cap)[0]
 
 
 def utilization_measure(spec: LossSpec, blocking_prob, cap):
-    """Adaptive-Simpson value of Int_0^{-log(1-B)} U(z, cap) dz.
-
-    This is the reference quadrature route for all families; closed forms
-    and the change-of-variables fast path are checked against it in tests.
-    Accepts scalars or broadcastable numpy arrays; arrays are integrated
-    together, one utilization call per refinement level.
-    """
+    """Int_0^{-log(1-B)} U(z, cap) dz: utilization_integral at the log-loss
+    level of blocking B in [0, 1).  Accepts scalars or broadcastable arrays."""
     bs, cs, shape = _broadcast(blocking_prob, cap)
     if not np.all((bs >= 0.0) & (bs < 1.0)):
         raise LossDomainError("blocking must lie in [0, 1)")
-    if not np.all(np.isfinite(cs)) or np.any(cs < 0.0):
-        raise LossDomainError("capacity must be finite and >= 0")
-    family = get_family(spec.kind)
-    out = np.zeros(bs.size)
-    live = (bs > 0.0) & (cs > 0.0)
-    if np.any(live):
-        caps = cs[live]
-        out[live] = _adaptive_simpson(
-            lambda z, i: family.utilization(z, caps[i]),
-            -np.log1p(-bs[live]),
-            MEASURE_ABS_TOL,
-            MEASURE_REL_TOL,
-            MEASURE_MAX_DEPTH,
-        )
-    return _finish(out, shape)
+    return utilization_integral(spec, -np.log1p(-bs).reshape(shape), cs.reshape(shape))
 
 
 def log_loss_ceiling(spec: LossSpec, cap: float) -> float:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -58,6 +59,8 @@ class SimConfig:
             raise ValueError("horizon must be finite and > 0")
         if not (0.0 <= self.warmup < self.horizon):
             raise ValueError("warmup must lie in [0, horizon)")
+        if isinstance(self.batches, bool) or not isinstance(self.batches, numbers.Integral):
+            raise ValueError(f"batches must be an integer, got {self.batches!r}")
         if self.batches < 2:
             raise ValueError("need at least 2 batches for standard errors")
 

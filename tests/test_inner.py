@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +15,17 @@ from sliceforge import (
     diagnostics,
     inner_gradient,
     inner_objective,
+    load_model,
     offered_vector,
     solve_fixed_point,
     surrogate,
 )
 
+from sliceforge.cli import _resolve_alloc
+
 from conftest import single_entity, symmetric_pair
+
+DEMO_MODELS = Path(__file__).resolve().parents[1] / "demos" / "models"
 
 
 def test_objective_at_zero_is_total_offered(small_instances):
@@ -144,6 +150,26 @@ def test_phi_equals_modified_objective_linear_clip():
         state = solve_fixed_point(model, alloc)
         d = diagnostics(model, alloc, state)
         assert sol.value == pytest.approx(d.modified_objective, rel=1e-6)
+
+
+def test_phi_equals_modified_objective_on_random_and_demo_models(small_instances):
+    # The surrogate minimum and the fixed point's carried load plus
+    # correction are two formulations of one value; with one route for H
+    # they agree to the solvers' precision, not a quadrature tolerance.
+    cases = list(small_instances)
+    for path in sorted(DEMO_MODELS.glob("*.json")):
+        model = load_model(path.read_text(encoding="utf-8"))
+        cases.append((model, _resolve_alloc("proportional", model)[0]))
+    checked = 0
+    for model, alloc in cases:
+        sol = surrogate(model, alloc)
+        state = solve_fixed_point(model, alloc)
+        if not (sol.converged and state.converged):
+            continue
+        q = diagnostics(model, alloc, state).modified_objective
+        assert abs(sol.value - q) <= 1e-9 * (1.0 + abs(sol.value))
+        checked += 1
+    assert checked >= len(cases) - 2
 
 
 def test_solution_invariants(small_instances):

@@ -14,10 +14,12 @@ from sliceforge import (
     utilization,
     utilization_integral,
     utilization_measure,
+    utilization_terms,
 )
-from sliceforge.loss import LossFamily
+from sliceforge.loss import LossFamily, get_family
 
 from conftest import erlang_recursion
+from quad_oracle import oracle_measure
 
 ERLANG = LossSpec("erlang_b")
 LINEAR = LossSpec("linear_clip")
@@ -142,7 +144,7 @@ def test_measure_linear_clip_closed_form():
 
 
 def test_measure_matches_integral_parameterization():
-    # same quantity through B = 1 - e^(-y).  The measure is the loose
+    # same quantity through B = 1 - e^(-y).  The oracle is the loose
     # z-space quadrature whose panel acceptance is judged against a global
     # tolerance, so its total error is ~(accepted panels) x rel_tol; the
     # integral route is the tight per-family path (verified to 1e-13
@@ -150,7 +152,7 @@ def test_measure_matches_integral_parameterization():
     for spec in ALL:
         for cap in (0.8, 3.0):
             for y in (0.2, 1.0, 2.0):
-                via_b = utilization_measure(spec, -math.expm1(-y), cap)
+                via_b = oracle_measure(spec, -math.expm1(-y), cap)
                 via_y = utilization_integral(spec, y, cap)
                 assert via_y == pytest.approx(via_b, rel=5e-5, abs=5e-8)
 
@@ -194,3 +196,43 @@ def test_custom_family_registration_and_saturation_contract():
     # y above the family's reachable log-loss: inversion must refuse
     with pytest.raises(InversionError, match="non-saturating"):
         utilization(spec, 2.0, 1.0)
+
+
+class _GenericExpOverflow(LossFamily):
+    """exp_overflow's formula with no inversion or integral of its own."""
+
+    name = "generic_exp_overflow_test_only"
+
+    def blocking(self, rho, cap):
+        rho, cap = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(cap, dtype=float))
+        with np.errstate(divide="ignore"):
+            return np.where(rho > 0.0, np.exp(-cap / np.where(rho > 0.0, rho, 1.0)), 0.0)
+
+    def survival(self, rho, cap):
+        rho, cap = np.broadcast_arrays(np.asarray(rho, dtype=float), np.asarray(cap, dtype=float))
+        return np.where(rho > 0.0, -np.expm1(-cap / np.where(rho > 0.0, rho, 1.0)), 1.0)
+
+
+class _GenericErlang(LossFamily):
+    """Erlang-B kernels with no inversion or integral of their own."""
+
+    name = "generic_erlang_b_test_only"
+
+    def blocking(self, rho, cap):
+        return get_family("erlang_b").blocking(rho, cap)
+
+    def survival(self, rho, cap):
+        return get_family("erlang_b").survival(rho, cap)
+
+
+def test_default_utilization_terms_match_shipped_families():
+    # The default route (bisection inversion, then fixed rules over the
+    # blocking curve) must reproduce the shipped closed form and Newton
+    # inversion, from the s^cap head at tiny y to deep saturation.
+    y, cap = (a.ravel() for a in np.meshgrid([1e-6, 0.01, 0.3, 1.0, 3.0, 8.0], [0.4, 1.5, 2.0, 11.0]))
+    for generic, shipped in ((_GenericExpOverflow(), EXP), (_GenericErlang(), ERLANG)):
+        register_family(generic)
+        h, u = utilization_terms(LossSpec(generic.name), y, cap)
+        h_ref, u_ref = utilization_terms(shipped, y, cap)
+        assert h == pytest.approx(h_ref, rel=1e-12, abs=0.0)
+        assert u == pytest.approx(u_ref, rel=1e-8, abs=0.0)

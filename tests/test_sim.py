@@ -30,8 +30,13 @@ REFERENCE = Path(__file__).resolve().parent.parent / "demos" / "models" / "refer
 def test_config_validation():
     with pytest.raises(ValueError, match="warmup"):
         SimConfig(seed=1, horizon=10.0, warmup=10.0)
-    with pytest.raises(ValueError, match="batches"):
+    with pytest.raises(ValueError, match="need at least 2 batches"):
         SimConfig(seed=1, horizon=10.0, batches=1)
+    # a non-integer count is caught here, not as a TypeError inside simulate
+    for bad in (2.5, 20.0, "20", True):
+        with pytest.raises(ValueError, match="batches must be an integer, got"):
+            SimConfig(seed=1, horizon=10.0, batches=bad)
+    assert SimConfig(seed=1, horizon=10.0, batches=np.int64(4)).batches == 4
     with pytest.raises(ValueError, match="horizon"):
         SimConfig(seed=1, horizon=0.0)
     with pytest.raises(ValueError, match="seed"):
