@@ -117,6 +117,7 @@ def _trace_section(trace: SolveTrace) -> dict:
         "gaps": list(trace.gaps),
         "steps": list(trace.steps),
         "probes": list(trace.probes),
+        "unconverged_inner": trace.unconverged_inner,
     }
 
 

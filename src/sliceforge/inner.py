@@ -6,8 +6,11 @@ For a fixed allocation C the surrogate value is
 
 where y_j is the per-entity log-loss variable and H_j the running
 integral of the utilization curve.  The objective is smooth and convex
-in y; a projected gradient method with Armijo backtracking solves it.
-phi itself is concave in C, which the outer loop exploits.
+in y, with Hessian diag(dU_j/dy_j) + A diag(nu e^(-A^T y)) A^T; a
+two-metric projected Newton method solves it, taking the Newton step by
+preconditioned conjugate gradients on Hessian-vector products, so no
+matrix is formed.  phi itself is concave in C, which the outer loop
+exploits.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .loss import (
     log_loss_ceiling,
     utilization,
     utilization_integral,  # noqa: F401  (perfbench/tracer.py wraps it under this module)
+    utilization_slope,
     utilization_terms,
 )
 from .model import CapacityAllocation, NetworkModel, demand_matrix, loss_groups, offered_vector
@@ -39,15 +43,16 @@ __all__ = [
 Y_CAP = 50.0
 
 _GRAD_INVERSION_TOL = 1e-13
+_TINY = np.finfo(float).tiny
+# U rises like y^(1/cap), with infinite slope at y = 0 for cap > 1: there
+# the Hessian takes U's slope at _Y_CUSP, so a coordinate leaves 0 slowly.
+_Y_CUSP = 1e-12
 
 
 @dataclass(frozen=True)
 class InnerOptions:
     tol: float = 1e-8
     max_iters: int = 5000
-    step_init: float = 1.0
-    step_shrink: float = 0.5
-    armijo_slope: float = 1e-4
     y_cap: float = Y_CAP
 
 
@@ -74,7 +79,8 @@ class _Batch:
     per surrogate call so each evaluation runs one batched kernel call per
     loss family.  Objective evaluations remember U at every point they
     visit until the next gradient, which then reuses the U of its point
-    instead of inverting again."""
+    instead of inverting again; the gradient keeps U and the flow weights
+    nu e^(-A^T y) of its point for the Hessian there."""
 
     def __init__(self, model: NetworkModel, alloc: CapacityAllocation):
         self.caps = np.asarray(alloc.values, dtype=float)
@@ -84,15 +90,12 @@ class _Batch:
         self._visited: dict[bytes, np.ndarray] = {}
 
     def objective(self, y: np.ndarray) -> float:
-        flow_term = 0.0
-        if self.nu.size:
-            flow_term = float(self.nu @ np.exp(-(self.demands.T @ y)))
         h = np.empty(y.size)
         u = np.empty(y.size)
         for spec, idx in self.groups:
             h[idx], u[idx] = utilization_terms(spec, y[idx], self.caps[idx])
         self._visited[y.tobytes()] = u
-        return flow_term + float(h.sum())
+        return float(self.nu @ np.exp(-(self.demands.T @ y))) + float(h.sum())
 
     def gradient(self, y: np.ndarray) -> np.ndarray:
         u = self._visited.pop(y.tobytes(), None)
@@ -101,9 +104,25 @@ class _Batch:
             u = np.empty(y.size)
             for spec, idx in self.groups:
                 u[idx] = utilization(spec, y[idx], self.caps[idx], tol=_GRAD_INVERSION_TOL)
-        if self.nu.size:
-            return u - self.demands @ (self.nu * np.exp(-(self.demands.T @ y)))
-        return u
+        self.u, self.weights = u, self.nu * np.exp(-(self.demands.T @ y))
+        return u - self.demands @ self.weights
+
+    def hessian_diagonal(self, y: np.ndarray) -> np.ndarray:
+        """diag(dU_j/dy_j) + diag(A diag(w) A^T) at the last gradient's point;
+        keeps both parts for the step."""
+        self.flow_diagonal = self.demands**2 @ self.weights
+        self.slope = np.empty(y.size)
+        for spec, idx in self.groups:
+            at_zero = y[idx] <= 0.0
+            yc, u = np.where(at_zero, _Y_CUSP, y[idx]), self.u[idx]  # a copy: idx is an index array
+            if at_zero.any():
+                u[at_zero] = utilization(spec, _Y_CUSP, self.caps[idx][at_zero], tol=_GRAD_INVERSION_TOL)
+            self.slope[idx] = utilization_slope(spec, yc, self.caps[idx], u)
+        return self.slope + self.flow_diagonal
+
+    def hessian_times(self, v: np.ndarray, diag: np.ndarray) -> np.ndarray:
+        """H v, with H's diagonal replaced by `diag`, from two mat-vecs."""
+        return (diag - self.flow_diagonal) * v + self.demands @ (self.weights * (self.demands.T @ v))
 
 
 def inner_objective(
@@ -127,19 +146,30 @@ def inner_gradient(
 
 
 def _box_upper(model: NetworkModel, caps: np.ndarray, y_cap: float) -> np.ndarray:
-    hi = np.empty(model.m)
-    for j, lg in enumerate(model.logicals):
-        hi[j] = min(y_cap, log_loss_ceiling(lg.loss, float(caps[j])))
-    return hi
+    return np.array([min(y_cap, log_loss_ceiling(lg.loss, float(c))) for lg, c in zip(model.logicals, caps)])
 
 
 def _projected_gradient(grad: np.ndarray, y: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    pg = grad.copy()
-    at_lo = y <= 0.0
-    at_hi = y >= hi
-    pg[at_lo] = np.minimum(pg[at_lo], 0.0)
-    pg[at_hi] = np.maximum(pg[at_hi], 0.0)
-    return pg
+    return np.where(y <= 0.0, np.minimum(grad, 0.0), np.where(y >= hi, np.maximum(grad, 0.0), grad))
+
+
+def _conjugate_gradients(batch: _Batch, grad: np.ndarray, diag: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """Newton step on the free set: Jacobi-preconditioned conjugate
+    gradients on H_FF p = -g_F, with H applied matrix-free."""
+    r = np.where(free, -grad, 0.0)
+    p, d, target = np.zeros(grad.size), r / diag, 1e-10 * np.linalg.norm(r)
+    rz = float(r @ d)
+    for _ in range(int(free.sum())):
+        if np.linalg.norm(r) <= target:
+            break
+        hd = np.where(free, batch.hessian_times(d, diag), 0.0)
+        a = rz / float(d @ hd)
+        p += a * d
+        r = r - a * hd
+        z = r / diag
+        rz, rz_prev = float(r @ z), rz
+        d = z + (rz / rz_prev) * d
+    return p
 
 
 def surrogate(
@@ -148,115 +178,78 @@ def surrogate(
     options: InnerOptions | None = None,
     warm_start: np.ndarray | None = None,
 ) -> InnerSolution:
-    """Evaluate phi(C) by projected gradient descent on the inner problem.
+    """Evaluate phi(C) by two-metric projected Newton on the inner problem
+    (Bertsekas 1982; Gafni & Bertsekas 1984).
 
     The search box is [0, min(y_cap, per-entity ceiling)]; the ceiling
     keeps Erlang inversions away from their non-saturating regime.  A
     warm start (e.g. the optimum at a nearby allocation) is clipped into
-    the box.
+    the box; zero-capacity entities that flows still get through start
+    at the box end.  Coordinates at a bound whose gradient points out of
+    the box take a diagonal step; the rest take the Newton step on the
+    free set, and Armijo backtracks along the projection arc (bent, near
+    U's cusp at y = 0, to follow U's local power law).  The solve
+    converges when the projected gradient is at most tol * (1 + |phi|),
+    or when the step's predicted decrease is at most
+    tol^2 * (1 + |phi|), in phi units.
     """
     opts = options or InnerOptions()
     caps = np.asarray(alloc.values, dtype=float)
     if caps.size != model.m:
         raise ValueError(f"allocation length {caps.size} != m={model.m}")
     hi = _box_upper(model, caps, opts.y_cap)
-    if warm_start is not None:
-        y = np.clip(np.asarray(warm_start, dtype=float), 0.0, hi)
-    else:
-        y = np.zeros(model.m)
+    y = np.zeros(model.m) if warm_start is None else np.clip(np.asarray(warm_start, dtype=float), 0.0, hi)
     batch = _Batch(model, alloc)
+    # Zero capacity leaves only the flow term, which falls in y_j while
+    # flows get through: hi is then the minimizer.
+    starved = (caps == 0.0) & (batch.demands @ (batch.nu * np.exp(-(batch.demands.T @ y))) > opts.tol)
+    y[starved] = hi[starved]
     value = inner_objective(model, alloc, y, batch)
 
-    iterations = 0
-    converged = False
-    grad_norm = math.inf
-    prev_y: np.ndarray | None = None
-    prev_grad: np.ndarray | None = None
-    last_step = opts.step_init
-    flat_streak = 0
+    iterations, converged, grad_norm = 0, False, math.inf
     for _ in range(opts.max_iters):
         grad = inner_gradient(model, alloc, y, batch)
         grad_norm = float(np.linalg.norm(_projected_gradient(grad, y, hi)))
         if grad_norm <= opts.tol * (1.0 + abs(value)):
             converged = True
             break
-        # Spectral (Barzilai-Borwein) scaling, per coordinate: curvature
-        # in y_j scales like cap_j^2 near y = 0 and collapses to ~cap_j on
-        # the saturated tail, so coordinates can sit many decades apart in
-        # conditioning.  dy_j/dg_j estimates each coordinate's inverse
-        # curvature; the scalar BB ratio fills in where that secant is
-        # uninformative (flat or non-convex locally).
-        if prev_y is None:
-            diag = np.full(y.size, opts.step_init)
-        else:
-            dy = y - prev_y
-            dg = grad - prev_grad
-            sts = float(dy @ dg)
-            gtg = float(dg @ dg)
-            fallback = sts / gtg if (sts > 0.0 and gtg > 0.0) else 2.0 * last_step
-            fallback = min(max(fallback, 1e-12), 1e8)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = dy / dg
-            diag = np.where(np.isfinite(ratio) & (ratio > 0.0), ratio, fallback)
-            diag = np.clip(diag, 1e-12, 1e8)
-        prev_y, prev_grad = y, grad
+        # Bound coordinates within eps of a face, pushed out of the box,
+        # take the diagonal step; the diagonal is floored at |g_j| / hi_j
+        # so that a step on a flat stretch reaches at most the box end.
+        eps = min(1e-3, grad_norm)
+        bound = ((y <= eps) & (grad > 0.0)) | ((y >= hi - eps) & (grad < 0.0))
+        diag = np.maximum(batch.hessian_diagonal(y), np.maximum(np.abs(grad) / hi, _TINY))
+        step = np.where(bound, -grad / diag, _conjugate_gradients(batch, grad, diag, ~bound))
+        # Where U's curvature dominates, near its cusp at y = 0, U follows a
+        # local power law y^kappa, kappa = y U'/U.  A step down that law's
+        # way, to where it meets the Newton model's U_j, stays above 0 and
+        # lands near the root; a step up keeps Newton's line, which
+        # undershoots on the concave cusp.
+        down = (batch.slope > batch.flow_diagonal) & (step < 0.0) & (y > 0.0) & (batch.u > 0.0)
+        kappa = np.where(down, y * batch.slope / np.where(down, batch.u, 1.0), 1.0)
 
-        def armijo(step):
-            y_trial = np.clip(y - step * diag * grad, 0.0, hi)
-            delta = y_trial - y
-            if not np.any(delta):
-                return None
+        def arc(alpha):
+            power = y * np.maximum(1.0 + alpha * kappa * step / np.where(down, y, 1.0), 0.0) ** (1.0 / kappa)
+            return np.clip(np.where(down, power, y + alpha * step), 0.0, hi)
+
+        # Predicted decrease in phi units: ends solves whose gradient stays
+        # large on a coordinate of near-infinite curvature.
+        if -float(grad @ (arc(1.0) - y)) <= opts.tol**2 * (1.0 + abs(value)):
+            converged = True
+            break
+        accepted, alpha = None, 1.0
+        while alpha >= 1e-14 and accepted is None:
+            y_trial = arc(alpha)
             try:
                 trial = inner_objective(model, alloc, y_trial, batch)
             except InversionError:
-                return None  # step left the evaluable region
-            if trial <= value + opts.armijo_slope * float(grad @ delta):
-                return y_trial, trial
-            return None
-
-        step = 1.0
-        accepted = None
-        while step >= 1e-14:
-            accepted = armijo(step)
-            if accepted is not None:
-                break
-            step *= opts.step_shrink
+                trial = math.inf  # step left the evaluable region
+            if trial <= value + 1e-4 * float(grad @ (y_trial - y)):
+                accepted = y_trial, trial
+            alpha *= 0.5
         if accepted is None:
             break  # line search stalled at machine precision
-        if step == 1.0:
-            # Forward expansion: on flat exponential tails (tiny
-            # capacities) the gradient is ~0, so even the BB scaling can
-            # undershoot by orders of magnitude; doubling while Armijo
-            # still holds and the value strictly improves crosses the
-            # tail.  Ties must stop the expansion: near a sharp valley
-            # floor the objective is flat to rounding, and doubling on
-            # ties walks past the minimizer into a two-point limit cycle.
-            for _ in range(60):
-                wider = armijo(2.0 * step)
-                if wider is None or wider[1] >= accepted[1]:
-                    break
-                step *= 2.0
-                accepted = wider
-        last_step = step * float(np.max(diag))
-        # At allocations where one coordinate sits on a near-vertical
-        # stretch of the utilization curve, the gradient's inversion
-        # noise can exceed the convergence threshold; the value is then
-        # converged to rounding while the gradient never settles.  A run
-        # of rounding-level "improvements" means no further progress is
-        # resolvable, so stop instead of grinding out max_iters.
-        if abs(accepted[1] - value) <= 1e-14 * (1.0 + abs(value)):
-            flat_streak += 1
-        else:
-            flat_streak = 0
         y, value = accepted
         iterations += 1
-        if flat_streak >= 12:
-            break
 
-    return InnerSolution(
-        log_loss=y,
-        value=value,
-        grad_norm=grad_norm,
-        iterations=iterations,
-        converged=converged,
-    )
+    return InnerSolution(log_loss=y, value=value, grad_norm=grad_norm, iterations=iterations, converged=converged)

@@ -21,6 +21,7 @@ Derived quantities:
   U(z, cap) for z in [0, y].  ``utilization_terms`` returns H and U
   together from one inversion; all three accept arrays, one entity per
   element, and run as one batched call per family.
+* ``utilization_slope(spec, y, cap, u)``: dU/dy, the curvature of H, given U.
 * ``utilization_measure(spec, B, cap)``: H at the level y = -log(1-B);
   the capacity-cost correction attached to a blocking level B.
 
@@ -51,6 +52,7 @@ __all__ = [
     "utilization_measure",
     "utilization_integral",
     "utilization_terms",
+    "utilization_slope",
     "log_loss_ceiling",
     "register_family",
     "get_family",
@@ -186,9 +188,9 @@ class LossFamily:
     arrays) and must satisfy the module axioms including saturation;
     the generic inversion raises InversionError otherwise.  Override
     ``survival`` where 1 - F loses precision near F = 1, and
-    ``offered_at``, ``utilization`` and ``utilization_terms`` when closed
-    forms or array kernels exist.  Register instances with
-    ``register_family``.
+    ``offered_at``, ``utilization``, ``utilization_terms`` and
+    ``utilization_slope`` (by default one more inversion) when closed
+    forms or array kernels exist.  Register with ``register_family``.
 
     The default ``utilization_terms`` integrates the blocking curve with
     fixed rules, which holds a family to this contract: near s = 0,
@@ -240,6 +242,12 @@ class LossFamily:
         if live.any():
             h[live] = self._integral(y[live], cap[live], rho[live])
         return h, u
+
+    def utilization_slope(self, y, cap, u):
+        """dU/dy for checked 1-D arrays, given U there: a forward difference,
+        floored at 0 since U is nondecreasing."""
+        step = 1e-6 * (1.0 + y)
+        return np.maximum((self.utilization(y + step, cap, _TIGHT_INVERSION_TOL) - u) / step, 0.0)
 
     def _integral(self, y, cap, rho):
         b0 = np.maximum(1.0, cap)
@@ -341,6 +349,14 @@ class _ErlangB(LossFamily):
         if live.any():
             rho[live] = _erlang_invert(ys[live], cs[live])
         return _finish(rho, shape)
+
+    def utilization_slope(self, y, cap, u):
+        # e^-y (drho/dy - rho) with drho/dy = rho rest / (cap - rho S) from
+        # Jagerman's dB/drho, where rest = 1/expm1(y) and rho S = U.  U = 0
+        # gives 0; in saturation cap - U cancels and can round below 0.
+        with np.errstate(all="ignore"):
+            slope = u / (np.expm1(y) * (cap - u)) - u
+        return np.where((u > 0.0) & (cap > u), np.maximum(slope, 0.0), 0.0)
 
     def log_loss_ceiling(self, cap):
         # Carried load <= cap gives rho(y) <= cap * e^y; keeping that under
@@ -555,6 +571,12 @@ class _ExpOverflow(LossFamily):
         h[live] = -cap[live] * expi(_log1mexp(y[live]))
         return h, self.utilization(y, cap)
 
+    def utilization_slope(self, y, cap, u):
+        # rho = -cap / log(1 - e^-y) gives dU/dy = U (rho / (cap expm1(y)) - 1)
+        with np.errstate(all="ignore"):
+            slope = u * (-1.0 / (_log1mexp(y) * np.expm1(y)) - 1.0)
+        return np.where(u > 0.0, np.maximum(slope, 0.0), 0.0)
+
 
 # ---------------------------------------------------------------------------
 # registry and public operations
@@ -629,6 +651,13 @@ def utilization_terms(spec: LossSpec, y, cap):
     ys, cs, shape = _levels(y, cap)
     h, u = get_family(spec.kind).utilization_terms(ys, cs)
     return _finish(h, shape), _finish(np.asarray(u, dtype=float), shape)
+
+
+def utilization_slope(spec: LossSpec, y, cap, u=None):
+    """dU/dy at (y, cap), floored at 0; `u`, U there, saves an inversion."""
+    ys, cs, shape = _levels(y, cap)
+    us = utilization(spec, ys, cs, _TIGHT_INVERSION_TOL) if u is None else np.broadcast_to(u, shape).reshape(-1)
+    return _finish(get_family(spec.kind).utilization_slope(ys, cs, np.asarray(us, dtype=float)), shape)
 
 
 def utilization_integral(spec: LossSpec, y, cap):

@@ -163,8 +163,9 @@ class SolveTrace:
     probes: tuple[int, ...]  # line-search surrogate solves per iteration
     final_alloc: np.ndarray = field(repr=False)
     final_value: float
-    status: str  # "converged" | "max_iters" | "stalled"
+    status: str  # "converged" | "max_iters" | "stalled" | "inner_unconverged"
     certificate: float  # last gap: bound on phi* - phi(final)
+    unconverged_inner: int = 0  # surrogate solves that returned converged=False
 
     @property
     def iterations(self) -> int:
@@ -213,6 +214,9 @@ def _slope_search(probe, base_value, slope0, budget, tol):
     falsi (Anderson-Bjorck, else Illinois) narrows the bracket to `tol`,
     to |phi'| <= tol * min(slope0, 1 + |phi|), or to `budget` probes.  A
     probe below base_value is a right end whatever its slope (concavity).
+    At a kink of phi, where regula falsi moves one end slowly, it also stops
+    once |phi'| times the bracket width (by concavity a bound on the gain
+    left) is within tol * min(slope0, 1 + |phi|).
     Returns (gamma, payload, probes) of the best probe, or gamma = 0 and
     the last probe's payload when none beats base_value.
     """
@@ -220,13 +224,14 @@ def _slope_search(probe, base_value, slope0, budget, tol):
     ends = [[0.0, slope0], [1.0, 0.0]]  # [gamma, phi'] with phi' > 0, then phi' <= 0
     gamma, moved, probes = 1.0, -1, 0
     while True:
-        value, slope, payload = probe(gamma)
+        value, raw_slope, payload = probe(gamma)
         probes += 1
         if value > best_value:
             best_gamma, best_payload, best_value = gamma, payload, value
+        slope, enough = raw_slope, tol * min(slope0, 1.0 + abs(value))
         if value < base_value:
             slope = min(slope, 0.0)
-        elif (gamma == 1.0 and slope >= 0.0) or abs(slope) <= tol * min(slope0, 1.0 + abs(value)):
+        elif (gamma == 1.0 and slope >= 0.0) or abs(slope) <= enough:
             break
         k = 0 if slope > 0.0 else 1  # the end this probe replaces
         if k == moved:  # the other end is kept twice: shrink its slope
@@ -234,7 +239,7 @@ def _slope_search(probe, base_value, slope0, budget, tol):
             ends[1 - k][1] *= shrink if shrink > 0.0 else 0.5
         ends[k], moved = [gamma, slope], k
         (lo, s_lo), (hi, s_hi) = ends
-        if hi - lo <= tol or probes >= budget:
+        if hi - lo <= tol or probes >= budget or abs(raw_slope) * (hi - lo) <= enough:
             break
         gamma = lo + (hi - lo) * s_lo / (s_lo - s_hi)
         if not lo < gamma < hi:
@@ -252,10 +257,19 @@ def _frank_wolfe(model, polytope, objective_dim, opts, inner_opts, lift, grad_li
     (`_slope_search`); the accepted probe's gradient gives the next gap.
     When no probe improves, g may sit on a kink of phi (a zero-capacity
     entity, where y* is not unique): z is re-solved from the last probe's
-    y* and the step retried once before reporting "stalled".
+    y* and the step retried once before reporting "stalled".  A small gap
+    at an unconverged surrogate solve ends as "inner_unconverged".
     """
+    unconverged = 0
+
+    def solve(alloc, warm=None):
+        nonlocal unconverged
+        sol = surrogate(model, alloc, inner_opts, warm_start=warm)
+        unconverged += not sol.converged
+        return sol
+
     z = np.zeros(objective_dim)
-    sol = surrogate(model, lift(z), inner_opts)
+    sol = solve(lift(z))
     grad = grad_lift(z, sol)
     values, gaps, steps, probes = [], [], [], []
     status, retried = "max_iters", False
@@ -268,11 +282,11 @@ def _frank_wolfe(model, polytope, objective_dim, opts, inner_opts, lift, grad_li
         if gap <= opts.gap_tol * (1.0 + abs(sol.value)):
             steps.append(0.0)
             probes.append(0)
-            status = "converged"
+            status = "converged" if sol.converged else "inner_unconverged"
             break
 
         def probe(gamma, _z=z, _d=direction, _warm=sol.log_loss):
-            trial = surrogate(model, lift(_z + gamma * _d), inner_opts, warm_start=_warm)
+            trial = solve(lift(_z + gamma * _d), _warm)
             g = grad_lift(_z + gamma * _d, trial)
             return trial.value, float(g @ _d), (trial, g)
 
@@ -289,7 +303,7 @@ def _frank_wolfe(model, polytope, objective_dim, opts, inner_opts, lift, grad_li
             status = "stalled"  # no improvement along the LP direction, even after a re-solve
             break
         else:
-            sol = surrogate(model, lift(z), inner_opts, warm_start=accepted[0].log_loss)
+            sol = solve(lift(z), accepted[0].log_loss)
             grad, retried = grad_lift(z, sol), True
     return z, sol, SolveTrace(
         values=tuple(values),
@@ -300,6 +314,7 @@ def _frank_wolfe(model, polytope, objective_dim, opts, inner_opts, lift, grad_li
         final_value=sol.value,
         status=status,
         certificate=gaps[-1] if gaps else 0.0,
+        unconverged_inner=unconverged,
     )
 
 

@@ -136,23 +136,36 @@ def test_gradient_reuses_the_objective_inversion(monkeypatch):
 
     family = get_family("erlang_b")
     inversions = [0]
-    objectives = [0]
-    real_offered, real_objective = family.offered_at, inner.inner_objective
+    objectives = [0, 0]  # calls, inversions inside them
+    gradient_inversions = [0]
+    real_offered, real_objective, real_gradient = family.offered_at, inner.inner_objective, inner.inner_gradient
 
     def offered(*args, **kwargs):
         inversions[0] += 1
         return real_offered(*args, **kwargs)
 
     def objective(*args, **kwargs):
+        before = inversions[0]
+        value = real_objective(*args, **kwargs)
         objectives[0] += 1
-        return real_objective(*args, **kwargs)
+        objectives[1] += inversions[0] - before
+        return value
+
+    def gradient(*args, **kwargs):
+        before = inversions[0]
+        grad = real_gradient(*args, **kwargs)
+        gradient_inversions[0] += inversions[0] - before
+        return grad
 
     monkeypatch.setattr(family, "offered_at", offered)
     monkeypatch.setattr(inner, "inner_objective", objective)
+    monkeypatch.setattr(inner, "inner_gradient", gradient)
     sol = sf.surrogate(symmetric_pair(), CapacityAllocation(np.array([4.0, 6.0])))
     assert sol.converged and sol.iterations > 0
     # one batched inversion per objective evaluation, none for the gradients
-    assert inversions[0] == objectives[0]
+    # (the Hessian's reading of U at 1e-12 for coordinates at y = 0 is its own)
+    assert objectives[1] == objectives[0]
+    assert gradient_inversions[0] == 0
 
 
 def test_measure_batches_like_scalar_calls():

@@ -192,6 +192,7 @@ def test_solve_symmetric_instance(capsys):
     assert solver["certificate"] <= 1e-5 * (1.0 + abs(rep["surrogate"]["value"]))
     assert rep["feasibility"]["ok"] is True
     assert solver["iterations"] == len(solver["values"]) == len(solver["gaps"]) == len(solver["probes"])
+    assert solver["unconverged_inner"] == 0
 
 
 def test_solve_unconverged_exit_code(tmp_path, capsys, monkeypatch):
@@ -236,6 +237,7 @@ def test_solve_reconfig_budget_one(capsys):
     assert rc["rounding_loss"] == pytest.approx(
         rc["value_fractional"] - rc["value_rounded"], abs=1e-12
     )
+    assert rc["joint"]["unconverged_inner"] == rc["final"]["unconverged_inner"] == 0
     assert rep["feasibility"]["ok"] is True
 
 
@@ -289,6 +291,23 @@ def test_version_flag(capsys):
     code, out, _ = invoke(capsys, "--version")
     assert code == 0
     assert "sliceforge" in out
+
+
+def test_cli_import_loads_no_dense_or_sparse_linear_algebra():
+    # scipy.linalg alone adds about 7 MB at import, and the solver's linear
+    # algebra is numpy mat-vecs; nothing on the CLI path may pull these in.
+    heavy = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys, sliceforge.cli; print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_installed(tmp_path):

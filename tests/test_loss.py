@@ -16,7 +16,8 @@ from sliceforge import (
     utilization_measure,
     utilization_terms,
 )
-from sliceforge.loss import LossFamily, get_family
+from sliceforge.inner import Y_CAP
+from sliceforge.loss import LossFamily, get_family, utilization_slope
 
 from conftest import erlang_recursion
 from quad_oracle import oracle_measure
@@ -179,6 +180,22 @@ def test_ceiling_is_usable():
     assert utilization(ERLANG, 0.99 * ceil, 5.0) >= 0.0
 
 
+@pytest.mark.parametrize("spec", ALL, ids=lambda spec: spec.kind)
+def test_utilization_slope_matches_central_differences(spec):
+    eps = np.finfo(float).eps
+    for cap in (0.0, 0.4, 2.5, 11.0):
+        top = min(log_loss_ceiling(spec, cap), Y_CAP) - 1e-3
+        for y in (1e-12, 1e-6, 0.3, 3.0, top):
+            h = 1e-4 * y  # relative, so the y^(1/cap) cusp is resolved
+            fd = (utilization(spec, y + h, cap, tol=1e-13) - utilization(spec, y - h, cap, tol=1e-13)) / (2 * h)
+            slope = utilization_slope(spec, y, cap)
+            assert slope >= 0.0
+            # In saturation cap - U cancels: the closed forms are then good
+            # to U's rounding, amplified by rho = U e^y.
+            rho = utilization(spec, y, cap, tol=1e-13) * math.exp(y)
+            assert slope == pytest.approx(fd, rel=1e-6, abs=64 * eps * cap * rho)
+
+
 class _Capped(LossFamily):
     """Deliberately non-saturating: F never reaches 1."""
 
@@ -236,3 +253,13 @@ def test_default_utilization_terms_match_shipped_families():
         h_ref, u_ref = utilization_terms(shipped, y, cap)
         assert h == pytest.approx(h_ref, rel=1e-12, abs=0.0)
         assert u == pytest.approx(u_ref, rel=1e-8, abs=0.0)
+
+
+def test_default_utilization_slope_matches_shipped_families():
+    # The default forward difference of the bisection inversion against the
+    # closed forms, where the Newton solver reads them.
+    y, cap = (a.ravel() for a in np.meshgrid([0.01, 0.3, 1.0, 3.0], [0.4, 2.5, 11.0]))
+    for generic, shipped in ((_GenericExpOverflow(), EXP), (_GenericErlang(), ERLANG)):
+        register_family(generic)
+        slope = utilization_slope(LossSpec(generic.name), y, cap)
+        assert slope == pytest.approx(utilization_slope(shipped, y, cap), rel=1e-4, abs=0.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -188,6 +189,44 @@ def test_slope_search_trusts_values_over_a_wrong_slope():
     assert 0.0 < gamma < 0.4
     assert payload == gamma
     assert len(probed) <= OuterOptions().line_search_evals
+
+
+def test_slope_search_stops_at_a_kink():
+    # phi' falls smoothly from 0.3 to 1.5e-4 and then jumps to -1.5 at a
+    # kink, as on random_small_instance(7); regula falsi alone moves the
+    # right end in slowly and spends the whole 40-probe budget there.
+    kink, left, right, slope0 = 0.9314, 1.5e-4, -1.5, 0.3
+    c = (slope0 - left) / kink
+
+    def dphi(g):
+        return left + c * (kink - g) if g < kink else right
+
+    def phi(g):
+        t = min(g, kink)
+        return left * t + c * (kink * t - 0.5 * t * t) + right * max(g - kink, 0.0)
+
+    gamma, payload, probed = _search(phi, dphi)
+    assert payload == gamma
+    assert len(probed) <= 16
+    # the concavity bound the stop rests on
+    assert phi(kink) - phi(gamma) <= OuterOptions().line_search_tol * min(slope0, 1.0 + phi(kink))
+
+
+def test_frank_wolfe_never_certifies_an_unconverged_inner_solve(monkeypatch):
+    model = single_entity(5.0, kind="erlang_b", phys_cap=10.0)
+    _, trace = maximize_surrogate(model)
+    assert trace.status == "converged" and trace.unconverged_inner == 0
+    solves = [0]
+
+    def unconverged(*args, **kwargs):
+        solves[0] += 1
+        return dataclasses.replace(surrogate(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(sliceforge.outer, "surrogate", unconverged)
+    _, trace = maximize_surrogate(model)
+    assert trace.status == "inner_unconverged"
+    assert not trace.converged
+    assert trace.unconverged_inner == solves[0] > 0
 
 
 def test_frank_wolfe_reports_stall(monkeypatch):
