@@ -24,7 +24,7 @@ report = check_feasible(model, alloc)
 print("allocation", alloc.values, "feasible:", report.ok, "slack per physical:", report.slack)
 
 state = solve_fixed_point(model, alloc)
-print(f"\nconverged in {state.iterations} damped iterations, residual {state.residual:.2e}")
+print(f"\nconverged in {state.iterations} fixed-point evaluations, residual {state.residual:.2e}")
 print(f"{'entity':>8} {'capacity':>9} {'offered':>9} {'blocking':>9}")
 for i, lg in enumerate(model.logicals):
     print(f"{lg.id:>8} {alloc.values[i]:9.2f} {state.offered[i]:9.4f} {state.blocking[i]:9.5f}")

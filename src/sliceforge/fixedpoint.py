@@ -6,9 +6,13 @@ divides back out):
 
     rho_i = (1 - F_i(rho_i, C_i))^(-1) * sum_r A_ir nu_r prod_j (1 - F_j(rho_j, C_j))^A_jr
 
-The solver runs a damped synchronous (Jacobi) substitution from the
-no-blocking start rho0_i = sum_r A_ir nu_r.  Feasibility of the allocation
-is not required; the system is defined for any C >= 0.
+Writing G(rho) for the right-hand side, the solver accelerates the damped
+synchronous substitution rho <- rho + d (G(rho) - rho) by safeguarded
+Anderson extrapolation (Walker & Ni, SIAM J. Numer. Anal. 2011), from the
+no-blocking start rho0_i = sum_r A_ir nu_r.  The per-flow products run
+over the demand matrix's non-zeros only, built once per solve.
+Feasibility of the allocation is not required; the system is defined for
+any C >= 0.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ __all__ = [
 ]
 
 SURVIVAL_UNDERFLOW = 1e-300
+ANDERSON_DEPTH = 5  # secant pairs the extrapolation keeps
+ANDERSON_MIN_PAIRS = 3  # secant pairs it waits for after a start or a reset
+ANDERSON_DROP = 1e-10  # relative remainder below which a secant pair is dependent
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,10 @@ class FixedPointOptions:
     tol: float = 1e-9
     max_iters: int = 10000
     damping: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.max_iters < 1:
+            raise ValueError(f"fixedpoint: max_iters must be at least 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -78,15 +89,73 @@ def _blocking_vector(groups, rho: np.ndarray, caps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _flow_survival(survival: np.ndarray, demands: np.ndarray) -> np.ndarray:
-    # prod_j (1 - B_j)^A_jr per flow; 0^positive = 0 handles blocked entities
-    return np.prod(survival[:, None] ** demands, axis=0)
+def _flow_entries(demands: np.ndarray):
+    """The demand matrix's non-zeros ordered by flow, then by entity: their
+    entity indices, their demands and the index of each flow's first one.
+    Every flow demands at least one entity, so no flow's run is empty."""
+    flows, rows = np.nonzero(demands.T)
+    starts = np.flatnonzero(np.diff(flows, prepend=-1))
+    return rows, demands[rows, flows], starts
+
+
+def _flow_survival(survival: np.ndarray, entries) -> np.ndarray:
+    # prod_j (1 - B_j)^A_jr per flow over the non-zeros only, multiplied in
+    # entity order like a dense product down the columns; 0^positive = 0
+    # handles blocked entities
+    rows, vals, starts = entries
+    if not starts.size:
+        return np.ones(0)
+    return np.multiply.reduceat(survival[rows] ** vals, starts)
+
+
+def _anderson(points: list, images: list) -> np.ndarray:
+    """Type-II Anderson extrapolation from the iterates x_k and their damped
+    images g(x_k): the affine combination of the images whose residuals
+    f_k = g(x_k) - x_k combine to the least-squares smallest one.
+
+    The least squares over the differences of successive f_k runs through
+    a modified Gram-Schmidt QR, as in Walker & Ni; a difference that is
+    dependent on the earlier ones to ANDERSON_DROP is left out."""
+    residuals = [g - x for x, g in zip(points, images)]
+    basis, columns, kept = [], [], []  # Q, the columns of R, their pair index
+    for k in range(len(residuals) - 1):
+        v = residuals[k + 1] - residuals[k]
+        size = math.sqrt(v @ v)
+        column = []
+        for q in basis:
+            column.append(q @ v)
+            v = v - column[-1] * q
+        norm = math.sqrt(v @ v)
+        if norm <= ANDERSON_DROP * size:
+            continue
+        basis.append(v / norm)
+        columns.append(column + [norm])
+        kept.append(k)
+    # back substitution for R gamma = Q^T f
+    gamma = [q @ residuals[-1] for q in basis]
+    for i in reversed(range(len(basis))):
+        gamma[i] = (gamma[i] - sum(columns[t][i] * gamma[t] for t in range(i + 1, len(basis)))) / columns[i][i]
+    trial = images[-1].copy()
+    for k, weight in zip(kept, gamma):
+        trial -= weight * (images[k + 1] - images[k])
+    return trial
 
 
 def solve_fixed_point(
     model: NetworkModel, alloc: CapacityAllocation, options: FixedPointOptions | None = None
 ) -> LoadState:
-    """Damped substitution to residual max_i |rho_i - G_i| / (1 + rho_i) <= tol.
+    """Solve rho = G(rho) to residual max_i |rho_i - G_i| / (1 + rho_i) <= tol.
+
+    Safeguarded Anderson acceleration (Walker & Ni 2011) of the damped map
+    g(rho) = rho + damping (G(rho) - rho), from the no-blocking start.  Once
+    ANDERSON_MIN_PAIRS damped steps have been taken since the start or the
+    last reset, each step extrapolates from the last ANDERSON_DEPTH + 1
+    accepted iterates, clipped at rho >= 0, and keeps the result only if
+    its residual is below the current one; otherwise the history is cleared
+    and the plain damped step is taken from the current point.  (A lone
+    secant pair taken right after a reset tends to overshoot the same kink
+    of G again.)  `iterations` counts evaluations of G, rejected ones
+    included, so `max_iters` bounds the work.
 
     Entities whose survival probability 1 - F underflows (capacity 0 under
     full load) are pinned to their no-blocking load with B = 1; every flow
@@ -99,35 +168,48 @@ def solve_fixed_point(
     demands = demand_matrix(model)
     nu = offered_vector(model)
     rho0 = demands @ nu if model.num_flows else np.zeros(model.m)
-    rho = rho0.copy()
     groups = loss_groups(model)
+    entries = _flow_entries(demands)
 
-    converged = False
-    iterations = 0
-    residual = math.inf
-    for _ in range(opts.max_iters):
-        blocking = _blocking_vector(groups, rho, caps)
-        survival = 1.0 - blocking
-        per_flow = nu * _flow_survival(survival, demands)
-        raw = demands @ per_flow
+    def evaluate(rho):
+        # G(rho) and the residual at rho
+        survival = 1.0 - _blocking_vector(groups, rho, caps)
+        raw = demands @ (nu * _flow_survival(survival, entries))
         pinned = survival < SURVIVAL_UNDERFLOW
-        target = np.empty(model.m)
+        target = rho0.copy()
         target[~pinned] = raw[~pinned] / survival[~pinned]
-        target[pinned] = rho0[pinned]
-        residual = float(np.max(np.abs(rho - target) / (1.0 + rho))) if model.m else 0.0
+        return target, float(np.max(np.abs(rho - target) / (1.0 + rho)))
+
+    rho = rho0.copy()
+    target, residual = evaluate(rho)
+    iterations = 1
+    points: list[np.ndarray] = []
+    images: list[np.ndarray] = []
+    while residual > opts.tol and iterations < opts.max_iters:
+        step = (1.0 - opts.damping) * rho + opts.damping * target
+        points = points[-ANDERSON_DEPTH:] + [rho]
+        images = images[-ANDERSON_DEPTH:] + [step]
+        if len(points) > ANDERSON_MIN_PAIRS:
+            trial = np.maximum(_anderson(points, images), 0.0)
+            trial_target, trial_residual = evaluate(trial)
+            iterations += 1
+            if trial_residual < residual:  # False for a NaN residual
+                rho, target, residual = trial, trial_target, trial_residual
+                continue
+            points, images = [rho], [step]
+            if iterations >= opts.max_iters:
+                break
+        rho = step
+        target, residual = evaluate(rho)
         iterations += 1
-        if residual <= opts.tol:
-            converged = True
-            break
-        rho = (1.0 - opts.damping) * rho + opts.damping * target
 
     blocking = _blocking_vector(groups, rho, caps)
-    carried = nu * _flow_survival(1.0 - blocking, demands)
+    carried = nu * _flow_survival(1.0 - blocking, entries)
     return LoadState(
         offered=rho,
         blocking=blocking,
         carried_per_flow=carried,
-        converged=converged,
+        converged=residual <= opts.tol,
         iterations=iterations,
         residual=residual,
     )

@@ -15,13 +15,15 @@ into times ``last + cumsum(gaps)`` (``last``: the previous chunk's final
 time, first 0), until a chunk ends past the horizon; then one unit-mean
 holding draw per arrival <= horizon, in order, admitted or not.
 
-Memory is O(_CHUNK + _WINDOW + flows + calls in service), whatever the
-horizon.  A first pass per flow counts its arrivals, one gap chunk at a
-time, and keeps the generator where the holding draws start.  The event
-pass replays each flow's arrival times from its key in pieces of about
-its share of a window, draws the holding times piecewise, and merges the
-flows by time windows of about _WINDOW arrivals.  Piecewise draws equal
-one big draw, and piecewise sequential sums equal one whole cumsum.
+Memory is O(_CHUNK + max(_WINDOW, _PER_FLOW flows) + calls in service),
+whatever the horizon.  A first pass per flow counts its arrivals, one gap
+chunk at a time, and keeps the generator where the holding draws start.
+The event pass replays each flow's arrival times from its key in pieces
+of about its share of a window, draws the holding times piecewise, and
+merges the flows by time windows of about max(_WINDOW, _PER_FLOW flows)
+arrivals, so that the fixed cost every active flow pays per window is
+spread over at least _PER_FLOW arrivals.  Piecewise draws equal one big
+draw, and piecewise sequential sums equal one whole cumsum.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = ["SimConfig", "SimResult", "simulate"]
 
 _CHUNK = 65536  # gap draws per chunk: part of the stream layout
 _WINDOW = 16384  # expected arrivals merged per window: bounds memory only
+_PER_FLOW = 512  # ... or this many per active flow, if that is more
 
 RNG_DESCRIPTION = "philox4x64 per-flow streams, key=(seed, flow_index)"
 
@@ -178,7 +181,7 @@ def simulate(model: NetworkModel, alloc: CapacityAllocation, config: SimConfig) 
     demands = demand_matrix(model).astype(np.int64)
     num_flows = model.num_flows
     active = [r for r in range(num_flows) if nu[r] > 0.0]
-    delta = _WINDOW / float(nu.sum()) if active else config.horizon
+    delta = max(_WINDOW, _PER_FLOW * len(active)) / float(nu.sum()) if active else config.horizon
     readers = [_flow(config.seed, r, float(nu[r]), config, delta) for r in active]
     if active and sum(next(reader) for reader in readers) < config.batches:
         raise ValueError("simulate: horizon too short for requested batches")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sliceforge import (
     CapacityAllocation,
@@ -13,12 +14,17 @@ from sliceforge import (
     PhysicalEntity,
     carried_total,
     diagnostics,
+    incidence,
     loss,
     no_blocking_loads,
     solve_fixed_point,
 )
+from sliceforge.fixedpoint import _flow_entries, _flow_survival
 
 from conftest import random_small_instance, single_entity, symmetric_pair
+from fixedpoint_oracle import dense_flow_survival, oracle_fixed_point
+
+KINDS = ("erlang_b", "linear_clip", "exp_overflow")
 
 
 def test_single_entity_offered_equals_input_load():
@@ -176,3 +182,151 @@ def test_infeasible_allocation_still_solvable():
     state = solve_fixed_point(model, CapacityAllocation([50.0, 50.0]))
     assert state.converged
     assert np.all(state.blocking < 1e-10)
+
+
+def test_options_reject_an_empty_budget():
+    with pytest.raises(ValueError, match="fixedpoint: max_iters"):
+        FixedPointOptions(max_iters=0)
+
+
+def _scaled(model, factor):
+    flows = tuple(Flow(fl.id, fl.offered * factor, dict(fl.demands)) for fl in model.flows)
+    return NetworkModel(physicals=model.physicals, logicals=model.logicals, flows=flows)
+
+
+def test_converges_wherever_the_damped_oracle_does():
+    # random instances at their own loads and overloaded 15x and 50x; the
+    # accelerated solver must converge wherever damped Jacobi does, to the
+    # same blocking
+    misses, worst, counts = [], 0.0, []
+    for seed in range(100):
+        model, alloc = random_small_instance(seed)
+        for factor in (1.0, 15.0, 50.0):
+            loaded = _scaled(model, factor)
+            expect = oracle_fixed_point(loaded, alloc)
+            if not expect.converged:
+                continue
+            state = solve_fixed_point(loaded, alloc)
+            if not state.converged:
+                misses.append((seed, factor, state.iterations, state.residual))
+                continue
+            worst = max(worst, float(np.max(np.abs(state.blocking - expect.blocking))))
+            counts.append((state.iterations, expect.iterations))
+    assert misses == []
+    assert worst <= 1e-7
+    ours, theirs = np.array(counts).T
+    assert np.median(ours) < np.median(theirs)
+
+
+def closed_form_instance(m, overload, seed):
+    """m logicals alternating exp_overflow / linear_clip over m / 2 shared
+    physicals, 1.5 m flows over 1-3 logicals with demands of 1-2 units,
+    and no-blocking loads `overload` times a feasible allocation that
+    makes some physical tight."""
+    rng = np.random.default_rng(seed)
+    n = m // 2
+    physicals = tuple(PhysicalEntity(f"p{k}", "unit", float(rng.uniform(50.0, 150.0))) for k in range(n))
+    logicals = tuple(
+        LogicalEntity(
+            f"l{i}",
+            tuple(f"p{k}" for k in sorted(rng.choice(n, size=int(rng.integers(1, 4)), replace=False))),
+            LossSpec(("exp_overflow", "linear_clip")[i % 2]),
+        )
+        for i in range(m)
+    )
+    flows = []
+    for r in range(3 * m // 2):
+        hops = [int(h) for h in rng.choice(m, size=int(rng.integers(1, 4)), replace=False)]
+        if r < m and r not in hops:
+            hops[0] = r  # every logical carries some flow
+        demands = {f"l{i}": int(rng.integers(1, 3)) for i in hops}
+        flows.append(Flow(f"f{r}", float(rng.uniform(0.5, 1.5)), demands))
+    model = NetworkModel(physicals=physicals, logicals=logicals, flows=tuple(flows))
+    rho0 = no_blocking_loads(model)
+    usage = incidence(model).T @ rho0
+    busy = usage > 0.0
+    scale = float(np.min(model.physical_capacities()[busy] / usage[busy]))
+    return _scaled(model, overload), CapacityAllocation(rho0 * scale)
+
+
+def test_overloaded_closed_form_evaluation_count():
+    # m = 50 at 10x overload: damped Jacobi takes 219 evaluations of G, the
+    # accelerated solver 47
+    model, alloc = closed_form_instance(50, 10.0, seed=1)
+    state = solve_fixed_point(model, alloc)
+    assert state.converged
+    assert state.iterations <= 60
+
+
+@st.composite
+def _stressed_instances(draw):
+    """Up to 5 entities of mixed families with capacities 0, below 1 and
+    above, flows of demand 1-2, loaded 3-10x."""
+    m = draw(st.integers(1, 5))
+    logicals = tuple(
+        LogicalEntity(f"l{i}", ("p",), LossSpec(draw(st.sampled_from(KINDS)))) for i in range(m)
+    )
+    flows = []
+    for r in range(draw(st.integers(1, 6))):
+        route = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+        flows.append(Flow(f"f{r}", draw(st.floats(0.1, 2.0)), {f"l{i}": draw(st.integers(1, 2)) for i in route}))
+    caps = np.array(
+        draw(st.lists(st.just(0.0) | st.floats(0.05, 0.99) | st.floats(1.0, 20.0), min_size=m, max_size=m))
+    )
+    model = NetworkModel(physicals=(PhysicalEntity("p", "unit", 1.0),), logicals=logicals, flows=tuple(flows))
+    rho0 = no_blocking_loads(model)
+    open_ = (caps > 0.0) & (rho0 > 0.0)
+    if open_.any():
+        model = _scaled(model, draw(st.floats(3.0, 10.0)) / float(np.max(rho0[open_] / caps[open_])))
+    budget = draw(st.just(10000) | st.integers(1, 40))
+    return model, CapacityAllocation(caps), FixedPointOptions(max_iters=budget)
+
+
+@given(_stressed_instances())
+def test_stressed_states_are_sound(case):
+    model, alloc, options = case
+    state = solve_fixed_point(model, alloc, options)
+    assert 1 <= state.iterations <= options.max_iters
+    if state.converged:
+        assert state.residual <= options.tol
+    assert np.all(np.isfinite(state.offered)) and np.all(state.offered >= 0.0)
+    assert np.all((state.blocking >= 0.0) & (state.blocking <= 1.0))
+    # pinned entities (B = 1) keep their no-blocking load exactly, and
+    # zero capacity under load is always pinned
+    rho0 = no_blocking_loads(model)
+    pinned = state.blocking == 1.0
+    assert np.array_equal(state.offered[pinned], rho0[pinned])
+    assert np.all(pinned[(alloc.values == 0.0) & (rho0 > 0.0)])
+    assert np.all(np.isfinite(state.carried_per_flow)) and np.all(state.carried_per_flow >= 0.0)
+
+
+@st.composite
+def _demands_and_survival(draw):
+    """A demand matrix of 0-2 units with every column non-empty, and a
+    survival vector with some exact zeros and full-mantissa values."""
+    m, flows = draw(st.integers(1, 12)), draw(st.integers(0, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    demands = rng.choice([0.0, 1.0, 2.0], size=(m, flows), p=[0.5, 0.3, 0.2])
+    for r in np.flatnonzero(~demands.any(axis=0)):
+        demands[rng.integers(0, m), r] = 1.0
+    survival = np.where(rng.random(m) < 0.15, 0.0, rng.random(m))
+    return demands, survival
+
+
+@given(_demands_and_survival())
+def test_sparse_flow_survival_matches_dense_product(case):
+    demands, survival = case
+    got = _flow_survival(survival, _flow_entries(demands))
+    want = dense_flow_survival(survival, demands)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_sparse_flow_survival_edges():
+    # no flows at all; demand 2 on a zero-survival entity; a flow whose
+    # only entity is the last one
+    assert _flow_survival(np.array([0.5, 0.25]), _flow_entries(np.zeros((2, 0)))).shape == (0,)
+    demands = np.array([[2.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 2.0]])
+    survival = np.array([0.0, 0.5, 0.3])
+    got = _flow_survival(survival, _flow_entries(demands))
+    assert got.tobytes() == dense_flow_survival(survival, demands).tobytes()
+    assert got.tolist() == [0.0, 0.0, 0.3**2]

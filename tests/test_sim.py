@@ -269,16 +269,18 @@ class _GridGenerator(np.random.Generator):
 @given(
     case=_small_erlang_cases(),
     window=st.integers(1, 40),
+    per_flow=st.integers(0, 8),
     chunk=st.integers(1, 40),
     grid=st.booleans(),
 )
-def test_streaming_matches_whole_run_oracle(case, window, chunk, grid):
+def test_streaming_matches_whole_run_oracle(case, window, per_flow, chunk, grid):
     # Small windows and gap chunks put many window edges and chunk
     # boundaries inside a short run; the oracle draws with the same chunk.
     model, alloc, config = case
     generator = _GridGenerator if grid else np.random.Generator
     with (
         mock.patch.object(sim_module, "_WINDOW", window),
+        mock.patch.object(sim_module, "_PER_FLOW", per_flow),
         mock.patch.object(sim_module, "_CHUNK", chunk),
         mock.patch.object(np.random, "Generator", generator),
     ):
@@ -308,6 +310,22 @@ def test_empty_flow_set():
     for name in _FIELDS:
         assert getattr(res, name).shape == (0,)
     _assert_bit_identical(res, oracle_simulate(model, CapacityAllocation([3.0]), SimConfig(seed=1, horizon=10.0)))
+
+
+def test_many_flows_match_whole_run_oracle():
+    # 40 flows set the window at 40 x 512 arrivals, above _WINDOW; the run
+    # holds about 60,000 arrivals, so it crosses several of those windows
+    model = NetworkModel(
+        physicals=(PhysicalEntity("p", "unit", 1.0),),
+        logicals=tuple(LogicalEntity(f"l{j}", ("p",), LossSpec("erlang_b")) for j in range(4)),
+        flows=tuple(Flow(f"f{r}", 1.0, {f"l{r % 4}": 1, f"l{(r + 1) % 4}": 1 + r % 2}) for r in range(40)),
+    )
+    assert 40 * sim_module._PER_FLOW > sim_module._WINDOW
+    alloc = CapacityAllocation([12.0, 14.0, 16.0, 18.0])
+    config = SimConfig(seed=11, horizon=1500.0, warmup=100.0)
+    res = simulate(model, alloc, config)
+    assert res.arrivals.sum() > 2 * 40 * sim_module._PER_FLOW
+    _assert_bit_identical(res, oracle_simulate(model, alloc, config))
 
 
 def test_memory_does_not_grow_with_horizon():
