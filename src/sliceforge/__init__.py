@@ -22,13 +22,12 @@ The pieces, bottom to top:
 
 from .fixedpoint import (
     Diagnostics,
-    FixedPointOptions,
     LoadState,
     carried_total,
     diagnostics,
     solve_fixed_point,
 )
-from .inner import InnerOptions, InnerSolution, inner_gradient, inner_objective, surrogate
+from .inner import InnerSolution, inner_gradient, inner_objective, surrogate
 from .loss import (
     InversionError,
     LossDomainError,
@@ -61,7 +60,6 @@ from .model import (
     serialize_model,
 )
 from .outer import (
-    OuterOptions,
     Polytope,
     ReconfigProblem,
     ReconfigResult,
@@ -109,14 +107,12 @@ __all__ = [
     "register_family",
     "loss_kinds",
     # fixed point
-    "FixedPointOptions",
     "LoadState",
     "Diagnostics",
     "solve_fixed_point",
     "carried_total",
     "diagnostics",
     # inner
-    "InnerOptions",
     "InnerSolution",
     "inner_objective",
     "inner_gradient",
@@ -126,7 +122,6 @@ __all__ = [
     "capacity_polytope",
     "SimplexError",
     "lp_solve",
-    "OuterOptions",
     "SolveTrace",
     "supergradient",
     "maximize_surrogate",

@@ -26,7 +26,6 @@ from .loss import loss, utilization_measure
 from .model import CapacityAllocation, NetworkModel, demand_matrix, loss_groups, offered_vector
 
 __all__ = [
-    "FixedPointOptions",
     "LoadState",
     "Diagnostics",
     "solve_fixed_point",
@@ -35,20 +34,11 @@ __all__ = [
 ]
 
 SURVIVAL_UNDERFLOW = 1e-300
+TOL = 1e-9  # residual max_i |rho_i - G_i| / (1 + rho_i) at which the solve stops
+DAMPING = 0.5  # d in the damped map rho + d (G(rho) - rho)
 ANDERSON_DEPTH = 5  # secant pairs the extrapolation keeps
 ANDERSON_MIN_PAIRS = 3  # secant pairs it waits for after a start or a reset
 ANDERSON_DROP = 1e-10  # relative remainder below which a secant pair is dependent
-
-
-@dataclass(frozen=True)
-class FixedPointOptions:
-    tol: float = 1e-9
-    max_iters: int = 10000
-    damping: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError(f"fixedpoint: max_iters must be at least 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -141,13 +131,11 @@ def _anderson(points: list, images: list) -> np.ndarray:
     return trial
 
 
-def solve_fixed_point(
-    model: NetworkModel, alloc: CapacityAllocation, options: FixedPointOptions | None = None
-) -> LoadState:
-    """Solve rho = G(rho) to residual max_i |rho_i - G_i| / (1 + rho_i) <= tol.
+def solve_fixed_point(model: NetworkModel, alloc: CapacityAllocation, max_iters: int = 10000) -> LoadState:
+    """Solve rho = G(rho) to residual max_i |rho_i - G_i| / (1 + rho_i) <= TOL.
 
     Safeguarded Anderson acceleration (Walker & Ni 2011) of the damped map
-    g(rho) = rho + damping (G(rho) - rho), from the no-blocking start.  Once
+    g(rho) = rho + DAMPING (G(rho) - rho), from the no-blocking start.  Once
     ANDERSON_MIN_PAIRS damped steps have been taken since the start or the
     last reset, each step extrapolates from the last ANDERSON_DEPTH + 1
     accepted iterates, clipped at rho >= 0, and keeps the result only if
@@ -161,10 +149,11 @@ def solve_fixed_point(
     full load) are pinned to their no-blocking load with B = 1; every flow
     through them carries nothing, so the rest of the system is unaffected.
     """
-    opts = options or FixedPointOptions()
+    if max_iters < 1:
+        raise ValueError(f"fixedpoint: max_iters must be at least 1, got {max_iters!r}")
     caps = np.asarray(alloc.values, dtype=float)
     if caps.size != model.m:
-        raise ValueError(f"allocation length {caps.size} != m={model.m}")
+        raise ValueError(f"fixedpoint: allocation length {caps.size} != m={model.m}")
     demands = demand_matrix(model)
     nu = offered_vector(model)
     rho0 = demands @ nu if model.num_flows else np.zeros(model.m)
@@ -185,8 +174,8 @@ def solve_fixed_point(
     iterations = 1
     points: list[np.ndarray] = []
     images: list[np.ndarray] = []
-    while residual > opts.tol and iterations < opts.max_iters:
-        step = (1.0 - opts.damping) * rho + opts.damping * target
+    while residual > TOL and iterations < max_iters:
+        step = (1.0 - DAMPING) * rho + DAMPING * target
         points = points[-ANDERSON_DEPTH:] + [rho]
         images = images[-ANDERSON_DEPTH:] + [step]
         if len(points) > ANDERSON_MIN_PAIRS:
@@ -197,7 +186,7 @@ def solve_fixed_point(
                 rho, target, residual = trial, trial_target, trial_residual
                 continue
             points, images = [rho], [step]
-            if iterations >= opts.max_iters:
+            if iterations >= max_iters:
                 break
         rho = step
         target, residual = evaluate(rho)
@@ -209,7 +198,7 @@ def solve_fixed_point(
         offered=rho,
         blocking=blocking,
         carried_per_flow=carried,
-        converged=residual <= opts.tol,
+        converged=residual <= TOL,
         iterations=iterations,
         residual=residual,
     )

@@ -31,7 +31,6 @@ from .loss import (
 from .model import CapacityAllocation, NetworkModel, demand_matrix, loss_groups, offered_vector
 
 __all__ = [
-    "InnerOptions",
     "InnerSolution",
     "inner_objective",
     "inner_gradient",
@@ -41,19 +40,13 @@ __all__ = [
 # Hard cap on any log-loss coordinate: exp(-50) ~ 2e-22 leaves the flow
 # term numerically dead, so nothing is lost by stopping there.
 Y_CAP = 50.0
+# Convergence tolerance, relative to 1 + |phi|: see `surrogate`.
+TOL = 1e-8
 
-_GRAD_INVERSION_TOL = 1e-13
 _TINY = np.finfo(float).tiny
 # U rises like y^(1/cap), with infinite slope at y = 0 for cap > 1: there
 # the Hessian takes U's slope at _Y_CUSP, so a coordinate leaves 0 slowly.
 _Y_CUSP = 1e-12
-
-
-@dataclass(frozen=True)
-class InnerOptions:
-    tol: float = 1e-8
-    max_iters: int = 5000
-    y_cap: float = Y_CAP
 
 
 @dataclass(frozen=True)
@@ -68,9 +61,9 @@ class InnerSolution:
 def _check_y(model: NetworkModel, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (model.m,):
-        raise ValueError(f"log-loss vector must have shape ({model.m},)")
+        raise ValueError(f"inner: log-loss vector must have shape ({model.m},)")
     if not np.all(np.isfinite(y)) or np.any(y < 0.0):
-        raise ValueError("log-loss vector must be finite and non-negative")
+        raise ValueError("inner: log-loss vector must be finite and non-negative")
     return y
 
 
@@ -103,7 +96,7 @@ class _Batch:
         if u is None:
             u = np.empty(y.size)
             for spec, idx in self.groups:
-                u[idx] = utilization(spec, y[idx], self.caps[idx], tol=_GRAD_INVERSION_TOL)
+                u[idx] = utilization(spec, y[idx], self.caps[idx])
         self.u, self.weights = u, self.nu * np.exp(-(self.demands.T @ y))
         return u - self.demands @ self.weights
 
@@ -116,7 +109,7 @@ class _Batch:
             at_zero = y[idx] <= 0.0
             yc, u = np.where(at_zero, _Y_CUSP, y[idx]), self.u[idx]  # a copy: idx is an index array
             if at_zero.any():
-                u[at_zero] = utilization(spec, _Y_CUSP, self.caps[idx][at_zero], tol=_GRAD_INVERSION_TOL)
+                u[at_zero] = utilization(spec, _Y_CUSP, self.caps[idx][at_zero])
             self.slope[idx] = utilization_slope(spec, yc, self.caps[idx], u)
         return self.slope + self.flow_diagonal
 
@@ -145,8 +138,8 @@ def inner_gradient(
     return (batch if batch is not None else _Batch(model, alloc)).gradient(y)
 
 
-def _box_upper(model: NetworkModel, caps: np.ndarray, y_cap: float) -> np.ndarray:
-    return np.array([min(y_cap, log_loss_ceiling(lg.loss, float(c))) for lg, c in zip(model.logicals, caps)])
+def _box_upper(model: NetworkModel, caps: np.ndarray) -> np.ndarray:
+    return np.array([min(Y_CAP, log_loss_ceiling(lg.loss, float(c))) for lg, c in zip(model.logicals, caps)])
 
 
 def _projected_gradient(grad: np.ndarray, y: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -175,13 +168,13 @@ def _conjugate_gradients(batch: _Batch, grad: np.ndarray, diag: np.ndarray, free
 def surrogate(
     model: NetworkModel,
     alloc: CapacityAllocation,
-    options: InnerOptions | None = None,
     warm_start: np.ndarray | None = None,
+    max_iters: int = 5000,
 ) -> InnerSolution:
     """Evaluate phi(C) by two-metric projected Newton on the inner problem
     (Bertsekas 1982; Gafni & Bertsekas 1984).
 
-    The search box is [0, min(y_cap, per-entity ceiling)]; the ceiling
+    The search box is [0, min(Y_CAP, per-entity ceiling)]; the ceiling
     keeps Erlang inversions away from their non-saturating regime.  A
     warm start (e.g. the optimum at a nearby allocation) is clipped into
     the box; zero-capacity entities that flows still get through start
@@ -189,28 +182,30 @@ def surrogate(
     the box take a diagonal step; the rest take the Newton step on the
     free set, and Armijo backtracks along the projection arc (bent, near
     U's cusp at y = 0, to follow U's local power law).  The solve
-    converges when the projected gradient is at most tol * (1 + |phi|),
+    converges when the projected gradient is at most TOL * (1 + |phi|),
     or when the step's predicted decrease is at most
-    tol^2 * (1 + |phi|), in phi units.
+    TOL^2 * (1 + |phi|), in phi units; it stops unconverged after
+    `max_iters` Newton steps or when Armijo stalls.
     """
-    opts = options or InnerOptions()
+    if max_iters < 1:
+        raise ValueError(f"inner: max_iters must be at least 1, got {max_iters!r}")
     caps = np.asarray(alloc.values, dtype=float)
     if caps.size != model.m:
-        raise ValueError(f"allocation length {caps.size} != m={model.m}")
-    hi = _box_upper(model, caps, opts.y_cap)
+        raise ValueError(f"inner: allocation length {caps.size} != m={model.m}")
+    hi = _box_upper(model, caps)
     y = np.zeros(model.m) if warm_start is None else np.clip(np.asarray(warm_start, dtype=float), 0.0, hi)
     batch = _Batch(model, alloc)
     # Zero capacity leaves only the flow term, which falls in y_j while
     # flows get through: hi is then the minimizer.
-    starved = (caps == 0.0) & (batch.demands @ (batch.nu * np.exp(-(batch.demands.T @ y))) > opts.tol)
+    starved = (caps == 0.0) & (batch.demands @ (batch.nu * np.exp(-(batch.demands.T @ y))) > TOL)
     y[starved] = hi[starved]
     value = inner_objective(model, alloc, y, batch)
 
     iterations, converged, grad_norm = 0, False, math.inf
-    for _ in range(opts.max_iters):
+    for _ in range(max_iters):
         grad = inner_gradient(model, alloc, y, batch)
         grad_norm = float(np.linalg.norm(_projected_gradient(grad, y, hi)))
-        if grad_norm <= opts.tol * (1.0 + abs(value)):
+        if grad_norm <= TOL * (1.0 + abs(value)):
             converged = True
             break
         # Bound coordinates within eps of a face, pushed out of the box,
@@ -234,7 +229,7 @@ def surrogate(
 
         # Predicted decrease in phi units: ends solves whose gradient stays
         # large on a coordinate of near-infinite curvature.
-        if -float(grad @ (arc(1.0) - y)) <= opts.tol**2 * (1.0 + abs(value)):
+        if -float(grad @ (arc(1.0) - y)) <= TOL**2 * (1.0 + abs(value)):
             converged = True
             break
         accepted, alpha = None, 1.0

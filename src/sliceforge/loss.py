@@ -60,15 +60,13 @@ __all__ = [
 ]
 
 RHO_BRACKET_CAP = 1e12
-INVERSION_TOL = 1e-10
+# Log-loss spread at which the generic bisection stops.  Tight, because the
+# inversion runs inside optimization loops whose finite differences divide
+# by steps ~1e-6 and would otherwise amplify inversion noise past the
+# gradient checks.
+INVERSION_TOL = 1e-13
 INVERSION_MAX_ITERS = 200
 _EPS = np.finfo(float).eps
-
-# Inversion tolerance of the default utilization_terms, which runs inside
-# optimization loops: finite differences of the objective divide out
-# steps ~1e-6 and would otherwise amplify inversion noise past the
-# gradient checks.
-_TIGHT_INVERSION_TOL = 1e-13
 
 
 class LossDomainError(ValueError):
@@ -83,13 +81,13 @@ class InversionError(RuntimeError):
 # numerical kernels
 
 
-def _upper_inverse(family, y, cap, tol, bracket_cap=RHO_BRACKET_CAP, max_iters=INVERSION_MAX_ITERS):
+def _upper_inverse(family, y, cap):
     """rho(y) = sup{rho >= 0 : -log(1 - F(rho, cap)) <= y}.
 
     Bracket by doubling from max(1, cap), then bisect until the bracket's
-    log-loss spread is within tol * min(1, y), or the bracket is a few
-    ulps of rho wide; both are relative at small y, where rho can be
-    tiny (~y^(1/cap) on an s^cap curve).  The sup convention resolves
+    log-loss spread is within INVERSION_TOL * min(1, y), or the bracket
+    is a few ulps of rho wide; both are relative at small y, where rho
+    can be tiny (~y^(1/cap) on an s^cap curve).  The sup convention resolves
     plateaus of F from above (so e.g. linear_clip gives rho(0) = cap,
     not 0).
     """
@@ -109,12 +107,12 @@ def _upper_inverse(family, y, cap, tol, bracket_cap=RHO_BRACKET_CAP, max_iters=I
         lo = hi
         hi *= 2.0
         doublings += 1
-        if hi > bracket_cap or doublings > max_iters:
+        if hi > RHO_BRACKET_CAP or doublings > INVERSION_MAX_ITERS:
             raise InversionError("non-saturating loss function")
     f_lo = log_loss(lo)
     f_hi = log_loss(hi)
-    for _ in range(max_iters):
-        if f_hi - f_lo <= tol * min(1.0, y) or hi - lo <= 4.0 * _EPS * hi:
+    for _ in range(INVERSION_MAX_ITERS):
+        if f_hi - f_lo <= INVERSION_TOL * min(1.0, y) or hi - lo <= 4.0 * _EPS * hi:
             break
         mid = 0.5 * (lo + hi)
         f_mid = log_loss(mid)
@@ -215,14 +213,14 @@ class LossFamily:
         families can shed the array dispatch."""
         return float(self.survival(rho, cap))
 
-    def offered_at(self, y, cap, tol=INVERSION_TOL):
+    def offered_at(self, y, cap):
         """Generalized upper inverse rho(y) of the log-loss curve; scalars or arrays."""
         ys, cs, shape = _broadcast(y, cap)
-        return _finish(np.array([_upper_inverse(self, a, c, tol) for a, c in zip(ys, cs)]), shape)
+        return _finish(np.array([_upper_inverse(self, a, c) for a, c in zip(ys, cs)]), shape)
 
-    def utilization(self, y, cap, tol=INVERSION_TOL):
+    def utilization(self, y, cap):
         """U(y, cap) = rho(y) e^(-y); scalars or arrays."""
-        return self.offered_at(y, cap, tol) * np.exp(-np.asarray(y, dtype=float))
+        return self.offered_at(y, cap) * np.exp(-np.asarray(y, dtype=float))
 
     def utilization_terms(self, y, cap):
         """H(y, cap) and U(y, cap) for 1-D arrays of checked levels and
@@ -235,7 +233,7 @@ class LossFamily:
         log space, where the carried curve s S(s) flattens in saturation,
         so deep-saturation levels cost the same fixed rule.
         """
-        rho = np.asarray(self.offered_at(y, cap, _TIGHT_INVERSION_TOL), dtype=float)
+        rho = np.asarray(self.offered_at(y, cap), dtype=float)
         u = rho * np.exp(-y)
         h = np.zeros(y.size)
         live = rho > 0.0
@@ -247,7 +245,7 @@ class LossFamily:
         """dU/dy for checked 1-D arrays, given U there: a forward difference,
         floored at 0 since U is nondecreasing."""
         step = 1e-6 * (1.0 + y)
-        return np.maximum((self.utilization(y + step, cap, _TIGHT_INVERSION_TOL) - u) / step, 0.0)
+        return np.maximum((self.utilization(y + step, cap) - u) / step, 0.0)
 
     def _integral(self, y, cap, rho):
         b0 = np.maximum(1.0, cap)
@@ -339,10 +337,10 @@ class _ErlangB(LossFamily):
             out[work] = expit(_erlang_log_rest(r[work], c[work]))
         return _finish(out, shape)
 
-    def offered_at(self, y, cap, tol=INVERSION_TOL):
+    def offered_at(self, y, cap):
         # F strictly increasing from F(0, cap) = 0, so y = 0 <=> rho = 0;
         # cap = 0 blocks everything offered, so rho(y) = 0 there too.  The
-        # Newton inversion always runs to rounding, below any tol.
+        # Newton inversion always runs to rounding.
         ys, cs, shape = _levels(y, cap)
         rho = np.zeros(ys.size)
         live = (ys > 0.0) & (cs > 0.0)
@@ -522,11 +520,11 @@ class _LinearClip(LossFamily):
         out[pos] = np.clip(c[pos] / r[pos], 0.0, 1.0)
         return _finish(out, shape)
 
-    def offered_at(self, y, cap, tol=INVERSION_TOL):
+    def offered_at(self, y, cap):
         ys, cs, shape = _levels(y, cap)
         return _finish(cs * np.exp(ys), shape)
 
-    def utilization(self, y, cap, tol=INVERSION_TOL):
+    def utilization(self, y, cap):
         ys, cs, shape = _levels(y, cap)
         return _finish(cs.copy(), shape)
 
@@ -555,7 +553,7 @@ class _ExpOverflow(LossFamily):
             out[pos] = -np.expm1(-c[pos] / r[pos])
         return _finish(out, shape)
 
-    def offered_at(self, y, cap, tol=INVERSION_TOL):
+    def offered_at(self, y, cap):
         # solve exp(-cap/rho) = 1 - e^(-y)
         ys, cs, shape = _levels(y, cap)
         rho = np.zeros(ys.size)
@@ -636,13 +634,13 @@ def loss(spec: LossSpec, rho, cap):
     return get_family(spec.kind).blocking(rho, cap)
 
 
-def utilization(spec: LossSpec, y, cap, tol: float = INVERSION_TOL):
+def utilization(spec: LossSpec, y, cap):
     """U(y, cap) = rho(y) * e^(-y), mean capacity in use at log-loss y.
 
     Accepts scalars or broadcastable numpy arrays.
     """
     ys, cs, shape = _levels(y, cap)
-    return _finish(np.asarray(get_family(spec.kind).utilization(ys, cs, tol), dtype=float), shape)
+    return _finish(np.asarray(get_family(spec.kind).utilization(ys, cs), dtype=float), shape)
 
 
 def utilization_terms(spec: LossSpec, y, cap):
@@ -656,7 +654,7 @@ def utilization_terms(spec: LossSpec, y, cap):
 def utilization_slope(spec: LossSpec, y, cap, u=None):
     """dU/dy at (y, cap), floored at 0; `u`, U there, saves an inversion."""
     ys, cs, shape = _levels(y, cap)
-    us = utilization(spec, ys, cs, _TIGHT_INVERSION_TOL) if u is None else np.broadcast_to(u, shape).reshape(-1)
+    us = utilization(spec, ys, cs) if u is None else np.broadcast_to(u, shape).reshape(-1)
     return _finish(get_family(spec.kind).utilization_slope(ys, cs, np.asarray(us, dtype=float)), shape)
 
 

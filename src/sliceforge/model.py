@@ -227,19 +227,18 @@ def no_blocking_loads(model: NetworkModel) -> np.ndarray:
     return demand_matrix(model) @ offered_vector(model)
 
 
-def check_feasible(model: NetworkModel, alloc: CapacityAllocation, tol: float | None = None) -> FeasibilityReport:
+def check_feasible(model: NetworkModel, alloc: CapacityAllocation) -> FeasibilityReport:
     """Does alloc satisfy the shared-capacity constraints?
 
     ok iff usage_k <= C_phys_k + tol on every physical k (usage is the sum
-    of member logicals' capacities) and all coordinates >= -tol.  Default
+    of member logicals' capacities) and all coordinates >= -tol, where
     tol is scale-aware: 1e-9 * (1 + max physical capacity).
     """
     values = np.asarray(alloc.values, dtype=float)
     if values.size != model.m:
         raise ModelError(f"allocation length {values.size} != m={model.m}")
     caps = model.physical_capacities()
-    if tol is None:
-        tol = 1e-9 * (1.0 + (caps.max() if caps.size else 0.0))
+    tol = 1e-9 * (1.0 + (caps.max() if caps.size else 0.0))
     usage = incidence(model).T @ values
     slack = caps - usage
     ok = bool(np.all(slack >= -tol) and np.all(values >= -tol))

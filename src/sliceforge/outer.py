@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inner import InnerOptions, InnerSolution, surrogate
+from .inner import InnerSolution, surrogate
 from .loss import log_loss_ceiling, utilization_integral
 from .model import CapacityAllocation, NetworkModel, incidence, loss_groups
 
@@ -28,7 +28,6 @@ __all__ = [
     "capacity_polytope",
     "SimplexError",
     "lp_solve",
-    "OuterOptions",
     "SolveTrace",
     "supergradient",
     "maximize_surrogate",
@@ -71,9 +70,10 @@ class Polytope:
     def dimension(self) -> int:
         return self.A_ub.shape[1]
 
-    def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
+        """x lies in the polytope to within 1e-9 on every constraint."""
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= -tol) and np.all(self.A_ub @ x <= self.b_ub + tol))
+        return bool(np.all(x >= -1e-9) and np.all(self.A_ub @ x <= self.b_ub + 1e-9))
 
 
 def capacity_polytope(model: NetworkModel) -> Polytope:
@@ -84,6 +84,14 @@ def capacity_polytope(model: NetworkModel) -> Polytope:
 _PIVOT_EPS = 1e-12
 _COST_EPS = 1e-9
 _USAGE_TIE = 1e-6  # relative gap below which solve_reconfig ties two usages
+
+MAX_ITERS = 500  # Frank-Wolfe iterations per solve unless maximize_surrogate is given fewer
+GAP_TOL = 1e-5  # converged once the duality gap is within GAP_TOL * (1 + |phi|)
+LINE_SEARCH_EVALS = 40  # surrogate solves a step may spend
+LINE_SEARCH_TOL = 1e-6  # relative stop of the step's slope search (see _slope_search)
+# Supergradient central-difference step: max(_FD_STEP_FLOOR, _FD_STEP_REL * C_j)
+_FD_STEP_FLOOR = 1e-4
+_FD_STEP_REL = 1e-6
 
 
 def lp_solve(objective: np.ndarray, polytope: Polytope) -> tuple[np.ndarray, float]:
@@ -145,17 +153,6 @@ def lp_solve(objective: np.ndarray, polytope: Polytope) -> tuple[np.ndarray, flo
 
 
 @dataclass(frozen=True)
-class OuterOptions:
-    max_iters: int = 500
-    gap_tol: float = 1e-5
-    line_search: bool = True  # False -> open-loop steps 2/(k+2)
-    line_search_evals: int = 40
-    line_search_tol: float = 1e-6
-    fd_step_floor: float = 1e-4
-    fd_step_rel: float = 1e-6
-
-
-@dataclass(frozen=True)
 class SolveTrace:
     values: tuple[float, ...]  # phi at the start of each iteration
     gaps: tuple[float, ...]  # duality gap per iteration
@@ -180,8 +177,6 @@ def supergradient(
     model: NetworkModel,
     alloc: CapacityAllocation,
     inner: InnerSolution | None = None,
-    inner_options: InnerOptions | None = None,
-    options: OuterOptions | None = None,
 ) -> np.ndarray:
     """Supergradient of phi at an allocation via the inner optimum.
 
@@ -190,11 +185,12 @@ def supergradient(
     H_j(y*_j, .) with the loss variable clipped to the ceiling of the
     upper capacity (the ceiling shrinks as capacity grows).
     """
-    opts = options or OuterOptions()
-    if inner is None:
-        inner = surrogate(model, alloc, inner_options)
     caps = np.asarray(alloc.values, dtype=float)
-    h = np.maximum(opts.fd_step_floor, opts.fd_step_rel * caps)
+    if caps.size != model.m:
+        raise ValueError(f"outer: allocation length {caps.size} != m={model.m}")
+    if inner is None:
+        inner = surrogate(model, alloc)
+    h = np.maximum(_FD_STEP_FLOOR, _FD_STEP_REL * caps)
     lo = np.maximum(0.0, caps - h)
     hi = caps + h
     grad = np.zeros(model.m)
@@ -206,17 +202,18 @@ def supergradient(
     return grad
 
 
-def _slope_search(probe, base_value, slope0, budget, tol):
+def _slope_search(probe, base_value, slope0):
     """Maximize a concave phi(gamma) on [0, 1] by the root of its slope.
 
     `probe(gamma)` returns (phi, phi', payload); slope0 = phi'(0) > 0.
     gamma = 1 goes first and is kept when phi'(1) >= 0; otherwise regula
-    falsi (Anderson-Bjorck, else Illinois) narrows the bracket to `tol`,
-    to |phi'| <= tol * min(slope0, 1 + |phi|), or to `budget` probes.  A
-    probe below base_value is a right end whatever its slope (concavity).
-    At a kink of phi, where regula falsi moves one end slowly, it also stops
-    once |phi'| times the bracket width (by concavity a bound on the gain
-    left) is within tol * min(slope0, 1 + |phi|).
+    falsi (Anderson-Bjorck, else Illinois) narrows the bracket to
+    LINE_SEARCH_TOL, to |phi'| <= LINE_SEARCH_TOL * min(slope0, 1 + |phi|),
+    or to LINE_SEARCH_EVALS probes.  A probe below base_value is a right
+    end whatever its slope (concavity).  At a kink of phi, where regula
+    falsi moves one end slowly, it also stops once |phi'| times the bracket
+    width (by concavity a bound on the gain left) is within
+    LINE_SEARCH_TOL * min(slope0, 1 + |phi|).
     Returns (gamma, payload, probes) of the best probe, or gamma = 0 and
     the last probe's payload when none beats base_value.
     """
@@ -228,7 +225,7 @@ def _slope_search(probe, base_value, slope0, budget, tol):
         probes += 1
         if value > best_value:
             best_gamma, best_payload, best_value = gamma, payload, value
-        slope, enough = raw_slope, tol * min(slope0, 1.0 + abs(value))
+        slope, enough = raw_slope, LINE_SEARCH_TOL * min(slope0, 1.0 + abs(value))
         if value < base_value:
             slope = min(slope, 0.0)
         elif (gamma == 1.0 and slope >= 0.0) or abs(slope) <= enough:
@@ -239,7 +236,7 @@ def _slope_search(probe, base_value, slope0, budget, tol):
             ends[1 - k][1] *= shrink if shrink > 0.0 else 0.5
         ends[k], moved = [gamma, slope], k
         (lo, s_lo), (hi, s_hi) = ends
-        if hi - lo <= tol or probes >= budget or abs(raw_slope) * (hi - lo) <= enough:
+        if hi - lo <= LINE_SEARCH_TOL or probes >= LINE_SEARCH_EVALS or abs(raw_slope) * (hi - lo) <= enough:
             break
         gamma = lo + (hi - lo) * s_lo / (s_lo - s_hi)
         if not lo < gamma < hi:
@@ -247,7 +244,7 @@ def _slope_search(probe, base_value, slope0, budget, tol):
     return best_gamma, payload if best_payload is None else best_payload, probes
 
 
-def _frank_wolfe(model, polytope, objective_dim, opts, inner_opts, lift, grad_lift):
+def _frank_wolfe(model, polytope, objective_dim, max_iters, lift, grad_lift):
     """Shared Frank-Wolfe core over variables z in the polytope.
 
     `lift(z)` maps a polytope point to the allocation whose surrogate is
@@ -264,7 +261,7 @@ def _frank_wolfe(model, polytope, objective_dim, opts, inner_opts, lift, grad_li
 
     def solve(alloc, warm=None):
         nonlocal unconverged
-        sol = surrogate(model, alloc, inner_opts, warm_start=warm)
+        sol = surrogate(model, alloc, warm_start=warm)
         unconverged += not sol.converged
         return sol
 
@@ -273,13 +270,13 @@ def _frank_wolfe(model, polytope, objective_dim, opts, inner_opts, lift, grad_li
     grad = grad_lift(z, sol)
     values, gaps, steps, probes = [], [], [], []
     status, retried = "max_iters", False
-    for k in range(opts.max_iters):
+    for _ in range(max_iters):
         vertex, _ = lp_solve(grad, polytope)
         direction = vertex - z
         gap = float(grad @ direction)
         values.append(sol.value)
         gaps.append(gap)
-        if gap <= opts.gap_tol * (1.0 + abs(sol.value)):
+        if gap <= GAP_TOL * (1.0 + abs(sol.value)):
             steps.append(0.0)
             probes.append(0)
             status = "converged" if sol.converged else "inner_unconverged"
@@ -290,11 +287,7 @@ def _frank_wolfe(model, polytope, objective_dim, opts, inner_opts, lift, grad_li
             g = grad_lift(_z + gamma * _d, trial)
             return trial.value, float(g @ _d), (trial, g)
 
-        if opts.line_search:
-            gamma, accepted, count = _slope_search(probe, sol.value, gap, opts.line_search_evals, opts.line_search_tol)
-        else:
-            gamma, count = 2.0 / (k + 2.0), 1
-            accepted = probe(gamma)[2]
+        gamma, accepted, count = _slope_search(probe, sol.value, gap)
         probes.append(count)
         steps.append(gamma)
         if gamma > 0.0:
@@ -313,30 +306,31 @@ def _frank_wolfe(model, polytope, objective_dim, opts, inner_opts, lift, grad_li
         final_alloc=z.copy(),
         final_value=sol.value,
         status=status,
-        certificate=gaps[-1] if gaps else 0.0,
+        certificate=gaps[-1],
         unconverged_inner=unconverged,
     )
 
 
 def maximize_surrogate(
     model: NetworkModel,
-    options: OuterOptions | None = None,
-    inner_options: InnerOptions | None = None,
     polytope: Polytope | None = None,
+    max_iters: int = MAX_ITERS,
 ) -> tuple[CapacityAllocation, SolveTrace]:
-    """max phi(C) over the capacity polytope (or a caller-supplied one)."""
-    opts = options or OuterOptions()
+    """max phi(C) over the capacity polytope (or a caller-supplied one),
+    in at most `max_iters` Frank-Wolfe iterations."""
+    if max_iters < 1:
+        raise ValueError(f"outer: max_iters must be at least 1, got {max_iters!r}")
     poly = polytope if polytope is not None else capacity_polytope(model)
     if poly.dimension != model.m:
-        raise ValueError(f"polytope dimension {poly.dimension} != m={model.m}")
+        raise ValueError(f"outer: polytope dimension {poly.dimension} != m={model.m}")
 
     def lift(z):
         return CapacityAllocation(z)
 
     def grad_lift(z, sol):
-        return supergradient(model, CapacityAllocation(z), inner=sol, options=opts)
+        return supergradient(model, CapacityAllocation(z), inner=sol)
 
-    z, _, trace = _frank_wolfe(model, poly, model.m, opts, inner_options, lift, grad_lift)
+    z, _, trace = _frank_wolfe(model, poly, model.m, max_iters, lift, grad_lift)
     return CapacityAllocation(z), trace
 
 
@@ -373,11 +367,7 @@ class ReconfigResult:
         return self.value_fractional - self.value_rounded
 
 
-def solve_reconfig(
-    problem: ReconfigProblem,
-    options: OuterOptions | None = None,
-    inner_options: InnerOptions | None = None,
-) -> ReconfigResult:
+def solve_reconfig(problem: ReconfigProblem) -> ReconfigResult:
     """Joint relaxed optimization, greedy rounding, restricted re-solve.
 
     Variables z = (C, P): usage rows S^T C - P <= 0 couple the logical
@@ -389,7 +379,6 @@ def solve_reconfig(
     with it, and ties go to the lowest index), then re-solves for C on
     that 0/1 substrate.
     """
-    opts = options or OuterOptions()
     model = problem.model
     m, n = model.m, model.n
     usage_map = incidence(model).T  # (n, m)
@@ -407,10 +396,10 @@ def solve_reconfig(
         return CapacityAllocation(z[:m])
 
     def grad_lift(z, sol):
-        g = supergradient(model, CapacityAllocation(z[:m]), inner=sol, options=opts)
+        g = supergradient(model, CapacityAllocation(z[:m]), inner=sol)
         return np.concatenate([g, np.zeros(n)])
 
-    z, _, trace_joint = _frank_wolfe(model, joint, m + n, opts, inner_options, lift, grad_lift)
+    z, _, trace_joint = _frank_wolfe(model, joint, m + n, MAX_ITERS, lift, grad_lift)
 
     usage = usage_map @ z[:m]
     count = int(math.floor(problem.budget))
@@ -420,9 +409,7 @@ def solve_reconfig(
     active = np.zeros(n)
     active[order[:count]] = 1.0
     restricted = Polytope(usage_map, active)
-    alloc, trace_final = maximize_surrogate(
-        model, options=opts, inner_options=inner_options, polytope=restricted
-    )
+    alloc, trace_final = maximize_surrogate(model, polytope=restricted)
     return ReconfigResult(
         alloc=alloc,
         active=active,

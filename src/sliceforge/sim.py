@@ -56,7 +56,7 @@ class SimConfig:
     debug: bool = False  # verify occupancy invariants after every event
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not (0 <= self.seed < 2**64):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an integer in [0, 2^64)")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError("horizon must be finite and > 0")

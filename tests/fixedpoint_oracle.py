@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from sliceforge import FixedPointOptions, LoadState, loss
-from sliceforge.fixedpoint import SURVIVAL_UNDERFLOW
+from sliceforge import LoadState, loss
+from sliceforge.fixedpoint import DAMPING, SURVIVAL_UNDERFLOW, TOL
 from sliceforge.model import demand_matrix, loss_groups, offered_vector
 
 
@@ -29,9 +29,8 @@ def _blocking_vector(groups, rho, caps):
     return out
 
 
-def oracle_fixed_point(model, alloc, options=None):
-    """Damped substitution to residual max_i |rho_i - G_i| / (1 + rho_i) <= tol."""
-    opts = options or FixedPointOptions()
+def oracle_fixed_point(model, alloc):
+    """Damped substitution to residual max_i |rho_i - G_i| / (1 + rho_i) <= TOL."""
     caps = np.asarray(alloc.values, dtype=float)
     demands = demand_matrix(model)
     nu = offered_vector(model)
@@ -42,7 +41,7 @@ def oracle_fixed_point(model, alloc, options=None):
     converged = False
     iterations = 0
     residual = math.inf
-    for _ in range(opts.max_iters):
+    for _ in range(10000):  # solve_fixed_point's default budget
         blocking = _blocking_vector(groups, rho, caps)
         survival = 1.0 - blocking
         raw = demands @ (nu * dense_flow_survival(survival, demands))
@@ -52,10 +51,10 @@ def oracle_fixed_point(model, alloc, options=None):
         target[pinned] = rho0[pinned]
         residual = float(np.max(np.abs(rho - target) / (1.0 + rho)))
         iterations += 1
-        if residual <= opts.tol:
+        if residual <= TOL:
             converged = True
             break
-        rho = (1.0 - opts.damping) * rho + opts.damping * target
+        rho = (1.0 - DAMPING) * rho + DAMPING * target
 
     blocking = _blocking_vector(groups, rho, caps)
     carried = nu * dense_flow_survival(1.0 - blocking, demands)

@@ -340,3 +340,28 @@ def test_console_script_installed(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == f"sliceforge {project['version']}"
+
+
+def test_perfbench_tracer_patches_names_that_exist(tmp_path):
+    # perfbench/tracer.py wraps library functions by the module-level names
+    # their callers look them up under; a rename under src/ would otherwise
+    # surface only as an AttributeError in a traced benchmark run.
+    script = (
+        "import json, sys\n"
+        "import tracer\n"
+        "from sliceforge import cli\n"
+        "t = tracer.Tracer()\n"
+        "tracer.install(t)\n"
+        "code = cli.run(sys.argv[1:])\n"
+        "print(json.dumps({'code': code, 'spans': sorted({e[1] for e in t.snapshot()['edges']})}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH")]))
+    argv = ["evaluate", str(REFERENCE), "--alloc", "proportional", "--phi", "--out", str(tmp_path / "rep.json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["code"] == 0
+    assert {"inner.surrogate", "loss.offered_at"} <= set(result["spans"])

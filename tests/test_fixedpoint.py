@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from sliceforge import (
     CapacityAllocation,
-    FixedPointOptions,
     Flow,
     LogicalEntity,
     LossSpec,
@@ -19,7 +18,7 @@ from sliceforge import (
     no_blocking_loads,
     solve_fixed_point,
 )
-from sliceforge.fixedpoint import _flow_entries, _flow_survival
+from sliceforge.fixedpoint import TOL, _flow_entries, _flow_survival
 
 from conftest import random_small_instance, single_entity, symmetric_pair
 from fixedpoint_oracle import dense_flow_survival, oracle_fixed_point
@@ -93,9 +92,7 @@ def test_non_convergence_is_reported_not_raised():
     # the double-demand instance iterates from rho = 2 toward sqrt(2), so a
     # two-step budget cannot reach the 1e-9 residual
     model = single_entity(1.0, kind="linear_clip", demand=2)
-    state = solve_fixed_point(
-        model, CapacityAllocation([1.0]), FixedPointOptions(max_iters=2)
-    )
+    state = solve_fixed_point(model, CapacityAllocation([1.0]), max_iters=2)
     assert not state.converged
     assert state.iterations == 2
     assert state.residual > 1e-9
@@ -184,9 +181,12 @@ def test_infeasible_allocation_still_solvable():
     assert np.all(state.blocking < 1e-10)
 
 
-def test_options_reject_an_empty_budget():
-    with pytest.raises(ValueError, match="fixedpoint: max_iters"):
-        FixedPointOptions(max_iters=0)
+def test_rejects_an_empty_budget_and_a_wrong_allocation():
+    model = single_entity(1.0)
+    with pytest.raises(ValueError, match=r"^fixedpoint: max_iters must be at least 1, got 0$"):
+        solve_fixed_point(model, CapacityAllocation([1.0]), max_iters=0)
+    with pytest.raises(ValueError, match=r"^fixedpoint: allocation length 2 != m=1$"):
+        solve_fixed_point(model, CapacityAllocation([1.0, 1.0]))
 
 
 def _scaled(model, factor):
@@ -279,16 +279,16 @@ def _stressed_instances(draw):
     if open_.any():
         model = _scaled(model, draw(st.floats(3.0, 10.0)) / float(np.max(rho0[open_] / caps[open_])))
     budget = draw(st.just(10000) | st.integers(1, 40))
-    return model, CapacityAllocation(caps), FixedPointOptions(max_iters=budget)
+    return model, CapacityAllocation(caps), budget
 
 
 @given(_stressed_instances())
 def test_stressed_states_are_sound(case):
-    model, alloc, options = case
-    state = solve_fixed_point(model, alloc, options)
-    assert 1 <= state.iterations <= options.max_iters
+    model, alloc, budget = case
+    state = solve_fixed_point(model, alloc, max_iters=budget)
+    assert 1 <= state.iterations <= budget
     if state.converged:
-        assert state.residual <= options.tol
+        assert state.residual <= TOL
     assert np.all(np.isfinite(state.offered)) and np.all(state.offered >= 0.0)
     assert np.all((state.blocking >= 0.0) & (state.blocking <= 1.0))
     # pinned entities (B = 1) keep their no-blocking load exactly, and

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sliceforge import (
     CapacityAllocation,
     Flow,
-    InnerOptions,
     LogicalEntity,
     LossSpec,
     NetworkModel,
@@ -242,6 +241,20 @@ def test_warm_start_reaches_same_minimum():
 
 def test_non_convergence_reported():
     model = single_entity(5.0, kind="erlang_b")
-    sol = surrogate(model, CapacityAllocation([2.0]), InnerOptions(max_iters=1))
+    sol = surrogate(model, CapacityAllocation([2.0]), max_iters=1)
     assert not sol.converged
     assert sol.iterations == 1
+
+
+def test_errors_name_the_layer():
+    model = single_entity(5.0, kind="erlang_b")
+    alloc = CapacityAllocation([2.0])
+    # no iteration means no gradient norm to report: refused, not returned as inf
+    with pytest.raises(ValueError, match=r"^inner: max_iters must be at least 1, got 0$"):
+        surrogate(model, alloc, max_iters=0)
+    with pytest.raises(ValueError, match=r"^inner: allocation length 2 != m=1$"):
+        surrogate(model, CapacityAllocation([2.0, 2.0]))
+    with pytest.raises(ValueError, match=r"^inner: log-loss vector must have shape \(1,\)$"):
+        inner_objective(model, alloc, np.zeros(2))
+    with pytest.raises(ValueError, match=r"^inner: log-loss vector must be finite and non-negative$"):
+        inner_gradient(model, alloc, np.array([-1.0]))

@@ -187,12 +187,12 @@ def test_utilization_slope_matches_central_differences(spec):
         top = min(log_loss_ceiling(spec, cap), Y_CAP) - 1e-3
         for y in (1e-12, 1e-6, 0.3, 3.0, top):
             h = 1e-4 * y  # relative, so the y^(1/cap) cusp is resolved
-            fd = (utilization(spec, y + h, cap, tol=1e-13) - utilization(spec, y - h, cap, tol=1e-13)) / (2 * h)
+            fd = (utilization(spec, y + h, cap) - utilization(spec, y - h, cap)) / (2 * h)
             slope = utilization_slope(spec, y, cap)
             assert slope >= 0.0
             # In saturation cap - U cancels: the closed forms are then good
             # to U's rounding, amplified by rho = U e^y.
-            rho = utilization(spec, y, cap, tol=1e-13) * math.exp(y)
+            rho = utilization(spec, y, cap) * math.exp(y)
             assert slope == pytest.approx(fd, rel=1e-6, abs=64 * eps * cap * rho)
 
 

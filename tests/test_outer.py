@@ -13,12 +13,10 @@ from sliceforge import (
     LogicalEntity,
     LossSpec,
     NetworkModel,
-    OuterOptions,
     PhysicalEntity,
     Polytope,
     ReconfigProblem,
     capacity_polytope,
-    check_feasible,
     load_model,
     lp_solve,
     maximize_surrogate,
@@ -26,7 +24,7 @@ from sliceforge import (
     supergradient,
     surrogate,
 )
-from sliceforge.outer import _slope_search
+from sliceforge.outer import LINE_SEARCH_EVALS, LINE_SEARCH_TOL, _slope_search
 
 from conftest import random_small_instance, single_entity, symmetric_pair, three_potentials
 
@@ -142,10 +140,7 @@ def _search(phi, dphi):
         probed.append(gamma)
         return phi(gamma), dphi(gamma), gamma
 
-    opts = OuterOptions()
-    gamma, payload, count = _slope_search(
-        probe, phi(0.0), dphi(0.0), opts.line_search_evals, opts.line_search_tol
-    )
+    gamma, payload, count = _slope_search(probe, phi(0.0), dphi(0.0))
     assert count == len(probed)
     return gamma, payload, probed
 
@@ -161,7 +156,7 @@ def _search(phi, dphi):
 )
 def test_slope_search_interior_maximizer(phi, dphi):
     gamma, payload, probed = _search(phi, dphi)
-    assert abs(gamma - 0.3) <= OuterOptions().line_search_tol
+    assert abs(gamma - 0.3) <= LINE_SEARCH_TOL
     assert payload == gamma
     assert probed[0] == 1.0
     assert len(probed) <= 6
@@ -179,7 +174,7 @@ def test_slope_search_without_improvement_stalls():
     gamma, payload, probed = _search(lambda g: -g, lambda g: 1.0 if g == 0.0 else -1.0)
     assert gamma == 0.0
     assert payload == probed[-1]  # the last probe, for the caller's re-solve
-    assert 1 <= len(probed) <= OuterOptions().line_search_evals
+    assert 1 <= len(probed) <= LINE_SEARCH_EVALS
 
 
 def test_slope_search_trusts_values_over_a_wrong_slope():
@@ -188,7 +183,7 @@ def test_slope_search_trusts_values_over_a_wrong_slope():
     gamma, payload, probed = _search(lambda g: min(g, 0.4 - g), lambda g: 1.0)
     assert 0.0 < gamma < 0.4
     assert payload == gamma
-    assert len(probed) <= OuterOptions().line_search_evals
+    assert len(probed) <= LINE_SEARCH_EVALS
 
 
 def test_slope_search_stops_at_a_kink():
@@ -209,7 +204,7 @@ def test_slope_search_stops_at_a_kink():
     assert payload == gamma
     assert len(probed) <= 16
     # the concavity bound the stop rests on
-    assert phi(kink) - phi(gamma) <= OuterOptions().line_search_tol * min(slope0, 1.0 + phi(kink))
+    assert phi(kink) - phi(gamma) <= LINE_SEARCH_TOL * min(slope0, 1.0 + phi(kink))
 
 
 def test_frank_wolfe_never_certifies_an_unconverged_inner_solve(monkeypatch):
@@ -247,7 +242,7 @@ def test_frank_wolfe_leaves_zero_capacity_kinks(seed, max_iters, floor):
     # stalls (seed 6 at phi = 0, seed 7 at 0.7077).  Golden section reached
     # 1.3371 on seed 7 after 240 iterations and stalled on seed 6.
     model, _ = random_small_instance(seed)
-    _, trace = maximize_surrogate(model, OuterOptions(max_iters=max_iters))
+    _, trace = maximize_surrogate(model, max_iters=max_iters)
     assert trace.status != "stalled"
     assert 0.0 in trace.steps[:-1]
     assert trace.final_value >= floor
@@ -312,7 +307,7 @@ def test_trace_invariants():
     assert trace.iterations == len(trace.values)
     assert trace.converged
     # iterates stay inside the polytope by construction; check the last one
-    assert check_feasible(model, alloc, tol=1e-9).ok
+    assert capacity_polytope(model).contains(alloc.values)
 
 
 def test_gap_certificate_bounds_suboptimality():
@@ -334,10 +329,21 @@ def test_gap_certificate_bounds_suboptimality():
 
 def test_budget_exhaustion_status():
     model = symmetric_pair(nu=8.0, phys_cap=10.0)
-    alloc, trace = maximize_surrogate(model, options=OuterOptions(max_iters=1))
+    alloc, trace = maximize_surrogate(model, max_iters=1)
     assert trace.status in ("max_iters", "stalled")
     assert len(trace.values) == 1
-    assert check_feasible(model, alloc, tol=1e-9).ok
+    assert capacity_polytope(model).contains(alloc.values)
+
+
+def test_errors_name_the_layer():
+    model = load_model((MODELS / "reference_2x3.json").read_text())
+    # no iteration means no gap: refused, not certified as 0
+    with pytest.raises(ValueError, match=r"^outer: max_iters must be at least 1, got 0$"):
+        maximize_surrogate(model, max_iters=0)
+    with pytest.raises(ValueError, match=r"^outer: polytope dimension 1 != m=2$"):
+        maximize_surrogate(model, polytope=Polytope(np.ones((1, 1)), np.ones(1)))
+    with pytest.raises(ValueError, match=r"^outer: allocation length 1 != m=2$"):
+        supergradient(model, CapacityAllocation([1.0]))
 
 
 # --- reconfigurable substrate -----------------------------------------------

@@ -39,8 +39,19 @@ def test_config_validation():
     assert SimConfig(seed=1, horizon=10.0, batches=np.int64(4)).batches == 4
     with pytest.raises(ValueError, match="horizon"):
         SimConfig(seed=1, horizon=0.0)
-    with pytest.raises(ValueError, match="seed"):
-        SimConfig(seed=-1, horizon=10.0)
+    for bad in (-1, 2**64, np.int64(-1), 7.0, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SimConfig(seed=bad, horizon=10.0)
+
+
+def test_numpy_seed_matches_int_seed():
+    model = load_model(REFERENCE.read_text())
+    alloc = CapacityAllocation([8.0, 6.0])
+    runs = [simulate(model, alloc, SimConfig(seed=seed, horizon=2e3)) for seed in (7, np.int64(7), np.uint64(7))]
+    for res in runs[1:]:
+        for field in ("arrivals", "admitted", "blocked", "blocking"):
+            assert np.array_equal(getattr(res, field), getattr(runs[0], field))
+        assert res.events == runs[0].events
 
 
 def test_preconditions():
