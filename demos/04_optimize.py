@@ -31,7 +31,8 @@ print(f"\nstatus {trace.status} after {trace.iterations} iterations")
 print("optimal allocation C* =", np.round(alloc.values, 6))
 print(f"phi(C*) = {trace.final_value:.6f}")
 print(f"gap certificate = {trace.certificate:.2e}  (bound on phi_opt - phi(C*))")
-print("feasible at tol 1e-9:", check_feasible(model, alloc).ok)
+feas = check_feasible(model, alloc)
+print(f"feasible at tol {feas.tol:.1e}:", feas.ok)
 
 print("\nconvergence trace (first 8 iterations):")
 print(f"{'iter':>4} {'phi':>12} {'gap':>12} {'step':>8} {'probes':>6}")

@@ -41,6 +41,21 @@ EXIT_IO = 3
 
 REPORT_VERSION = 2
 
+# Columns of the CSV tables, each also the keys, in order, of the report
+# rows the table is built from.
+_ENTITY_FIELDS = ("id", "capacity", "offered_load", "blocking")
+_SIM_FLOW_FIELDS = (
+    "id",
+    "offered",
+    "arrivals",
+    "admitted",
+    "blocked",
+    "blocking_estimate",
+    "blocking_se",
+    "carried_estimate",
+    "carried_se",
+)
+
 
 def _read_bytes(path: str) -> tuple[str, str]:
     with open(path, "rb") as fh:
@@ -142,13 +157,8 @@ def _evaluation_sections(model: NetworkModel, alloc: CapacityAllocation, want_ph
             "iterations": state.iterations,
             "residual": float(state.residual),
             "entities": [
-                {
-                    "id": lg.id,
-                    "capacity": float(alloc.values[i]),
-                    "offered_load": float(state.offered[i]),
-                    "blocking": float(state.blocking[i]),
-                }
-                for i, lg in enumerate(model.logicals)
+                dict(zip(_ENTITY_FIELDS, (lg.id, float(cap), float(rho), float(b))))
+                for lg, cap, rho, b in zip(model.logicals, alloc.values, state.offered, state.blocking)
             ],
         },
         "flows": [
@@ -195,12 +205,12 @@ def _evaluation_sections(model: NetworkModel, alloc: CapacityAllocation, want_ph
     return sections, code
 
 
+def _csv_table(fields: tuple[str, ...], rows: list[dict]) -> str:
+    return render_csv(list(fields), [[row[name] for name in fields] for row in rows])
+
+
 def _entity_csv(sections: dict) -> str:
-    rows = [
-        [e["id"], e["capacity"], e["offered_load"], e["blocking"]]
-        for e in sections["fixed_point"]["entities"]
-    ]
-    return render_csv(["id", "capacity", "offered_load", "blocking"], rows)
+    return _csv_table(_ENTITY_FIELDS, sections["fixed_point"]["entities"])
 
 
 def _emit(report: dict, out_path: str | None, csv_text: str | None, csv_path: str | None) -> None:
@@ -321,18 +331,12 @@ def _cmd_simulate(args) -> int:
     report["allocation"] = _allocation_section(model, alloc)
     report["rng"] = result.rng
     report["events"] = result.events
+    counts = (result.arrivals, result.admitted, result.blocked)
+    estimates = (result.blocking, result.blocking_se, result.carried, result.carried_se)
     report["flows"] = [
-        {
-            "id": fl.id,
-            "offered": float(fl.offered),
-            "arrivals": int(result.arrivals[r]),
-            "admitted": int(result.admitted[r]),
-            "blocked": int(result.blocked[r]),
-            "blocking_estimate": float(result.blocking[r]),
-            "blocking_se": float(result.blocking_se[r]),
-            "carried_estimate": float(result.carried[r]),
-            "carried_se": float(result.carried_se[r]),
-        }
+        dict(
+            zip(_SIM_FLOW_FIELDS, (fl.id, float(fl.offered), *(int(a[r]) for a in counts), *(float(a[r]) for a in estimates)))
+        )
         for r, fl in enumerate(model.flows)
     ]
     report["totals"] = {
@@ -341,34 +345,7 @@ def _cmd_simulate(args) -> int:
         "blocked": int(result.blocked.sum()),
         "carried_estimate": float(result.carried.sum()),
     }
-    csv_text = render_csv(
-        [
-            "id",
-            "offered",
-            "arrivals",
-            "admitted",
-            "blocked",
-            "blocking_estimate",
-            "blocking_se",
-            "carried_estimate",
-            "carried_se",
-        ],
-        [
-            [
-                row["id"],
-                row["offered"],
-                row["arrivals"],
-                row["admitted"],
-                row["blocked"],
-                row["blocking_estimate"],
-                row["blocking_se"],
-                row["carried_estimate"],
-                row["carried_se"],
-            ]
-            for row in report["flows"]
-        ],
-    )
-    _emit(report, args.out, csv_text, args.csv)
+    _emit(report, args.out, _csv_table(_SIM_FLOW_FIELDS, report["flows"]), args.csv)
     return EXIT_OK
 
 

@@ -81,50 +81,54 @@ class InversionError(RuntimeError):
 # numerical kernels
 
 
+def _log_loss(family, rho, cap):
+    """-log(1 - F(rho, cap)); inf where the survival is 0."""
+    s = family.survival(rho, cap)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s > 0.0, -np.log(s), np.inf)
+
+
 def _upper_inverse(family, y, cap):
-    """rho(y) = sup{rho >= 0 : -log(1 - F(rho, cap)) <= y}.
+    """rho(y) = sup{rho >= 0 : -log(1 - F(rho, cap)) <= y} for checked flat
+    arrays, one element per entity.
 
-    Bracket by doubling from max(1, cap), then bisect until the bracket's
-    log-loss spread is within INVERSION_TOL * min(1, y), or the bracket
-    is a few ulps of rho wide; both are relative at small y, where rho
-    can be tiny (~y^(1/cap) on an s^cap curve).  The sup convention resolves
-    plateaus of F from above (so e.g. linear_clip gives rho(0) = cap,
-    not 0).
+    Each element brackets by doubling from max(1, cap), then bisects until
+    the bracket's log-loss spread is within INVERSION_TOL * min(1, y), or
+    the bracket is a few ulps of rho wide; both are relative at small y,
+    where rho can be tiny (~y^(1/cap) on an s^cap curve).  The sup
+    convention resolves plateaus of F from above (so e.g. linear_clip
+    gives rho(0) = cap, not 0).  Every unfinished element, doubling or
+    bisecting, shares one survival() call per step, so a batch costs what
+    its costliest element costs alone.
     """
-    if y < 0.0 or not math.isfinite(y):
-        raise LossDomainError("log-loss level must be finite and >= 0")
-
-    def log_loss(rho):
-        s = family.survival_scalar(rho, cap)
-        if s <= 0.0:
-            return math.inf
-        return -math.log(s)
-
-    lo = 0.0
-    hi = max(1.0, cap)
-    doublings = 0
-    while log_loss(hi) <= y:
-        lo = hi
-        hi *= 2.0
-        doublings += 1
-        if hi > RHO_BRACKET_CAP or doublings > INVERSION_MAX_ITERS:
+    n = y.size
+    lo, hi = np.zeros(n), np.maximum(1.0, cap)
+    f_lo, f_hi = np.split(_log_loss(family, np.concatenate((lo, hi)), np.tile(cap, 2)), 2)
+    tol = INVERSION_TOL * np.minimum(1.0, y)
+    steps = np.zeros(n, dtype=int)  # doublings while f(hi) <= y, then bisections
+    live = np.arange(n)
+    while True:
+        grow = f_hi[live] <= y[live]
+        spread, width = f_hi[live] - f_lo[live], hi[live] - lo[live]
+        done = ~grow & ((spread <= tol[live]) | (width <= 4.0 * _EPS * hi[live]) | (steps[live] >= INVERSION_MAX_ITERS))
+        live, grow = live[~done], grow[~done]
+        if live.size == 0:
+            return lo
+        probe = np.where(grow, 2.0 * hi[live], 0.5 * (lo[live] + hi[live]))
+        steps[live] += 1
+        if (grow & ((probe > RHO_BRACKET_CAP) | (steps[live] > INVERSION_MAX_ITERS))).any():
             raise InversionError("non-saturating loss function")
-    f_lo = log_loss(lo)
-    f_hi = log_loss(hi)
-    for _ in range(INVERSION_MAX_ITERS):
-        if f_hi - f_lo <= INVERSION_TOL * min(1.0, y) or hi - lo <= 4.0 * _EPS * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid = log_loss(mid)
-        if f_mid <= y:
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return lo
+        f = _log_loss(family, probe, cap[live])
+        # A doubling moves both ends up; a bisection moves the end on its side.
+        moves_lo, moves_hi = grow | (f <= y[live]), grow | (f > y[live])
+        lo[live[moves_lo]] = np.where(grow, hi[live], probe)[moves_lo]
+        f_lo[live[moves_lo]] = np.where(grow, f_hi[live], f)[moves_lo]
+        hi[live[moves_hi]], f_hi[live[moves_hi]] = probe[moves_hi], f[moves_hi]
+        steps[live[grow & (f > y[live])]] = 0
 
 
 def _broadcast(rho, cap):
-    """Common scalar/array handling for the blocking implementations."""
+    """Scalar/array inputs of the public functions as flat arrays and a shape."""
     arr_rho = np.asarray(rho, dtype=float)
     arr_cap = np.asarray(cap, dtype=float)
     shape = np.broadcast_shapes(arr_rho.shape, arr_cap.shape)
@@ -182,10 +186,13 @@ _PANEL_LO = np.exp2(-np.arange(1, _HEAD_PANELS + 1, dtype=float))
 class LossFamily:
     """Extension point for additional loss families.
 
-    Subclasses must implement ``blocking`` (accepting scalars or numpy
-    arrays) and must satisfy the module axioms including saturation;
-    the generic inversion raises InversionError otherwise.  Override
-    ``survival`` where 1 - F loses precision near F = 1, and
+    Every method takes equal-length 1-D float arrays, one element per
+    entity, that the public functions have already broadcast, flattened
+    and checked (finite and >= 0), and returns arrays of that length.
+    Subclasses must implement ``blocking`` and must satisfy the module
+    axioms including saturation; the generic inversion, one batched
+    bisection over all elements, raises InversionError otherwise.
+    Override ``survival`` where 1 - F loses precision near F = 1, and
     ``offered_at``, ``utilization``, ``utilization_terms`` and
     ``utilization_slope`` (by default one more inversion) when closed
     forms or array kernels exist.  Register with ``register_family``.
@@ -209,22 +216,21 @@ class LossFamily:
         return 1.0 - self.blocking(rho, cap)
 
     def survival_scalar(self, rho, cap):
-        """Scalar 1 - F; the generic bisection calls this once per node, so
-        families can shed the array dispatch."""
-        return float(self.survival(rho, cap))
+        """Scalar 1 - F through the array ``survival``.  Nothing in the
+        package calls it; perfbench/tracer.py wraps it by name."""
+        return float(self.survival(np.array([rho], dtype=float), np.array([cap], dtype=float))[0])
 
     def offered_at(self, y, cap):
-        """Generalized upper inverse rho(y) of the log-loss curve; scalars or arrays."""
-        ys, cs, shape = _broadcast(y, cap)
-        return _finish(np.array([_upper_inverse(self, a, c) for a, c in zip(ys, cs)]), shape)
+        """Generalized upper inverse rho(y) of the log-loss curve."""
+        return _upper_inverse(self, y, cap)
 
     def utilization(self, y, cap):
-        """U(y, cap) = rho(y) e^(-y); scalars or arrays."""
-        return self.offered_at(y, cap) * np.exp(-np.asarray(y, dtype=float))
+        """U(y, cap) = rho(y) e^(-y)."""
+        return self.offered_at(y, cap) * np.exp(-y)
 
     def utilization_terms(self, y, cap):
-        """H(y, cap) and U(y, cap) for 1-D arrays of checked levels and
-        capacities, one entity per element, from one inversion.
+        """H(y, cap) and U(y, cap) from one inversion; H(0, cap) = 0 even
+        where rho(0) > 0 (a plateau, or a log-loss that rounds to 0).
 
         Changing variables z -> rho turns Int_0^y U dz into
         Int_0^rho S(s) ds - rho e^(-y) = rho B(rho) - Int_0^rho B(s) ds.
@@ -233,10 +239,10 @@ class LossFamily:
         log space, where the carried curve s S(s) flattens in saturation,
         so deep-saturation levels cost the same fixed rule.
         """
-        rho = np.asarray(self.offered_at(y, cap), dtype=float)
+        rho = self.offered_at(y, cap)
         u = rho * np.exp(-y)
         h = np.zeros(y.size)
-        live = rho > 0.0
+        live = (rho > 0.0) & (y > 0.0)
         if live.any():
             h[live] = self._integral(y[live], cap[live], rho[live])
         return h, u
@@ -257,7 +263,7 @@ class LossFamily:
             lo = np.log(b0[tail])
             width = np.log(rho[tail]) - lo
             s = np.exp(lo[:, None] + width[:, None] * _TAIL_T)
-            vals = self.survival(s, cap[tail][:, None]) * s
+            vals = self.survival(s.reshape(-1), np.repeat(cap[tail], _TAIL_T.size)).reshape(s.shape) * s
             h[tail] = (b0[tail] - head[tail]) + width * (vals * _TAIL_W).sum(axis=1) - rho[tail] * np.exp(-y[tail])
         return h
 
@@ -318,35 +324,32 @@ class _ErlangB(LossFamily):
     name = "erlang_b"
 
     def blocking(self, rho, cap):
-        r, c, shape = _broadcast(rho, cap)
-        out = np.zeros(r.size)
-        pos = r > 0.0
-        out[pos & (c <= 0.0)] = 1.0
-        work = pos & (c > 0.0)
+        out = np.zeros(rho.size)
+        pos = rho > 0.0
+        out[pos & (cap <= 0.0)] = 1.0
+        work = pos & (cap > 0.0)
         if work.any():
-            out[work] = expit(-_erlang_log_rest(r[work], c[work]))
-        return _finish(out, shape)
+            out[work] = expit(-_erlang_log_rest(rho[work], cap[work]))
+        return out
 
     def survival(self, rho, cap):
-        r, c, shape = _broadcast(rho, cap)
-        out = np.ones(r.size)
-        pos = r > 0.0
-        out[pos & (c <= 0.0)] = 0.0
-        work = pos & (c > 0.0)
+        out = np.ones(rho.size)
+        pos = rho > 0.0
+        out[pos & (cap <= 0.0)] = 0.0
+        work = pos & (cap > 0.0)
         if work.any():
-            out[work] = expit(_erlang_log_rest(r[work], c[work]))
-        return _finish(out, shape)
+            out[work] = expit(_erlang_log_rest(rho[work], cap[work]))
+        return out
 
     def offered_at(self, y, cap):
         # F strictly increasing from F(0, cap) = 0, so y = 0 <=> rho = 0;
         # cap = 0 blocks everything offered, so rho(y) = 0 there too.  The
         # Newton inversion always runs to rounding.
-        ys, cs, shape = _levels(y, cap)
-        rho = np.zeros(ys.size)
-        live = (ys > 0.0) & (cs > 0.0)
+        rho = np.zeros(y.size)
+        live = (y > 0.0) & (cap > 0.0)
         if live.any():
-            rho[live] = _erlang_invert(ys[live], cs[live])
-        return _finish(rho, shape)
+            rho[live] = _erlang_invert(y[live], cap[live])
+        return rho
 
     def utilization_slope(self, y, cap, u):
         # e^-y (drho/dy - rho) with drho/dy = rho rest / (cap - rho S) from
@@ -507,26 +510,22 @@ class _LinearClip(LossFamily):
     name = "linear_clip"
 
     def blocking(self, rho, cap):
-        r, c, shape = _broadcast(rho, cap)
-        out = np.zeros(r.size)
-        pos = r > 0.0
-        out[pos] = np.clip((r[pos] - c[pos]) / r[pos], 0.0, 1.0)
-        return _finish(out, shape)
+        out = np.zeros(rho.size)
+        pos = rho > 0.0
+        out[pos] = np.clip((rho[pos] - cap[pos]) / rho[pos], 0.0, 1.0)
+        return out
 
     def survival(self, rho, cap):
-        r, c, shape = _broadcast(rho, cap)
-        out = np.ones(r.size)
-        pos = r > 0.0
-        out[pos] = np.clip(c[pos] / r[pos], 0.0, 1.0)
-        return _finish(out, shape)
+        out = np.ones(rho.size)
+        pos = rho > 0.0
+        out[pos] = np.clip(cap[pos] / rho[pos], 0.0, 1.0)
+        return out
 
     def offered_at(self, y, cap):
-        ys, cs, shape = _levels(y, cap)
-        return _finish(cs * np.exp(ys), shape)
+        return cap * np.exp(y)
 
     def utilization(self, y, cap):
-        ys, cs, shape = _levels(y, cap)
-        return _finish(cs.copy(), shape)
+        return cap.copy()
 
     def utilization_terms(self, y, cap):
         return np.where(y > 0.0, cap * y, 0.0), cap.copy()
@@ -538,28 +537,25 @@ class _ExpOverflow(LossFamily):
     name = "exp_overflow"
 
     def blocking(self, rho, cap):
-        r, c, shape = _broadcast(rho, cap)
-        out = np.zeros(r.size)
-        pos = r > 0.0
+        out = np.zeros(rho.size)
+        pos = rho > 0.0
         with np.errstate(divide="ignore"):
-            out[pos] = np.exp(-c[pos] / r[pos])
-        return _finish(out, shape)
+            out[pos] = np.exp(-cap[pos] / rho[pos])
+        return out
 
     def survival(self, rho, cap):
-        r, c, shape = _broadcast(rho, cap)
-        out = np.ones(r.size)
-        pos = r > 0.0
+        out = np.ones(rho.size)
+        pos = rho > 0.0
         with np.errstate(divide="ignore"):
-            out[pos] = -np.expm1(-c[pos] / r[pos])
-        return _finish(out, shape)
+            out[pos] = -np.expm1(-cap[pos] / rho[pos])
+        return out
 
     def offered_at(self, y, cap):
         # solve exp(-cap/rho) = 1 - e^(-y)
-        ys, cs, shape = _levels(y, cap)
-        rho = np.zeros(ys.size)
-        live = (ys > 0.0) & (cs > 0.0)
-        rho[live] = -cs[live] / _log1mexp(ys[live])
-        return _finish(rho, shape)
+        rho = np.zeros(y.size)
+        live = (y > 0.0) & (cap > 0.0)
+        rho[live] = -cap[live] / _log1mexp(y[live])
+        return rho
 
     def utilization_terms(self, y, cap):
         # substituting u = 1 - e^(-z) gives cap * Int_0^B du/(-log u),
@@ -631,7 +627,8 @@ def loss(spec: LossSpec, rho, cap):
     Accepts scalars or broadcastable numpy arrays.
     """
     _check_domain(rho, cap)
-    return get_family(spec.kind).blocking(rho, cap)
+    r, c, shape = _broadcast(rho, cap)
+    return _finish(get_family(spec.kind).blocking(r, c), shape)
 
 
 def utilization(spec: LossSpec, y, cap):
@@ -654,8 +651,9 @@ def utilization_terms(spec: LossSpec, y, cap):
 def utilization_slope(spec: LossSpec, y, cap, u=None):
     """dU/dy at (y, cap), floored at 0; `u`, U there, saves an inversion."""
     ys, cs, shape = _levels(y, cap)
-    us = utilization(spec, ys, cs) if u is None else np.broadcast_to(u, shape).reshape(-1)
-    return _finish(get_family(spec.kind).utilization_slope(ys, cs, np.asarray(us, dtype=float)), shape)
+    family = get_family(spec.kind)
+    us = family.utilization(ys, cs) if u is None else np.broadcast_to(u, shape).reshape(-1)
+    return _finish(family.utilization_slope(ys, cs, np.asarray(us, dtype=float)), shape)
 
 
 def utilization_integral(spec: LossSpec, y, cap):
@@ -667,10 +665,11 @@ def utilization_integral(spec: LossSpec, y, cap):
 def utilization_measure(spec: LossSpec, blocking_prob, cap):
     """Int_0^{-log(1-B)} U(z, cap) dz: utilization_integral at the log-loss
     level of blocking B in [0, 1).  Accepts scalars or broadcastable arrays."""
-    bs, cs, shape = _broadcast(blocking_prob, cap)
+    bs = np.asarray(blocking_prob, dtype=float)
     if not np.all((bs >= 0.0) & (bs < 1.0)):
         raise LossDomainError("blocking must lie in [0, 1)")
-    return utilization_integral(spec, -np.log1p(-bs).reshape(shape), cs.reshape(shape))
+    ys, cs, shape = _levels(-np.log1p(-bs), cap)
+    return _finish(get_family(spec.kind).utilization_terms(ys, cs)[0], shape)
 
 
 def log_loss_ceiling(spec: LossSpec, cap: float) -> float:

@@ -78,7 +78,7 @@ def test_inversion_converges_within_fixed_kernel_calls(monkeypatch):
         top = family.log_loss_ceiling(cap)
         for y in np.logspace(-8, math.log10(top), 60):
             calls[0] = 0
-            family.offered_at(float(y), float(cap))
+            family.offered_at(np.array([y]), np.array([cap]))
             worst = max(worst, calls[0])
     assert worst <= NEWTON_KERNEL_CALLS
 
@@ -88,18 +88,19 @@ def test_inversion_is_exact_on_the_log_loss_curve():
     family = get_family("erlang_b")
     for cap in (0.05, 0.7, 1.05, 3.0, 10.0, 150.0):
         for y in (1e-4, 0.3, 4.0, 0.99 * family.log_loss_ceiling(cap)):
-            rho = family.offered_at(y, cap)
-            back = -math.log(float(family.survival(rho, cap)))
+            rho = family.offered_at(np.array([y]), np.array([cap]))
+            back = -math.log(family.survival(rho, np.array([cap]))[0])
             assert back == pytest.approx(y, rel=1e-13)
 
 
 def test_exp_overflow_tiny_levels_stay_finite():
     family = get_family("exp_overflow")
     for y in (1e-17, 1e-300):
-        for value in (family.offered_at(y, 2.0), utilization(EXP, y, 2.0), utilization_integral(EXP, y, 2.0)):
+        rho = family.offered_at(np.array([y]), np.array([2.0]))[0]
+        for value in (rho, utilization(EXP, y, 2.0), utilization_integral(EXP, y, 2.0)):
             assert math.isfinite(value) and value >= 0.0
     # large levels keep their precision: rho = C / -log(1 - e^-y) ~ C e^y
-    assert family.offered_at(50.0, 2.0) == pytest.approx(2.0 * math.exp(50.0), rel=1e-12)
+    assert family.offered_at(np.array([50.0]), np.array([2.0]))[0] == pytest.approx(2.0 * math.exp(50.0), rel=1e-12)
     model = single_entity(3.0, kind="exp_overflow")
     sol = sf.surrogate(model, CapacityAllocation(np.array([2.0])), warm_start=np.array([1e-17]))
     assert sol.converged and math.isfinite(sol.value)

@@ -72,13 +72,11 @@ def test_blocking_broadcasts_like_scalars():
 
 
 def test_survival_scalar_agrees_with_vector_path():
-    from sliceforge.loss import get_family
-
     for spec in ALL:
         fam = get_family(spec.kind)
         for rho in (0.3, 1.0, 4.0, 40.0, 400.0):
             for cap in (0.5, 2.0, 10.0):
-                vec = float(np.asarray(fam.survival(rho, cap)))
+                vec = fam.survival(np.array([rho]), np.array([cap]))[0]
                 assert fam.survival_scalar(rho, cap) == pytest.approx(vec, rel=1e-9, abs=1e-300)
 
 
@@ -97,13 +95,11 @@ def test_domain_errors():
 
 def test_log_loss_round_trip():
     # -log(1 - F(rho(y), C)) == y wherever F is strictly increasing
-    from sliceforge.loss import get_family
-
     for spec, caps in ((ERLANG, (1.0, 5.0)), (EXP, (1.0, 4.0))):
         fam = get_family(spec.kind)
         for cap in caps:
             for y in (0.1, 0.7, 1.5, 3.0):
-                rho = fam.offered_at(y, cap)
+                rho = fam.offered_at(np.array([y]), np.array([cap]))[0]
                 back = -math.log(fam.survival_scalar(rho, cap))
                 assert back == pytest.approx(y, abs=1e-8)
 
@@ -210,9 +206,13 @@ def test_custom_family_registration_and_saturation_contract():
     register_family(_Capped())
     spec = LossSpec("capped_test_only")
     assert loss(spec, 3.0, 1.0) <= 0.5
-    # y above the family's reachable log-loss: inversion must refuse
+    # y above the family's reachable log-loss: inversion must refuse,
+    # alone or as one element of a batch that is otherwise reachable
     with pytest.raises(InversionError, match="non-saturating"):
         utilization(spec, 2.0, 1.0)
+    assert np.all(np.isfinite(utilization(spec, np.array([0.1, 0.3]), np.array([1.0, 4.0]))))
+    with pytest.raises(InversionError, match="non-saturating"):
+        utilization(spec, np.array([0.1, 2.0, 0.3]), np.array([1.0, 1.0, 4.0]))
 
 
 class _GenericExpOverflow(LossFamily):
@@ -245,14 +245,49 @@ class _GenericErlang(LossFamily):
 def test_default_utilization_terms_match_shipped_families():
     # The default route (bisection inversion, then fixed rules over the
     # blocking curve) must reproduce the shipped closed form and Newton
-    # inversion, from the s^cap head at tiny y to deep saturation.
-    y, cap = (a.ravel() for a in np.meshgrid([1e-6, 0.01, 0.3, 1.0, 3.0, 8.0], [0.4, 1.5, 2.0, 11.0]))
+    # inversion, from the s^cap head at tiny y to deep saturation, with
+    # y = 0 and C = 0 elements in the same batch.
+    y, cap = (a.ravel() for a in np.meshgrid([0.0, 1e-6, 0.01, 0.3, 1.0, 3.0, 8.0], [0.0, 0.4, 1.5, 2.0, 11.0]))
+    zero = y == 0.0
     for generic, shipped in ((_GenericExpOverflow(), EXP), (_GenericErlang(), ERLANG)):
         register_family(generic)
         h, u = utilization_terms(LossSpec(generic.name), y, cap)
         h_ref, u_ref = utilization_terms(shipped, y, cap)
         assert h == pytest.approx(h_ref, rel=1e-12, abs=0.0)
-        assert u == pytest.approx(u_ref, rel=1e-8, abs=0.0)
+        assert u[~zero] == pytest.approx(u_ref[~zero], rel=1e-8, abs=0.0)
+        # At y = 0 the sup convention reads rho where the log-loss rounds
+        # to 0, so U there lies between the true 0 and U at y = 1e-15.
+        assert np.all((u[zero] >= 0.0) & (u[zero] <= utilization(shipped, 1e-15, cap[zero])))
+
+
+def test_default_inversion_batches_survival_calls():
+    # Each bisection step makes one survival() call for every unfinished
+    # element, so a batch costs what its costliest element costs alone,
+    # plus one call for the integral's tail rule; and each element's
+    # values are those it gets alone, bit for bit.
+    calls = [0]
+
+    class Counted(_GenericErlang):
+        name = "counted_erlang_b_test_only"
+
+        def survival(self, rho, cap):
+            calls[0] += 1
+            return super().survival(rho, cap)
+
+    register_family(Counted())
+    spec = LossSpec(Counted.name)
+    y, cap = np.linspace(0.05, 6.0, 50), np.tile([0.4, 1.5, 2.0, 5.0, 11.0], 10)
+    alone, h_alone, u_alone = [], [], []
+    for j in range(y.size):
+        calls[0] = 0
+        h, u = utilization_terms(spec, y[j : j + 1], cap[j : j + 1])
+        alone.append(calls[0])
+        h_alone.append(h[0])
+        u_alone.append(u[0])
+    calls[0] = 0
+    h, u = utilization_terms(spec, y, cap)
+    assert calls[0] <= max(alone) + 1
+    assert h.tolist() == h_alone and u.tolist() == u_alone
 
 
 def test_default_utilization_slope_matches_shipped_families():
