@@ -44,6 +44,8 @@ Y_CAP = 50.0
 TOL = 1e-8
 
 _TINY = np.finfo(float).tiny
+# A predicted decrease below this much of 1 + |phi| is rounding noise in phi.
+_ROUNDING = 64.0 * np.finfo(float).eps
 # U rises like y^(1/cap), with infinite slope at y = 0 for cap > 1: there
 # the Hessian takes U's slope at _Y_CUSP, so a coordinate leaves 0 slowly.
 _Y_CUSP = 1e-12
@@ -189,8 +191,12 @@ def surrogate(
     U's cusp at y = 0, to follow U's local power law).  The solve
     converges when the projected gradient is at most TOL * (1 + |phi|),
     or when the step's predicted decrease is at most
-    TOL^2 * (1 + |phi|), in phi units; it stops unconverged after
-    `max_iters` Newton steps or when Armijo stalls.
+    TOL^2 * (1 + |phi|), in phi units.  Every counted step strictly lowers
+    phi.  A step that Armijo accepts without lowering phi ends the solve:
+    as converged when it predicted a decrease within 64 eps * (1 + |phi|),
+    which rounding in phi hides, and unconverged otherwise.  The solve
+    also stops unconverged after `max_iters` Newton steps or when Armijo
+    stalls.
     """
     if max_iters < 1:
         raise ValueError(f"inner: max_iters must be at least 1, got {max_iters!r}")
@@ -230,7 +236,8 @@ def surrogate(
 
         def arc(alpha):
             power = y * np.maximum(1.0 + alpha * kappa * step / np.where(down, y, 1.0), 0.0) ** (1.0 / kappa)
-            return np.clip(np.where(down, power, y + alpha * step), 0.0, hi)
+            point = np.where(down, power, y + alpha * step)
+            return np.where(point < _TINY, 0.0, np.minimum(point, hi))  # U's slope overflows at subnormal y
 
         # Predicted decrease in phi units: ends solves whose gradient stays
         # large on a coordinate of near-infinite curvature.
@@ -249,6 +256,9 @@ def surrogate(
             alpha *= 0.5
         if accepted is None:
             break  # line search stalled at machine precision
+        if not accepted[1] < value:  # phi has reached its floor, or y is stuck
+            converged = -float(grad @ (accepted[0] - y)) <= _ROUNDING * (1.0 + abs(value))
+            break
         y, value = accepted
         iterations += 1
 

@@ -475,8 +475,12 @@ def _erlang_invert(y, cap):
             log_rest = _erlang_log_rest(rho, cap)
             ell = np.logaddexp(0.0, -log_rest)
             s = expit(log_rest)
-            g = np.log(ell) - log_y
-            slope = (cap - rho * s) / (np.exp(log_rest) * ell)  # B/S = 1/rest
+            log_ell = np.log(ell)
+            g = log_ell - log_y
+            # B/S = 1/rest.  rest * ell = log1p(x)/x with x = 1/rest lies in
+            # (0, 1] and tends to 1 where rest itself would overflow, so it
+            # is taken in log space.
+            slope = (cap - rho * s) / np.exp(log_rest + log_ell)
             step = g / slope
             lo = np.where(g < 0.0, u, lo)
             hi = np.where(g > 0.0, u, hi)

@@ -5,7 +5,9 @@ atomic all-or-nothing admission: an arrival takes its full demand on
 every entity of its route or is blocked outright.  Entities hold
 integer capacities and blocked work is lost (no retries, no queueing),
 which is exactly the regime the erlang_b loss family describes, so
-only erlang_b models are accepted.
+only erlang_b models are accepted.  The event loop packs every entity's
+free units into one integer, a fixed-width field per entity with a guard
+bit at its top, so that an arrival is one subtraction and one mask.
 
 Determinism: each flow owns a counter-based Philox stream keyed by
 (seed, flow index), so results are bit-identical for a given seed and
@@ -137,31 +139,30 @@ def _flow(seed: int, index: int, rate: float, config: SimConfig, delta: float):
             return
 
 
-def _serve(arrivals, route_of, free, heap, admitted_in, check) -> None:
+def _serve(arrivals, demand_of, free, guard, heap, admitted_in, check) -> int:
     """Admit or block each (time, departure, cell) of `arrivals` in turn,
-    after releasing every call that departs by its time.  Releases at equal
-    times commute, so the heap orders them by (departure, cell) alone."""
+    after releasing every call that departs by its time; returns `free`.
+    A call fits when `free - demand_of[cell]` keeps every guard bit.
+    Releases at equal times commute, so the heap orders them by
+    (departure, packed demand) alone."""
     next_departure = heap[0][0]
     for t, departure, cell in arrivals:
         while next_departure <= t:
-            for j, units in route_of[heappop(heap)[1]]:
-                free[j] += units
+            free += heappop(heap)[1]
             next_departure = heap[0][0]
             if check:
-                check()
-        route = route_of[cell]
-        for j, units in route:
-            if units > free[j]:
-                break
-        else:
-            for j, units in route:
-                free[j] -= units
-            heappush(heap, (departure, cell))
+                check(free)
+        demand = demand_of[cell]
+        trial = free - demand
+        if (trial & guard) == guard:
+            free = trial
+            heappush(heap, (departure, demand))
             if departure < next_departure:
                 next_departure = departure
             admitted_in[cell] += 1
         if check:
-            check()
+            check(free)
+    return free
 
 
 def simulate(model: NetworkModel, alloc: CapacityAllocation, config: SimConfig) -> SimResult:
@@ -189,15 +190,20 @@ def simulate(model: NetworkModel, alloc: CapacityAllocation, config: SimConfig) 
     # A cell is (flow, slot): slot 0 takes arrivals <= warmup, slot b + 1 batch b.
     slots = config.batches + 1
     edges = np.linspace(config.warmup, config.horizon, slots)
-    routes = [[(j, int(demands[j, r])) for j in range(model.m) if demands[j, r]] for r in range(num_flows)]
-    route_of = [route for route in routes for _ in range(slots)]
-    arrived = np.zeros(num_flows * slots, dtype=np.int64)
-    admitted_in = [0] * (num_flows * slots)
-    free = caps[:]
-    heap: list[tuple[float, int]] = [(math.inf, -1)]  # (departure time, cell); the sentinel never leaves
+    # Entity j's field, bits [j width, (j + 1) width), holds base + its free
+    # units: taking a demand leaves it >= 0, and a full field stays < 2 base.
+    width = max(caps + [int(demands.max(initial=0))]).bit_length() + 1
+    base, shifts = 1 << (width - 1), [j * width for j in range(model.m)]
+    guard, free = sum(base << s for s in shifts), sum((base + cap) << s for s, cap in zip(shifts, caps))
+    packed = [sum(int(d) << s for s, d in zip(shifts, demands[:, r].tolist())) for r in range(num_flows)]
+    demand_of = [demand for demand in packed for _ in range(slots)]
+    arrived, admitted_in = np.zeros(num_flows * slots, dtype=np.int64), [0] * (num_flows * slots)
+    heap: list[tuple[float, int]] = [(math.inf, 0)]  # (departure time, packed demand); the sentinel never leaves
 
-    def invariant() -> None:
-        assert all(0 <= free[j] <= caps[j] for j in range(model.m)), "occupancy out of range"
+    def invariant(free: int) -> None:
+        units = [(free >> s & (2 * base - 1)) - base for s in shifts]
+        assert free >> (model.m * width) == 0, "occupancy carried past the last field"
+        assert all(0 <= u <= c for u, c in zip(units, caps)), "occupancy out of range"
 
     check = invariant if config.debug else None
     active_ids = np.array(active, dtype=np.int64)
@@ -209,25 +215,19 @@ def simulate(model: NetworkModel, alloc: CapacityAllocation, config: SimConfig) 
         flows = np.repeat(active_ids, [w[0].size for w in window])[order]
         cells = flows * slots + np.searchsorted(edges, times, side="left")
         arrived += np.bincount(cells, minlength=arrived.size)
-        _serve(zip(times.tolist(), departures.tolist(), cells.tolist()), route_of, free, heap, admitted_in, check)
+        free = _serve(zip(times.tolist(), departures.tolist(), cells.tolist()), demand_of, free, guard, heap, admitted_in, check)
     while heap[0][0] <= config.horizon:
-        for j, units in route_of[heappop(heap)[1]]:
-            free[j] += units
+        free += heappop(heap)[1]
         if check:
-            check()
+            check(free)
 
     arrived = arrived.reshape(num_flows, slots)
     admitted_cells = np.array(admitted_in, dtype=np.int64).reshape(num_flows, slots)
-    blocking = np.zeros(num_flows)
-    blocking_se = np.zeros(num_flows)
-    carried = np.zeros(num_flows)
-    carried_se = np.zeros(num_flows)
-    arrivals = arrived.sum(axis=1)
-    admitted = admitted_cells.sum(axis=1)
+    blocking, blocking_se, carried, carried_se = (np.zeros(num_flows) for _ in range(4))
+    arrivals, admitted = arrived.sum(axis=1), admitted_cells.sum(axis=1)
     root_batches = math.sqrt(config.batches)
     for r in range(num_flows):
-        arr_b = arrived[r, 1:].astype(float)
-        adm_b = admitted_cells[r, 1:].astype(float)
+        arr_b, adm_b = arrived[r, 1:].astype(float), admitted_cells[r, 1:].astype(float)
         # empty batch: no arrivals to block, so its blocking sample is 0
         block_b = np.where(arr_b > 0, (arr_b - adm_b) / np.maximum(arr_b, 1.0), 0.0)
         blocking[r] = float(block_b.mean())

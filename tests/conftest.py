@@ -1,5 +1,8 @@
 """Shared oracles and instance builders for the test suite."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -11,6 +14,7 @@ from sliceforge import (
     LossSpec,
     NetworkModel,
     PhysicalEntity,
+    load_model,
 )
 
 # Property tests draw the same examples on every run (no database, fixed
@@ -128,3 +132,13 @@ def random_small_instance(seed: int):
 def small_instances():
     """The 200 frozen random instances used by the bound checks."""
     return [random_small_instance(seed) for seed in range(200)]
+
+
+@pytest.fixture
+def ladder_model(monkeypatch):
+    """Loads a generated ladder document of the benchmark by name
+    (`erlang_m8`, `erlang_m50`, ...; see perfbench/workloads.py)."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import document
+
+    return lambda name: load_model(json.dumps(document(name)))

@@ -1,5 +1,7 @@
 import math
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from sliceforge import (
     inner_gradient,
     inner_objective,
     load_model,
+    maximize_surrogate,
     offered_vector,
     solve_fixed_point,
     surrogate,
@@ -237,6 +240,75 @@ def test_warm_start_reaches_same_minimum():
     assert warm.converged
     assert warm.value == pytest.approx(cold.value, rel=1e-10)
     assert warm.iterations <= cold.iterations
+
+
+# A Frank-Wolfe line-search probe on the benchmark's erlang_m8 document.
+# Entity 2 warm-starts on U's cusp (y = 2.6e-5, C = 62.4), where the Newton
+# step predicted a decrease of 1.8e-14, about one ulp of phi = 119.2: every
+# trial then read phi plus rounding noise, Armijo halved until y moved by
+# an ulp and phi not at all, and took that step, 5000 times over.
+_CUSP_ALLOC = [
+    17.851004413210678, 20.954774631869203, 62.3774507237375, 4.45685450621955,
+    25.58447101704558, 7.460750158198629, 23.060145273456346, 31.987584486497234,
+]
+_CUSP_WARM = [
+    0.5486399440284401, 0.47899500281883983, 2.5621783904485037e-05, 0.5229155224263021,
+    0.2807324576567406, 0.4700047159736661, 0.48403816472462946, 0.4661373180820303,
+]
+
+
+def test_warm_start_on_the_cusp_converges(ladder_model):
+    model = ladder_model("erlang_m8")
+    alloc = CapacityAllocation(_CUSP_ALLOC)
+    warm = surrogate(model, alloc, warm_start=np.array(_CUSP_WARM))
+    assert warm.converged
+    assert warm.iterations <= 20
+    cold = surrogate(model, alloc)
+    assert cold.converged
+    assert warm.value == pytest.approx(cold.value, rel=1e-13)
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 10_000), scale=st.sampled_from([1.0, 10.0, 100.0]), data=st.data())
+def test_every_counted_iteration_lowers_phi(seed, scale, data):
+    # A warm start within 1e-3 of the minimizer puts the steps at the
+    # rounding floor of phi, where Armijo can accept a step that phi does
+    # not show.  Each counted iteration's point gets the next gradient, so
+    # phi at the gradient points is phi after each counted iteration.
+    import sliceforge.inner as inner
+
+    model, alloc = random_small_instance(seed)
+    flows = tuple(Flow(f.id, f.offered * scale, dict(f.demands)) for f in model.flows)
+    model = NetworkModel(physicals=model.physicals, logicals=model.logicals, flows=flows)
+    alloc = CapacityAllocation(alloc.values * scale)
+    jitter = data.draw(st.lists(st.floats(-1e-3, 1e-3), min_size=model.m, max_size=model.m))
+    warm = surrogate(model, alloc).log_loss * (1.0 + np.array(jitter))
+    seen, path = {}, []
+    real_objective, real_gradient = inner.inner_objective, inner.inner_gradient
+
+    def objective(model, alloc, y, batch=None):
+        seen[y.tobytes()] = value = real_objective(model, alloc, y, batch)
+        return value
+
+    def gradient(model, alloc, y, batch=None):
+        path.append(seen[y.tobytes()])
+        return real_gradient(model, alloc, y, batch)
+
+    with mock.patch.object(inner, "inner_objective", objective), mock.patch.object(inner, "inner_gradient", gradient):
+        sol = surrogate(model, alloc, warm_start=warm)
+    assert len(path) == sol.iterations + 1
+    assert all(later < earlier for earlier, later in zip(path, path[1:]))
+
+
+def test_ladder_solve_raises_no_runtime_warning(ladder_model):
+    # The second Frank-Wolfe iteration on erlang_m50 takes coordinates down
+    # U's cusp arc toward 0, where a subnormal y (4.3e-322 was seen) would
+    # overflow U's slope and the inversion's Newton slope.
+    model = ladder_model("erlang_m50")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _, trace = maximize_surrogate(model, max_iters=2)
+    assert len(trace.values) == 2
 
 
 def test_non_convergence_reported():

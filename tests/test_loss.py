@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,17 @@ def test_utilization_closed_forms():
         assert utilization(EXP, math.log(2.0), cap) == pytest.approx(
             cap / (2.0 * math.log(2.0)), rel=1e-8
         )
+
+
+def test_erlang_inversion_at_subnormal_log_loss():
+    # y = 4.3e-322 came out of the inner solver's cusp arc.  There
+    # rest = S/B ~ 1/y overflows exp(), so the Newton slope must not form
+    # it.  At this load B ~ rho^C / C!, and y carries only a few digits.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for cap in (2.0, 10.0):
+            low_load = math.exp((math.log(4.3e-322) + math.lgamma(cap + 1.0)) / cap)
+            assert utilization(ERLANG, 4.3e-322, cap) == pytest.approx(low_load, rel=2e-3)
 
 
 def test_utilization_monotone_in_capacity():

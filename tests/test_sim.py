@@ -339,6 +339,44 @@ def test_many_flows_match_whole_run_oracle():
     _assert_bit_identical(res, oracle_simulate(model, alloc, config))
 
 
+def _packed_case(caps, flows):
+    """Entities l0, l1, ... with these capacities; flows as (rate, {j: demand})."""
+    model = NetworkModel(
+        physicals=(PhysicalEntity("p", "unit", 1.0),),
+        logicals=tuple(LogicalEntity(f"l{j}", ("p",), LossSpec("erlang_b")) for j in range(len(caps))),
+        flows=tuple(
+            Flow(f"f{r}", rate, {f"l{j}": units for j, units in route.items()}) for r, (rate, route) in enumerate(flows)
+        ),
+    )
+    return model, CapacityAllocation([float(c) for c in caps])
+
+
+# Each case puts values of very different sizes into the packed occupancy,
+# or a demand that would borrow from the next entity's field if the fields
+# were too narrow.  (caps, flows, flows never admitted)
+_PACKED_CASES = {
+    # one field width holds a 0 and a 2^20 capacity, on one route
+    "zero_and_wide": ([0, 2**20, 3], [(2.0, {0: 1, 1: 1}), (5.0, {1: 2}), (1.5, {1: 1, 2: 1})], [0]),
+    # demand 9 exceeds every capacity; its neighbours keep their own counts
+    "oversized": ([2, 3, 1], [(1.0, {1: 9}), (2.0, {0: 1, 2: 1}), (3.0, {0: 2})], [0]),
+    # demand 3 on capacity 2, next to an entity kept full by heavy load
+    "beside_full": ([2, 1], [(0.7, {0: 3}), (40.0, {1: 1}), (0.5, {0: 1, 1: 1})], [0]),
+    "single_entity": ([4], [(3.0, {0: 1}), (1.0, {0: 2})], []),
+}
+
+
+@pytest.mark.parametrize("debug", [False, True])
+@pytest.mark.parametrize("case", sorted(_PACKED_CASES))
+def test_packed_occupancy_edges_match_whole_run_oracle(case, debug):
+    caps, flows, never = _PACKED_CASES[case]
+    model, alloc = _packed_case(caps, flows)
+    config = SimConfig(seed=5, horizon=400.0, warmup=20.0, batches=5, debug=debug)
+    res = simulate(model, alloc, config)
+    _assert_bit_identical(res, oracle_simulate(model, alloc, config))
+    assert res.admitted[never].sum() == 0
+    assert np.all(np.delete(res.admitted, never) > 0)
+
+
 def test_memory_does_not_grow_with_horizon():
     # H = 2e3 at total rate 9 already fills one merge window (about
     # 16,384 arrivals); 10 H would hold some 180,000 arrivals if built whole.
