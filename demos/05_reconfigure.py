@@ -1,10 +1,12 @@
 """Choosing which physical resources to switch on under an activation budget.
 
 Three disjoint unit pools carry loads 3, 1 and 1.  With a budget of k
-active pools the joint solve relaxes the on/off choice to [0,1], optimizes
-activation and allocation together over the joint polytope, rounds the
-activation to the k best pools, and re-optimizes the allocation on the
-rounded substrate.
+active pools the solve relaxes the on/off choice to [0,1].  The surrogate
+does not read the activations, and a pool's least activation is its
+usage, so the relaxation optimizes the allocation C alone: every pool's
+usage at most 1, total usage at most k.  It then rounds to the k pools
+of largest relaxed usage and re-optimizes the allocation on the rounded
+substrate.
 """
 
 from pathlib import Path

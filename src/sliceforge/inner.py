@@ -48,6 +48,8 @@ _TINY = np.finfo(float).tiny
 _ROUNDING = 64.0 * np.finfo(float).eps
 # U rises like y^(1/cap), with infinite slope at y = 0 for cap > 1: there
 # the Hessian takes U's slope at _Y_CUSP, so a coordinate leaves 0 slowly.
+# Below _Y_CUSP, where the gradient pushes y up, it takes at most that
+# slope, so a coordinate is not pinned just above 0 by a slope without bound.
 _Y_CUSP = 1e-12
 
 
@@ -79,8 +81,8 @@ class _Batch:
     per surrogate call so each evaluation runs one batched kernel call per
     loss family.  Objective evaluations remember U at every point they
     visit until the next gradient, which then reuses the U of its point
-    instead of inverting again; the gradient keeps U and the flow weights
-    nu e^(-A^T y) of its point for the Hessian there."""
+    instead of inverting again; the gradient keeps U, the flow weights
+    nu e^(-A^T y) and itself at its point for the Hessian there."""
 
     def __init__(self, model: NetworkModel, alloc: CapacityAllocation):
         self.caps = np.asarray(alloc.values, dtype=float)
@@ -105,7 +107,8 @@ class _Batch:
             for spec, idx in self.groups:
                 u[idx] = utilization(spec, y[idx], self.caps[idx])
         self.u, self.weights = u, self.nu * np.exp(-(self.demands.T @ y))
-        return u - self.demands @ self.weights
+        self.grad = u - self.demands @ self.weights
+        return self.grad
 
     def hessian_diagonal(self, y: np.ndarray) -> np.ndarray:
         """diag(dU_j/dy_j) + diag(A diag(w) A^T) at the last gradient's point;
@@ -117,7 +120,11 @@ class _Batch:
             yc, u = np.where(at_zero, _Y_CUSP, y[idx]), self.u[idx]  # a copy: idx is an index array
             if at_zero.any():
                 u[at_zero] = utilization(spec, _Y_CUSP, self.caps[idx][at_zero])
-            self.slope[idx] = utilization_slope(spec, yc, self.caps[idx], u)
+            slope = utilization_slope(spec, yc, self.caps[idx], u)
+            rising = (yc < _Y_CUSP) & (self.grad[idx] < 0.0)
+            if rising.any():
+                slope[rising] = np.minimum(slope[rising], utilization_slope(spec, _Y_CUSP, self.caps[idx][rising]))
+            self.slope[idx] = slope
         return self.slope + self.flow_diagonal
 
     def hessian_times(self, v: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -153,9 +160,18 @@ def _projected_gradient(grad: np.ndarray, y: np.ndarray, hi: np.ndarray) -> np.n
     return np.where(y <= 0.0, np.minimum(grad, 0.0), np.where(y >= hi, np.maximum(grad, 0.0), grad))
 
 
-def _conjugate_gradients(batch: _Batch, grad: np.ndarray, diag: np.ndarray, free: np.ndarray) -> np.ndarray:
+def _conjugate_gradients(
+    batch: _Batch, grad: np.ndarray, diag: np.ndarray, free: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
     """Newton step on the free set: Jacobi-preconditioned conjugate
-    gradients on H_FF p = -g_F, with H applied matrix-free."""
+    gradients on H_FF p = -g_F, with H applied matrix-free.
+
+    No coordinate need move farther than its box width hi_j, so CG stops
+    where its path leaves {|p_j| <= hi_j} (Steihaug's trust-region rule).
+    H is singular where U is flat (linear_clip): along a direction whose
+    curvature is rounding noise next to r D^-1 r (D the preconditioner),
+    the model falls linearly, and the step goes to that boundary too.
+    """
     r = np.where(free, -grad, 0.0)
     p, d, target = np.zeros(grad.size), r / diag, 1e-10 * np.linalg.norm(r)
     rz = float(r @ d)
@@ -163,8 +179,14 @@ def _conjugate_gradients(batch: _Batch, grad: np.ndarray, diag: np.ndarray, free
         if np.linalg.norm(r) <= target:
             break
         hd = np.where(free, batch.hessian_times(d, diag), 0.0)
-        a = rz / float(d @ hd)
-        p += a * d
+        curvature = float(d @ hd)
+        flat = curvature <= _ROUNDING * rz
+        a = math.inf if flat else rz / curvature
+        q = p if flat else p + a * d
+        if flat or np.any(np.abs(q) > hi):
+            moving = d != 0.0
+            return p + float(np.min((np.sign(d) * hi - p)[moving] / d[moving])) * d
+        p = q
         r = r - a * hd
         z = r / diag
         rz, rz_prev = float(r @ z), rz
@@ -187,7 +209,8 @@ def surrogate(
     the box; zero-capacity entities that flows still get through start
     at the box end.  Coordinates at a bound whose gradient points out of
     the box take a diagonal step; the rest take the Newton step on the
-    free set, and Armijo backtracks along the projection arc (bent, near
+    free set, cut where it leaves the box width (`_conjugate_gradients`),
+    and Armijo backtracks along the projection arc (bent, near
     U's cusp at y = 0, to follow U's local power law).  The solve
     converges when the projected gradient is at most TOL * (1 + |phi|),
     or when the step's predicted decrease is at most
@@ -225,7 +248,7 @@ def surrogate(
         eps = min(1e-3, grad_norm)
         bound = ((y <= eps) & (grad > 0.0)) | ((y >= hi - eps) & (grad < 0.0))
         diag = np.maximum(batch.hessian_diagonal(y), np.maximum(np.abs(grad) / hi, _TINY))
-        step = np.where(bound, -grad / diag, _conjugate_gradients(batch, grad, diag, ~bound))
+        step = np.where(bound, -grad / diag, _conjugate_gradients(batch, grad, diag, ~bound, hi))
         # Where U's curvature dominates, near its cusp at y = 0, U follows a
         # local power law y^kappa, kappa = y U'/U.  A step down that law's
         # way, to where it meets the Newton model's U_j, stays above 0 and

@@ -7,9 +7,12 @@ suboptimality of the current iterate.  The step zeroes the slope of phi
 along s - C (the gap at C).  The LP solver is a dense tableau simplex
 with Bland's rule, deliberately deterministic.
 
-The reconfigurable variant optimizes jointly over (C, P) where P are
-fractional physical activations subject to a budget, then rounds P
-greedily and re-solves for C on the rounded substrate.
+The reconfigurable variant relaxes the budgeted 0/1 physical activations
+P to [0, 1].  phi ignores P, and P = S^T C is the least activation an
+allocation needs, so the relaxation runs the same Frank-Wolfe over C
+alone, on the projection {C >= 0 : S^T C <= 1, 1^T S^T C <= budget}.
+It then rounds the relaxed usage S^T C greedily and re-solves for C on
+the rounded substrate.
 """
 
 from __future__ import annotations
@@ -244,35 +247,33 @@ def _slope_search(probe, base_value, slope0):
     return best_gamma, payload if best_payload is None else best_payload, probes
 
 
-def _frank_wolfe(model, polytope, objective_dim, max_iters, lift, grad_lift):
-    """Shared Frank-Wolfe core over variables z in the polytope.
+def _frank_wolfe(model, polytope, max_iters):
+    """Shared Frank-Wolfe core over allocations C in the polytope.
 
-    `lift(z)` maps a polytope point to the allocation whose surrogate is
-    the objective; `grad_lift(z, sol)` returns the full-dimensional
-    objective gradient (zeros for coordinates phi ignores).  The step
-    solves phi'(gamma) = <grad_lift(z + gamma d), d> = 0 along d = s - z
-    (`_slope_search`); the accepted probe's gradient gives the next gap.
-    When no probe improves, g may sit on a kink of phi (a zero-capacity
-    entity, where y* is not unique): z is re-solved from the last probe's
-    y* and the step retried once before reporting "stalled".  A small gap
-    at an unconverged surrogate solve ends as "inner_unconverged".
+    The step solves phi'(gamma) = <g(C + gamma d), d> = 0 along d = s - C
+    (`_slope_search`); the accepted probe's supergradient gives the next
+    gap.  When no probe improves, g may sit on a kink of phi (a
+    zero-capacity entity, where y* is not unique): C is re-solved from the
+    last probe's y* and the step retried once before reporting "stalled".
+    A small gap at an unconverged surrogate solve ends as
+    "inner_unconverged".
     """
     unconverged = 0
 
-    def solve(alloc, warm=None):
+    def solve(caps, warm=None):
         nonlocal unconverged
+        alloc = CapacityAllocation(caps)
         sol = surrogate(model, alloc, warm_start=warm)
         unconverged += not sol.converged
-        return sol
+        return sol, supergradient(model, alloc, inner=sol)
 
-    z = np.zeros(objective_dim)
-    sol = solve(lift(z))
-    grad = grad_lift(z, sol)
+    caps = np.zeros(model.m)
+    sol, grad = solve(caps)
     values, gaps, steps, probes = [], [], [], []
     status, retried = "max_iters", False
     for _ in range(max_iters):
         vertex, _ = lp_solve(grad, polytope)
-        direction = vertex - z
+        direction = vertex - caps
         gap = float(grad @ direction)
         values.append(sol.value)
         gaps.append(gap)
@@ -282,28 +283,26 @@ def _frank_wolfe(model, polytope, objective_dim, max_iters, lift, grad_lift):
             status = "converged" if sol.converged else "inner_unconverged"
             break
 
-        def probe(gamma, _z=z, _d=direction, _warm=sol.log_loss):
-            trial = solve(lift(_z + gamma * _d), _warm)
-            g = grad_lift(_z + gamma * _d, trial)
+        def probe(gamma, _c=caps, _d=direction, _warm=sol.log_loss):
+            trial, g = solve(_c + gamma * _d, _warm)
             return trial.value, float(g @ _d), (trial, g)
 
         gamma, accepted, count = _slope_search(probe, sol.value, gap)
         probes.append(count)
         steps.append(gamma)
         if gamma > 0.0:
-            z, (sol, grad), retried = z + gamma * direction, accepted, False
+            caps, (sol, grad), retried = caps + gamma * direction, accepted, False
         elif retried:
             status = "stalled"  # no improvement along the LP direction, even after a re-solve
             break
         else:
-            sol = solve(lift(z), accepted[0].log_loss)
-            grad, retried = grad_lift(z, sol), True
-    return z, sol, SolveTrace(
+            (sol, grad), retried = solve(caps, accepted[0].log_loss), True
+    return SolveTrace(
         values=tuple(values),
         gaps=tuple(gaps),
         steps=tuple(steps),
         probes=tuple(probes),
-        final_alloc=z.copy(),
+        final_alloc=caps,
         final_value=sol.value,
         status=status,
         certificate=gaps[-1],
@@ -323,15 +322,8 @@ def maximize_surrogate(
     poly = polytope if polytope is not None else capacity_polytope(model)
     if poly.dimension != model.m:
         raise ValueError(f"outer: polytope dimension {poly.dimension} != m={model.m}")
-
-    def lift(z):
-        return CapacityAllocation(z)
-
-    def grad_lift(z, sol):
-        return supergradient(model, CapacityAllocation(z), inner=sol)
-
-    z, _, trace = _frank_wolfe(model, poly, model.m, max_iters, lift, grad_lift)
-    return CapacityAllocation(z), trace
+    trace = _frank_wolfe(model, poly, max_iters)
+    return CapacityAllocation(trace.final_alloc), trace
 
 
 @dataclass(frozen=True)
@@ -357,10 +349,10 @@ class ReconfigProblem:
 class ReconfigResult:
     alloc: CapacityAllocation
     active: np.ndarray = field(repr=False)  # 0/1 per physical
-    value_fractional: float  # phi at the joint (relaxed) optimum
+    value_fractional: float  # phi at the relaxed optimum
     value_rounded: float  # phi after rounding and re-solving
-    trace_joint: SolveTrace
-    trace_final: SolveTrace
+    trace_joint: SolveTrace  # the relaxed solve over C
+    trace_final: SolveTrace  # the re-solve on the rounded substrate
 
     @property
     def rounding_loss(self) -> float:
@@ -368,45 +360,29 @@ class ReconfigResult:
 
 
 def solve_reconfig(problem: ReconfigProblem) -> ReconfigResult:
-    """Joint relaxed optimization, greedy rounding, restricted re-solve.
+    """Relaxed optimization over C, greedy rounding, restricted re-solve.
 
-    Variables z = (C, P): usage rows S^T C - P <= 0 couple the logical
-    allocation to fractional activations, P <= 1 boxes them, and
-    1^T P <= budget caps the active count.  phi ignores P, so its
-    gradient coordinates are zero.  Rounding keeps the floor(budget)
-    physicals with the largest fractional usage S^T C* (usages within
+    Relaxing the 0/1 activations to P in [0, 1] with S^T C <= P and
+    1^T P <= budget changes nothing that phi sees: phi ignores P, and
+    P = S^T C is the least activation any C needs.  So the relaxation is
+    Frank-Wolfe over the projection {C >= 0 : S^T C <= 1,
+    1^T S^T C <= budget}.  Rounding keeps the floor(budget) physicals
+    with the largest relaxed usage S^T C* (usages within
     _USAGE_TIE * max(1, max usage) of the floor(budget)-th largest tie
     with it, and ties go to the lowest index), then re-solves for C on
     that 0/1 substrate.
     """
     model = problem.model
-    m, n = model.m, model.n
     usage_map = incidence(model).T  # (n, m)
-    a_ub = np.block(
-        [
-            [usage_map, -np.eye(n)],
-            [np.zeros((n, m)), np.eye(n)],
-            [np.zeros((1, m)), np.ones((1, n))],
-        ]
-    )
-    b_ub = np.concatenate([np.zeros(n), np.ones(n), [problem.budget]])
-    joint = Polytope(a_ub, b_ub)
+    relaxed = Polytope(np.vstack([usage_map, usage_map.sum(axis=0)]), np.append(np.ones(model.n), problem.budget))
+    trace_joint = _frank_wolfe(model, relaxed, MAX_ITERS)
 
-    def lift(z):
-        return CapacityAllocation(z[:m])
-
-    def grad_lift(z, sol):
-        g = supergradient(model, CapacityAllocation(z[:m]), inner=sol)
-        return np.concatenate([g, np.zeros(n)])
-
-    z, _, trace_joint = _frank_wolfe(model, joint, m + n, MAX_ITERS, lift, grad_lift)
-
-    usage = usage_map @ z[:m]
+    usage = usage_map @ trace_joint.final_alloc
     count = int(math.floor(problem.budget))
     kth = np.sort(usage)[::-1][max(count - 1, 0)]  # the count-th largest usage
     near = np.abs(usage - kth) <= _USAGE_TIE * max(1.0, float(usage.max()))
     order = np.argsort(-np.where(near, kth, usage), kind="stable")  # stable: ties keep lowest index first
-    active = np.zeros(n)
+    active = np.zeros(model.n)
     active[order[:count]] = 1.0
     restricted = Polytope(usage_map, active)
     alloc, trace_final = maximize_surrogate(model, polytope=restricted)

@@ -56,6 +56,21 @@ def symmetric_pair(nu=8.0, phys_cap=10.0, kind="erlang_b"):
     )
 
 
+def flat_pair(nu=0.75):
+    """One flow across two linear_clip logicals on one unit physical.  U is
+    flat in y for linear_clip, so the inner Hessian on {a, b} has rank one:
+    phi is linear along y_a - y_b, and phi(C) = c (1 + log(nu / c)) with
+    c = min(C_a, C_b), for 0 < c < nu."""
+    return NetworkModel(
+        physicals=(PhysicalEntity("p", "unit", 1.0),),
+        logicals=(
+            LogicalEntity("a", ("p",), LossSpec("linear_clip")),
+            LogicalEntity("b", ("p",), LossSpec("linear_clip")),
+        ),
+        flows=(Flow("f", float(nu), {"a": 1, "b": 1}),),
+    )
+
+
 def three_potentials(loads=(3.0, 1.0, 1.0)):
     """Three disjoint unit potentials, one single-entity flow each."""
     return NetworkModel(

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -8,11 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sliceforge import serialize_model
+import sliceforge.cli
+from sliceforge import maximize_surrogate, serialize_model
 from sliceforge.cli import run
 from sliceforge.outer import SolveTrace
 
-from conftest import single_entity, symmetric_pair
+from conftest import flat_pair, single_entity, symmetric_pair
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "demos" / "models"
@@ -223,6 +225,23 @@ def test_solve_unconverged_exit_code(tmp_path, capsys, monkeypatch):
     rep = json.loads(out_path.read_text())
     assert rep["solver"]["status"] == "max_iters"
     assert rep["solver"]["certificate"] == 0.5
+
+
+def test_flat_direction_exits_without_traceback(tmp_path, capsys, monkeypatch):
+    # Both commands once ended in a ZeroDivisionError inside the inner solver.
+    model_path = tmp_path / "flat.json"
+    model_path.write_text(serialize_model(flat_pair(0.75)))
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text("[0.25, 0.75]")
+    code, out, _ = invoke(capsys, "evaluate", model_path, "--alloc", alloc_path, "--phi")
+    assert code == 0
+    assert report_of(out)["surrogate"]["value"] == pytest.approx(0.25 * (1.0 + math.log(3.0)), rel=1e-12)
+    # Frank-Wolfe zigzags across phi's kink at C_a = C_b for all MAX_ITERS
+    # iterations (30 s), so the solve is cut short here.
+    monkeypatch.setattr(sliceforge.cli, "maximize_surrogate", functools.partial(maximize_surrogate, max_iters=20))
+    code, out, _ = invoke(capsys, "solve", model_path)
+    assert code in (0, 2)
+    assert report_of(out)["solver"]["unconverged_inner"] == 0
 
 
 def test_solve_reconfig_budget_one(capsys):

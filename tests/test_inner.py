@@ -25,9 +25,10 @@ from sliceforge import (
     surrogate,
 )
 
+import sliceforge.outer
 from sliceforge.cli import _resolve_alloc
 
-from conftest import random_small_instance, single_entity, symmetric_pair
+from conftest import flat_pair, random_small_instance, single_entity, symmetric_pair
 
 DEMO_MODELS = Path(__file__).resolve().parents[1] / "demos" / "models"
 
@@ -88,6 +89,30 @@ def test_phi_closed_form_across_capacities():
         expect = cap + cap * math.log(nu / cap) if cap < nu else nu
         sol = surrogate(model, CapacityAllocation([cap]))
         assert sol.value == pytest.approx(expect, rel=1e-6)
+
+
+@pytest.mark.parametrize("c_a", [0.05, 0.25, 0.31096392232854486, 0.5, 0.7])
+def test_flat_direction_converges_to_closed_form(c_a):
+    # CG once divided by the zero curvature along y_a - y_b, and at
+    # C = (0.311, 0.689) a rounding-size curvature sent the step to
+    # (5.5e30, -5.5e30), which the box clipped to phi = 0.75 unconverged.
+    nu = 0.75
+    model = flat_pair(nu)
+    for c_b in (c_a, 1.0 - c_a, 0.02, 0.4, 0.74, 1.0):
+        c = min(c_a, c_b)
+        sol = surrogate(model, CapacityAllocation([c_a, c_b]))
+        assert sol.converged
+        assert sol.value == pytest.approx(c * (1.0 + math.log(nu / c)), rel=1e-12)
+
+
+def test_flat_direction_is_followed_to_the_box():
+    # A Frank-Wolfe probe near C_a = C_b, warm-started at a vertex's y*: a
+    # step that stopped CG without moving along the flat direction crept
+    # along it for all 5,000 iterations.
+    caps = [0.5000005440018066, 0.4999994559981934]
+    sol = surrogate(flat_pair(0.75), CapacityAllocation(caps), warm_start=np.array([0.0, 50.0]))
+    assert sol.converged and sol.iterations < 20
+    assert sol.value == pytest.approx(caps[1] * (1.0 + math.log(0.75 / caps[1])), rel=1e-12)
 
 
 def test_gradient_at_zero_erlang():
@@ -309,6 +334,56 @@ def test_ladder_solve_raises_no_runtime_warning(ladder_model):
         warnings.simplefilter("error", RuntimeWarning)
         _, trace = maximize_surrogate(model, max_iters=2)
     assert len(trace.values) == 2
+
+
+def test_frank_wolfe_probes_converge_to_the_cold_minimum(ladder_model, monkeypatch):
+    # closed_m50_x3 has linear_clip entities on shared flows, so the inner
+    # Hessian is nearly singular.  An unbounded CG step once sent the 49th
+    # solve (warm-started) out of the box, and the solve ended "converged"
+    # at phi = 323.9, where the minimum is 111.6.
+    model = ladder_model("closed_m50_x3")
+    solves = []
+
+    def recorded(model_, alloc, warm_start=None):
+        solves.append((alloc, surrogate(model_, alloc, warm_start=warm_start)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(sliceforge.outer, "surrogate", recorded)
+    maximize_surrogate(model, max_iters=10)
+    assert len(solves) >= 49
+    # A converged phi may sit above the minimum by grad_norm times the box
+    # width along the Hessian's near-null directions: 1.3e-9 relative here.
+    for alloc, sol in solves:
+        cold = surrogate(model, alloc)
+        assert sol.converged and cold.converged
+        assert sol.value <= cold.value + 1e-6 * (1.0 + abs(cold.value))
+
+
+def test_coordinate_just_above_the_cusp_is_not_pinned():
+    # The first Newton step from this warm start takes y_a from its box end
+    # to 0 and stops CG at the box width, which leaves y_b (exp_overflow,
+    # C = 0.368) at 3.5e-18.  U's slope there is 6e13 and grows as y falls,
+    # so with the Hessian taking it, each step moved y_b by ~1e-190 and
+    # the solve ended "converged" at phi = 0.5557 with grad_norm 0.35.
+    model = NetworkModel(
+        physicals=tuple(PhysicalEntity(f"p{k}", "unit", 1.0) for k in range(3)),
+        logicals=(
+            LogicalEntity("a", ("p0", "p1", "p2"), LossSpec("erlang_b")),
+            LogicalEntity("b", ("p0", "p2"), LossSpec("exp_overflow")),
+            LogicalEntity("c", ("p0", "p1"), LossSpec("erlang_b")),
+        ),
+        flows=(
+            Flow("f0", 0.5597828181442617, {"b": 1, "c": 1}),
+            Flow("f1", 1.3978133120370133, {"b": 2, "c": 1}),
+            Flow("f2", 1.1010671818926097, {"a": 1, "b": 1}),
+        ),
+    )
+    alloc = CapacityAllocation([0.631906289039607, 0.368093710960393, 0.0])
+    warm = surrogate(model, alloc, warm_start=np.array([46.051701859880914, 0.0, 46.051701859880914]))
+    cold = surrogate(model, alloc)
+    assert warm.converged and cold.converged
+    assert warm.value == pytest.approx(cold.value, rel=1e-12)
+    assert warm.value == pytest.approx(0.4849542564535485, rel=1e-9)
 
 
 def test_non_convergence_reported():

@@ -17,6 +17,7 @@ from sliceforge import (
     Polytope,
     ReconfigProblem,
     capacity_polytope,
+    incidence,
     load_model,
     lp_solve,
     maximize_surrogate,
@@ -396,6 +397,88 @@ def test_reconfig_selects_loaded_potential():
     assert res.alloc.values[2] == pytest.approx(0.0, abs=1e-6)
 
 
+class _Captured(Exception):
+    pass
+
+
+def _lifted_polytope(usage_map, budget):
+    """The (C, P) relaxation: usage rows S^T C - P <= 0, P <= 1, 1^T P <= budget."""
+    n, m = usage_map.shape
+    a_ub = np.block(
+        [
+            [usage_map, -np.eye(n)],
+            [np.zeros((n, m)), np.eye(n)],
+            [np.zeros((1, m)), np.ones((1, n))],
+        ]
+    )
+    return Polytope(a_ub, np.concatenate([np.zeros(n), np.ones(n), [budget]]))
+
+
+def test_relaxed_polytope_is_the_projection_of_the_lifted_one(monkeypatch):
+    # phi ignores P, and P = S^T C is the least lift of a feasible C, so an
+    # LP over solve_reconfig's C-only polytope has the lifted LP's value.
+    def capture(model_, polytope, max_iters):
+        raise _Captured(polytope)
+
+    monkeypatch.setattr(sliceforge.outer, "_frank_wolfe", capture)
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        n, m = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        members = rng.random((m, n)) < 0.4
+        members[np.arange(m), rng.integers(0, n, size=m)] = True
+        model = NetworkModel(
+            physicals=tuple(PhysicalEntity(f"p{k}", "unit", 1.0) for k in range(n)),
+            logicals=tuple(
+                LogicalEntity(f"l{i}", tuple(f"p{k}" for k in np.flatnonzero(row)), LossSpec("linear_clip"))
+                for i, row in enumerate(members)
+            ),
+            flows=(Flow("f", 1.0, {"l0": 1}),),
+        )
+        budget = float(rng.uniform(0.5, n))
+        with pytest.raises(_Captured) as caught:
+            solve_reconfig(ReconfigProblem(model, budget))
+        projected = caught.value.args[0]
+        assert projected.A_ub.shape == (n + 1, m)
+        lifted = _lifted_polytope(incidence(model).T, budget)
+        objective = rng.normal(size=m) * (rng.random(m) < 0.7)  # zero and negative entries
+        _, value = lp_solve(objective, projected)
+        vertex, lifted_value = lp_solve(np.concatenate([objective, np.zeros(n)]), lifted)
+        assert abs(value - lifted_value) <= 1e-12 * (1.0 + abs(lifted_value))
+        assert projected.contains(vertex[:m])
+
+
+@pytest.mark.parametrize(
+    "budget, active, relaxed, alloc",
+    [
+        (1.0, [0.0, 0.0, 1.0], [0.294752354064679, 0.038474693105722275, 0.3335459056591974], [0.0, 0.0, 1.0]),
+        (2.0, [1.0, 1.0, 0.0], [0.6989626944799571, 0.06882009700279275, 0.46443441703450045], [1.0, 0.0, 0.0]),
+    ],
+)
+def test_reconfig_with_shared_members(budget, active, relaxed, alloc):
+    # l0 spans p0 and p1, l1 spans p1 and p2: S != I, so the relaxation over
+    # C alone is not a box with a budget row.  The expected values are those
+    # of the lifted (C, P) relaxation that solve_reconfig used before; the
+    # relaxed allocation is held only to the accuracy GAP_TOL leaves it.
+    model = NetworkModel(
+        physicals=tuple(PhysicalEntity(f"p{i}", "unit", 1.0) for i in range(3)),
+        logicals=(
+            LogicalEntity("l0", ("p0", "p1"), LossSpec("erlang_b")),
+            LogicalEntity("l1", ("p1", "p2"), LossSpec("linear_clip")),
+            LogicalEntity("l2", ("p2",), LossSpec("exp_overflow")),
+        ),
+        flows=(
+            Flow("f0", 3.0, {"l0": 1}),
+            Flow("f1", 0.6, {"l1": 1, "l2": 1}),
+            Flow("f2", 0.8, {"l2": 1}),
+        ),
+    )
+    res = solve_reconfig(ReconfigProblem(model, budget))
+    assert res.trace_joint.converged and res.trace_final.converged
+    assert res.active.tolist() == active
+    assert res.trace_joint.final_alloc == pytest.approx(relaxed, rel=1e-6)
+    assert res.alloc.values == pytest.approx(alloc, rel=1e-9, abs=1e-12)
+
+
 def test_reconfig_budget_two_keeps_lowest_tied_index():
     # p1 and p2 carry equal loads, so their relaxed usages tie
     res = solve_reconfig(ReconfigProblem(three_potentials(), 2.0))
@@ -416,13 +499,16 @@ def test_reconfig_rounding_ties_within_tolerance(monkeypatch, u1, u2, active):
     model = three_potentials()
     solve = sliceforge.outer._frank_wolfe
 
-    def perturbed(model_, polytope, dim, *args):
-        z, sol, trace = solve(model_, polytope, dim, *args)
-        if dim > model_.m:  # the joint (C, P) solve; usage of p_i is C_i here
-            z = z.copy()
-            z[:3] = [1.0, u1, u2]
-        return z, sol, trace
+    relaxed = []
+
+    def perturbed(model_, polytope, max_iters):
+        trace = solve(model_, polytope, max_iters)
+        if polytope.A_ub.shape[0] == model_.n + 1:  # the relaxed solve; usage of p_i is C_i here
+            relaxed.append(trace)
+            trace = dataclasses.replace(trace, final_alloc=np.array([1.0, u1, u2]))
+        return trace
 
     monkeypatch.setattr(sliceforge.outer, "_frank_wolfe", perturbed)
     res = solve_reconfig(ReconfigProblem(model, 2.0))
+    assert len(relaxed) == 1  # the restricted re-solve (n rows) kept its answer
     assert res.active.tolist() == active
