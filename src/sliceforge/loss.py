@@ -67,6 +67,7 @@ RHO_BRACKET_CAP = 1e12
 INVERSION_TOL = 1e-13
 INVERSION_MAX_ITERS = 200
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny  # least normal load the inversion probes
 
 
 class LossDomainError(ValueError):
@@ -100,19 +101,37 @@ def _upper_inverse(family, y, cap):
     gives rho(0) = cap, not 0).  Every unfinished element, doubling or
     bisecting, shares one survival() call per step, so a batch costs what
     its costliest element costs alone.
+
+    Two kinds of element would never meet those rules, because their
+    lower end stays at 0.  Where the log-loss at the least normal load
+    already exceeds y (cap = 0, say), rho(y) = 0 at once.  At y = 0 the
+    level set is F's zero plateau, which is empty where F is positive at
+    the least normal load, so rho(0) = 0 at once there too.  Any other
+    y = 0 bisection ends where 1 - F rounds to 1; if F is still positive
+    at half that load, the curve rises from 0 and only rounding made it
+    look flat, so rho(0) = 0 again.
     """
     n = y.size
     lo, hi = np.zeros(n), np.maximum(1.0, cap)
-    f_lo, f_hi = np.split(_log_loss(family, np.concatenate((lo, hi)), np.tile(cap, 2)), 2)
+    least = np.full(n, _TINY)
+    level_zero = y == 0.0
+    with np.errstate(over="ignore"):  # cap / rho overflows at the least load
+        f_lo, f_hi, f_least = np.split(_log_loss(family, np.concatenate((lo, hi, least)), np.tile(cap, 3)), 3)
+        settled = f_least > y
+        if level_zero.any():
+            settled[level_zero] |= family.blocking(least[level_zero], cap[level_zero]) > 0.0
     tol = INVERSION_TOL * np.minimum(1.0, y)
     steps = np.zeros(n, dtype=int)  # doublings while f(hi) <= y, then bisections
-    live = np.arange(n)
+    live = np.flatnonzero(~settled)
     while True:
         grow = f_hi[live] <= y[live]
         spread, width = f_hi[live] - f_lo[live], hi[live] - lo[live]
         done = ~grow & ((spread <= tol[live]) | (width <= 4.0 * _EPS * hi[live]) | (steps[live] >= INVERSION_MAX_ITERS))
         live, grow = live[~done], grow[~done]
         if live.size == 0:
+            rounded = np.flatnonzero(level_zero & (lo > 0.0))
+            if rounded.size:
+                lo[rounded[family.blocking(0.5 * lo[rounded], cap[rounded]) > 0.0]] = 0.0
             return lo
         probe = np.where(grow, 2.0 * hi[live], 0.5 * (lo[live] + hi[live]))
         steps[live] += 1
@@ -476,6 +495,12 @@ def _erlang_invert(y, cap):
             ell = np.logaddexp(0.0, -log_rest)
             s = expit(log_rest)
             log_ell = np.log(ell)
+            # A subnormal l keeps few digits, so there log l is formed in
+            # log space: log x + log(log1p(x)/x) with x = 1/rest, where the
+            # second term is -x/2 to rounding.
+            sub = ell < _TINY
+            if sub.any():
+                log_ell[sub] = -log_rest[sub] - 0.5 * np.exp(-log_rest[sub])
             g = log_ell - log_y
             # B/S = 1/rest.  rest * ell = log1p(x)/x with x = 1/rest lies in
             # (0, 1] and tends to 1 where rest itself would overflow, so it

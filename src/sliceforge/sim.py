@@ -26,6 +26,15 @@ merges the flows by time windows of about max(_WINDOW, _PER_FLOW flows)
 arrivals, so that the fixed cost every active flow pays per window is
 spread over at least _PER_FLOW arrivals.  Piecewise draws equal one big
 draw, and piecewise sequential sums equal one whole cumsum.
+
+Each window becomes one merged event list, built in numpy: every call's
+departure is placed at a release slot, the first later arrival of the
+window at or after its departure time, so that a departure at time t
+goes before an arrival at t.  One Python loop then walks the arrivals.
+Before arrival k it frees slot k, the sum of the packed demands armed
+there; an admitted arrival arms its own slot.  Calls that outlive the
+window's last arrival are carried, as (departure, flow) arrays, into the
+next window's slots.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 
 import numpy as np
 
@@ -55,7 +63,7 @@ class SimConfig:
     horizon: float
     warmup: float = 0.0
     batches: int = 20
-    debug: bool = False  # verify occupancy invariants after every event
+    debug: bool = False  # verify occupancy invariants after every arrival and every release
 
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
@@ -95,10 +103,12 @@ def _arrival_times(gen: np.random.Generator, rate: float, piece: int):
     while True:
         partial = 0.0
         for start in range(0, _CHUNK, piece):
-            gaps = gen.exponential(1.0 / rate, size=min(piece, _CHUNK - start))
-            sums = np.cumsum(np.concatenate(([partial], gaps)))[1:]
-            partial = float(sums[-1])
-            yield last + sums
+            times = gen.exponential(1.0 / rate, size=min(piece, _CHUNK - start))
+            times[0] += partial
+            np.cumsum(times, out=times)
+            partial = float(times[-1])
+            times += last
+            yield times
         last += partial
 
 
@@ -139,27 +149,39 @@ def _flow(seed: int, index: int, rate: float, config: SimConfig, delta: float):
             return
 
 
-def _serve(arrivals, demand_of, free, guard, heap, admitted_in, check) -> int:
-    """Admit or block each (time, departure, cell) of `arrivals` in turn,
-    after releasing every call that departs by its time; returns `free`.
-    A call fits when `free - demand_of[cell]` keeps every guard bit.
-    Releases at equal times commute, so the heap orders them by
-    (departure, packed demand) alone."""
-    next_departure = heap[0][0]
-    for t, departure, cell in arrivals:
-        while next_departure <= t:
-            free += heappop(heap)[1]
-            next_departure = heap[0][0]
+def _release_slots(times, departures):
+    """Release slot of each call in a window: the index of the first
+    arrival at or after its departure, so a departure at t goes before an
+    arrival at t, but never at or before its own arrival; times.size, past
+    the last arrival, if there is none.  One stable sort merges the
+    departures, sorted, with the arrivals, each departure ahead of the
+    arrivals at its time; ties between departures commute."""
+    n = times.size
+    by_time = np.argsort(departures)
+    merged = np.argsort(np.concatenate((departures[by_time], times)), kind="stable")
+    release = np.empty(n, dtype=np.int64)
+    release[by_time] = np.flatnonzero(merged < n) - np.arange(n)
+    return np.maximum(release, np.arange(1, n + 1), out=release)
+
+
+def _serve(pending, demands, release, flags, free, guard, check) -> int:
+    """Walk one window's arrivals in time order; returns `free`.
+
+    Arrival k first frees pending[k], the packed demands of the admitted
+    calls released at slot k.  Its own call fits when `free - demands[k]`
+    keeps every guard bit; then it arms its release slot, release[k] > k,
+    with its demand and sets flags[k].  So the iterator over `pending`
+    reads each entry after its last write."""
+    for k, released, demand, slot in zip(itertools.count(), pending, demands, release):
+        if released:
+            free += released
             if check:
                 check(free)
-        demand = demand_of[cell]
         trial = free - demand
         if (trial & guard) == guard:
             free = trial
-            heappush(heap, (departure, demand))
-            if departure < next_departure:
-                next_departure = departure
-            admitted_in[cell] += 1
+            pending[slot] += demand
+            flags[k] = 1
         if check:
             check(free)
     return free
@@ -196,9 +218,10 @@ def simulate(model: NetworkModel, alloc: CapacityAllocation, config: SimConfig) 
     base, shifts = 1 << (width - 1), [j * width for j in range(model.m)]
     guard, free = sum(base << s for s in shifts), sum((base + cap) << s for s, cap in zip(shifts, caps))
     packed = [sum(int(d) << s for s, d in zip(shifts, demands[:, r].tolist())) for r in range(num_flows)]
-    demand_of = [demand for demand in packed for _ in range(slots)]
-    arrived, admitted_in = np.zeros(num_flows * slots, dtype=np.int64), [0] * (num_flows * slots)
-    heap: list[tuple[float, int]] = [(math.inf, 0)]  # (departure time, packed demand); the sentinel never leaves
+    demand_of = np.array(packed, dtype=object)
+    arrived, admitted_in = (np.zeros(num_flows * slots, dtype=np.int64) for _ in range(2))
+    # admitted calls that depart after the last arrival of their window, in no order
+    carried_times, carried_flows = np.empty(0), np.empty(0, dtype=np.int64)
 
     def invariant(free: int) -> None:
         units = [(free >> s & (2 * base - 1)) - base for s in shifts]
@@ -215,14 +238,25 @@ def simulate(model: NetworkModel, alloc: CapacityAllocation, config: SimConfig) 
         flows = np.repeat(active_ids, [w[0].size for w in window])[order]
         cells = flows * slots + np.searchsorted(edges, times, side="left")
         arrived += np.bincount(cells, minlength=arrived.size)
-        free = _serve(zip(times.tolist(), departures.tolist(), cells.tolist()), demand_of, free, guard, heap, admitted_in, check)
-    while heap[0][0] <= config.horizon:
-        free += heappop(heap)[1]
-        if check:
-            check(free)
+        n = times.size
+        release = _release_slots(times, departures)
+        pending = [0] * (n + 1)  # pending[n] collects the demands carried on
+        # a carried call is freed at the first arrival at or after its
+        # departure; one with no such arrival waits for a later window
+        waiting = np.searchsorted(times, carried_times, side="left")
+        due = waiting < n
+        for slot, flow in zip(waiting[due].tolist(), carried_flows[due].tolist()):
+            pending[slot] += packed[flow]
+        flags = bytearray(n)
+        free = _serve(pending, demand_of[flows].tolist(), release.tolist(), flags, free, guard, check)
+        admitted = np.frombuffer(flags, dtype=bool)
+        admitted_in += np.bincount(cells[admitted], minlength=admitted_in.size)
+        leaving = admitted & (release == n)
+        carried_times = np.concatenate((carried_times[~due], departures[leaving]))
+        carried_flows = np.concatenate((carried_flows[~due], flows[leaving]))
 
     arrived = arrived.reshape(num_flows, slots)
-    admitted_cells = np.array(admitted_in, dtype=np.int64).reshape(num_flows, slots)
+    admitted_cells = admitted_in.reshape(num_flows, slots)
     blocking, blocking_se, carried, carried_se = (np.zeros(num_flows) for _ in range(4))
     arrivals, admitted = arrived.sum(axis=1), admitted_cells.sum(axis=1)
     root_batches = math.sqrt(config.batches)
@@ -237,8 +271,8 @@ def simulate(model: NetworkModel, alloc: CapacityAllocation, config: SimConfig) 
         carried_se[r] = float(carried_b.std(ddof=1) / root_batches)
 
     # every arrival is one event, and so is every departure: all admitted calls
-    # but those still in service at the horizon (the heap less its sentinel)
-    events = int(arrivals.sum() + admitted.sum()) - (len(heap) - 1)
+    # but those still in service at the horizon
+    events = int(arrivals.sum() + admitted.sum()) - int(np.count_nonzero(carried_times > config.horizon))
     return SimResult(
         blocking=blocking,
         blocking_se=blocking_se,

@@ -361,6 +361,17 @@ def test_console_script_installed(tmp_path):
     assert proc.stdout.strip() == f"sliceforge {project['version']}"
 
 
+def test_module_entry_point_runs_without_install(tmp_path):
+    # `python -m sliceforge` with only src/ on the path, as the README shows
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sliceforge", "--help"], capture_output=True, text=True, timeout=60, env=env, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: sliceforge")
+
+
 def test_perfbench_tracer_patches_names_that_exist(tmp_path):
     # perfbench/tracer.py wraps library functions by the module-level names
     # their callers look them up under; a rename under src/ would otherwise

@@ -127,6 +127,16 @@ def test_erlang_inversion_at_subnormal_log_loss():
             assert utilization(ERLANG, 4.3e-322, cap) == pytest.approx(low_load, rel=2e-3)
 
 
+def test_erlang_inversion_keeps_digits_at_subnormal_y():
+    # A subnormal log-loss l keeps few digits, so the Newton residual
+    # log(l / y) must not take log of l itself; U then follows the
+    # low-load form (y Gamma(C+1))^(1/C), exact here to far below 1e-12.
+    for y in (5e-324, 4.3e-322):
+        for cap in (2.0, 10.0):
+            low_load = math.exp((math.log(y) + math.lgamma(cap + 1.0)) / cap)
+            assert utilization(ERLANG, y, cap) == pytest.approx(low_load, rel=1e-12, abs=0.0)
+
+
 def test_utilization_monotone_in_capacity():
     for spec in ALL:
         for y in (0.2, 1.0, 2.5):
@@ -267,9 +277,28 @@ def test_default_utilization_terms_match_shipped_families():
         h_ref, u_ref = utilization_terms(shipped, y, cap)
         assert h == pytest.approx(h_ref, rel=1e-12, abs=0.0)
         assert u[~zero] == pytest.approx(u_ref[~zero], rel=1e-8, abs=0.0)
-        # At y = 0 the sup convention reads rho where the log-loss rounds
-        # to 0, so U there lies between the true 0 and U at y = 1e-15.
-        assert np.all((u[zero] >= 0.0) & (u[zero] <= utilization(shipped, 1e-15, cap[zero])))
+        # Both curves rise from 0, so rho(0) = 0 as in the closed forms,
+        # not the load where the log-loss rounds to 0.
+        assert u[zero].tolist() == u_ref[zero].tolist()
+
+
+def test_default_inversion_keeps_a_zero_loss_plateau():
+    # linear_clip's formula on the default route: F = 0 on [0, C], so the
+    # sup convention puts rho(0) at C, as the closed form does, while a
+    # zero capacity blocks everything and gives rho = 0 at every level.
+    class GenericClip(LossFamily):
+        name = "generic_linear_clip_test_only"
+
+        def blocking(self, rho, cap):
+            return get_family("linear_clip").blocking(rho, cap)
+
+        def survival(self, rho, cap):
+            return get_family("linear_clip").survival(rho, cap)
+
+    register_family(GenericClip())
+    y, cap = (a.ravel() for a in np.meshgrid([0.0, 0.3, 2.0], [0.0, 0.4, 2.0, 11.0]))
+    u = utilization(LossSpec(GenericClip.name), y, cap)
+    assert u == pytest.approx(cap, rel=1e-12, abs=0.0)
 
 
 def test_default_inversion_batches_survival_calls():
@@ -298,8 +327,17 @@ def test_default_inversion_batches_survival_calls():
         u_alone.append(u[0])
     calls[0] = 0
     h, u = utilization_terms(spec, y, cap)
-    assert calls[0] <= max(alone) + 1
+    batch = calls[0]
+    assert batch <= max(alone) + 1
     assert h.tolist() == h_alone and u.tolist() == u_alone
+    # A zero capacity, and y = 0 on a curve rising from 0, resolve to
+    # rho = 0 without bisecting: neither costs the batch more than a call.
+    for extra_y, extra_cap in ((0.5, 0.0), (0.0, 0.4)):
+        calls[0] = 0
+        h, u = utilization_terms(spec, np.append(y, extra_y), np.append(cap, extra_cap))
+        assert calls[0] <= batch + 1
+        assert (h[-1], u[-1]) == (0.0, 0.0)
+        assert h[:-1].tolist() == h_alone and u[:-1].tolist() == u_alone
 
 
 def test_default_utilization_slope_matches_shipped_families():

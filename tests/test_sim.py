@@ -310,6 +310,30 @@ def test_streaming_matches_whole_run_oracle(case, window, per_flow, chunk, grid)
     assert np.all((res.blocking >= 0.0) & (res.blocking <= 1.0))
 
 
+def test_ties_zero_holds_and_long_calls_match_whole_run_oracle():
+    # On the quarter grid a call can depart exactly when a later call
+    # arrives, and can hold for 0.  A heap frees every departure <= t
+    # before the arrival at t, and frees a call no earlier than the arrival
+    # after its own.  Windows of about 4 arrivals (1 time unit at rate 4)
+    # leave some calls in service across several windows.  One server of
+    # capacity 2 is full often enough that each rule changes admissions.
+    model, alloc = single_entity(4.0), CapacityAllocation([2.0])
+    config = SimConfig(seed=1, horizon=30.0, warmup=3.0, batches=4)
+    with (
+        mock.patch.object(sim_module, "_WINDOW", 4),
+        mock.patch.object(sim_module, "_PER_FLOW", 1),
+        mock.patch.object(np.random, "Generator", _GridGenerator),
+    ):
+        times, holds = flow_stream(config.seed, 0, 4.0, config.horizon, CHUNK)
+        expected = oracle_simulate(model, alloc, config)
+        res = simulate(model, alloc, config)
+    departures = times + holds
+    assert np.isin(departures[holds > 0.0], times).any()
+    assert (holds == 0.0).any()
+    assert (holds > 3.0).any()
+    _assert_bit_identical(res, expected)
+
+
 def test_empty_flow_set():
     model = NetworkModel(
         physicals=(PhysicalEntity("p", "unit", 1.0),),
