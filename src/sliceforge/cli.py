@@ -184,7 +184,15 @@ def _evaluation_sections(model: NetworkModel, alloc: CapacityAllocation, want_ph
     else:
         sections["totals"] = None
     if want_phi:
-        sol = surrogate(model, alloc)
+        # The fixed point is a stationary point of the inner problem (there
+        # U_j = rho_j S_j equals the flow term), so the surrogate starts at
+        # its log-loss and moves only if its own gradient test fails there.
+        # B = 1 gives y = inf, which surrogate clips to the box end.
+        warm = None
+        if state.converged:
+            with np.errstate(divide="ignore"):
+                warm = -np.log1p(-state.blocking)
+        sol = surrogate(model, alloc, warm_start=warm)
         implied = [float(-math.expm1(-y)) for y in sol.log_loss]
         gap = 0.0
         if state.converged:

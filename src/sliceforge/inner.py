@@ -88,6 +88,7 @@ class _Batch:
         self.caps = np.asarray(alloc.values, dtype=float)
         self.nu = offered_vector(model)
         self.demands = demand_matrix(model)
+        self.demands_squared = self.demands**2
         self.groups = loss_groups(model)
         self._visited: dict[bytes, np.ndarray] = {}
 
@@ -113,7 +114,7 @@ class _Batch:
     def hessian_diagonal(self, y: np.ndarray) -> np.ndarray:
         """diag(dU_j/dy_j) + diag(A diag(w) A^T) at the last gradient's point;
         keeps both parts for the step."""
-        self.flow_diagonal = self.demands**2 @ self.weights
+        self.flow_diagonal = self.demands_squared @ self.weights
         self.slope = np.empty(y.size)
         for spec, idx in self.groups:
             at_zero = y[idx] <= 0.0

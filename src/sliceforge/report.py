@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -20,51 +21,70 @@ __all__ = ["format_float", "render_json", "render_csv", "sha256_bytes"]
 
 def format_float(value: float) -> str:
     """Shortest-ish fixed rendering that still round-trips: %.17g."""
-    if not np.isfinite(value):
+    x = float(value)
+    if not math.isfinite(x):
         raise ValueError(f"non-finite value in report: {value!r}")
-    return format(float(value), ".17g")
+    return format(x, ".17g")
 
 
 def _render(obj, out, level, indent):
-    pad = " " * (indent * (level + 1))
-    close = " " * (indent * level)
-    if obj is None:
+    # Exact types first: reports are dicts and lists of Python floats, and
+    # a numeric numpy array becomes a list in one tolist() call.  Numpy
+    # scalars, bools, ints, strings, None, subclasses and other arrays take
+    # the isinstance chain.
+    kind = type(obj)
+    if kind is float:
+        out.append(format_float(obj))
+    elif kind is dict:
+        _render_dict(obj, out, level, indent)
+    elif kind is list:
+        _render_list(obj, out, level, indent)
+    elif kind is np.ndarray and obj.ndim and obj.dtype.kind in "biuf":
+        _render_list(obj.tolist(), out, level, indent)
+    elif obj is None:
         out.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
+        out.append(format_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))  # stdlib string escaping only
+        out.append(encode_basestring_ascii(obj))  # json.dumps's string escaping
     elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for k, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {type(key).__name__}")
-            out.append(pad)
-            out.append(json.dumps(key))
-            out.append(": ")
-            _render(value, out, level + 1, indent)
-            out.append(",\n" if k + 1 < len(obj) else "\n")
-        out.append(close + "}")
+        _render_dict(obj, out, level, indent)
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for k, value in enumerate(items):
-            out.append(pad)
-            _render(value, out, level + 1, indent)
-            out.append(",\n" if k + 1 < len(items) else "\n")
-        out.append(close + "]")
+        _render_list(list(obj), out, level, indent)
     else:
         raise TypeError(f"cannot render {type(obj).__name__} in a report")
+
+
+def _render_dict(obj: dict, out, level, indent):
+    if not obj:
+        out.append("{}")
+        return
+    pad = " " * (indent * (level + 1))
+    out.append("{\n")
+    for k, (key, value) in enumerate(obj.items()):
+        if not isinstance(key, str):
+            raise TypeError(f"report keys must be strings, got {type(key).__name__}")
+        out.append(",\n" + pad if k else pad)
+        out.append(encode_basestring_ascii(key))
+        out.append(": ")
+        _render(value, out, level + 1, indent)
+    out.append("\n" + " " * (indent * level) + "}")
+
+
+def _render_list(items: list, out, level, indent):
+    if not items:
+        out.append("[]")
+        return
+    pad = " " * (indent * (level + 1))
+    out.append("[\n")
+    for k, value in enumerate(items):
+        out.append(",\n" + pad if k else pad)
+        _render(value, out, level + 1, indent)
+    out.append("\n" + " " * (indent * level) + "]")
 
 
 def render_json(obj, indent: int = 2) -> str:

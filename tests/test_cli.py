@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sliceforge.cli
-from sliceforge import maximize_surrogate, serialize_model
+from sliceforge import maximize_surrogate, serialize_model, solve_fixed_point, surrogate
 from sliceforge.cli import run
 from sliceforge.outer import SolveTrace
 
@@ -126,6 +126,65 @@ def test_evaluate_closed_form_totals(tmp_path, capsys):
         totals["modified_objective"], rel=1e-12
     )
     assert "alloc_sha256" in rep2["inputs"]
+
+
+@pytest.mark.parametrize("kind", ["erlang_b", "exp_overflow", "linear_clip"])
+def test_evaluate_phi_with_a_starved_entity(tmp_path, capsys, kind):
+    # C_a = 0 under load: the fixed point gives B_a = 1, so the surrogate's
+    # start -log1p(-B_a) is inf, clipped to the box end.
+    model_path = tmp_path / "m.json"
+    model_path.write_text(serialize_model(symmetric_pair(kind=kind)))
+    alloc_path = tmp_path / "a.json"
+    alloc_path.write_text("[0.0, 6.0]")
+    code, out, _ = invoke(capsys, "evaluate", model_path, "--alloc", alloc_path, "--phi")
+    assert code == 0
+    rep = report_of(out)
+    assert rep["fixed_point"]["entities"][0]["blocking"] == 1.0
+    sur = rep["surrogate"]
+    assert sur["converged"] is True
+    assert all(math.isfinite(y) for y in sur["log_loss"])
+    assert sur["implied_blocking"][0] == pytest.approx(1.0, abs=1e-15)
+    assert sur["value"] == pytest.approx(rep["totals"]["modified_objective"], rel=1e-12)
+
+
+def test_unconverged_fixed_point_falls_back_to_the_cold_start(tmp_path, capsys, monkeypatch):
+    starts = []
+
+    def recording_surrogate(model, alloc, warm_start=None, **kwargs):
+        starts.append(warm_start)
+        return surrogate(model, alloc, warm_start=warm_start, **kwargs)
+
+    monkeypatch.setattr(sliceforge.cli, "solve_fixed_point", functools.partial(solve_fixed_point, max_iters=1))
+    monkeypatch.setattr(sliceforge.cli, "surrogate", recording_surrogate)
+    out_path = tmp_path / "report.json"
+    code, _, _ = invoke(capsys, "evaluate", REFERENCE, "--alloc", "proportional", "--phi", "--out", out_path)
+    assert code == 2
+    assert starts == [None]
+    rep = json.loads(out_path.read_text())
+    assert rep["fixed_point"]["converged"] is False
+    assert rep["totals"] is None
+    assert rep["surrogate"]["converged"] is True
+    assert rep["surrogate"]["iterations"] > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("evaluate", REFERENCE, "--alloc", "proportional", "--phi"),
+        ("evaluate", SYMMETRIC, "--alloc", "proportional", "--phi"),
+        ("evaluate", POTENTIALS, "--alloc", "proportional", "--phi"),
+        ("solve", REFERENCE),
+    ],
+    ids=["evaluate-reference_2x3", "evaluate-symmetric_pair", "evaluate-three_potentials", "solve-reference_2x3"],
+)
+def test_report_surrogate_starts_converged_at_the_fixed_point(capsys, argv):
+    # The report's surrogate starts at the fixed point's log-loss, which
+    # already passes the inner gradient test: no Newton step is taken.
+    code, out, _ = invoke(capsys, *argv)
+    assert code == 0
+    sur = report_of(out)["surrogate"]
+    assert sur["converged"] is True
+    assert sur["iterations"] == 0
 
 
 def test_evaluate_proportional_and_csv(tmp_path, capsys):

@@ -181,14 +181,20 @@ def test_phi_equals_modified_objective_linear_clip():
         assert sol.value == pytest.approx(d.modified_objective, rel=1e-6)
 
 
-def test_phi_equals_modified_objective_on_random_and_demo_models(small_instances):
-    # The surrogate minimum and the fixed point's carried load plus
-    # correction are two formulations of one value; with one route for H
-    # they agree to the solvers' precision, not a quadrature tolerance.
+def _random_and_demo_cases(small_instances):
+    """The 200 random instances, then each demo model at the proportional allocation."""
     cases = list(small_instances)
     for path in sorted(DEMO_MODELS.glob("*.json")):
         model = load_model(path.read_text(encoding="utf-8"))
         cases.append((model, _resolve_alloc("proportional", model)[0]))
+    return cases
+
+
+def test_phi_equals_modified_objective_on_random_and_demo_models(small_instances):
+    # The surrogate minimum and the fixed point's carried load plus
+    # correction are two formulations of one value; with one route for H
+    # they agree to the solvers' precision, not a quadrature tolerance.
+    cases = _random_and_demo_cases(small_instances)
     checked = 0
     for model, alloc in cases:
         sol = surrogate(model, alloc)
@@ -206,10 +212,7 @@ def test_cold_solve_counts(small_instances, monkeypatch):
     # first.
     import sliceforge.inner as inner
 
-    cases = list(small_instances)
-    for path in sorted(DEMO_MODELS.glob("*.json")):
-        model = load_model(path.read_text(encoding="utf-8"))
-        cases.append((model, _resolve_alloc("proportional", model)[0]))
+    cases = _random_and_demo_cases(small_instances)
     evaluations = [0]
     real_objective = inner.inner_objective
 
@@ -265,6 +268,22 @@ def test_warm_start_reaches_same_minimum():
     assert warm.converged
     assert warm.value == pytest.approx(cold.value, rel=1e-10)
     assert warm.iterations <= cold.iterations
+
+
+def test_warm_start_at_the_fixed_point_is_already_the_minimum(small_instances):
+    # At y = -log(1 - B) of the reduced-load fixed point, U_j = rho_j S_j
+    # equals the flow term, so the inner gradient vanishes there: the
+    # reports start the surrogate at that point.
+    cases = _random_and_demo_cases(small_instances)
+    for model, alloc in cases:
+        state = solve_fixed_point(model, alloc)
+        assert state.converged
+        with np.errstate(divide="ignore"):
+            warm = surrogate(model, alloc, warm_start=-np.log1p(-state.blocking))
+        cold = surrogate(model, alloc)
+        assert warm.converged and cold.converged
+        assert warm.iterations <= 1
+        assert abs(warm.value - cold.value) <= 1e-12 * (1.0 + abs(cold.value))
 
 
 # A Frank-Wolfe line-search probe on the benchmark's erlang_m8 document.
