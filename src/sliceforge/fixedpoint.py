@@ -6,23 +6,26 @@ divides back out):
 
     rho_i = (1 - F_i(rho_i, C_i))^(-1) * sum_r A_ir nu_r prod_j (1 - F_j(rho_j, C_j))^A_jr
 
-Writing G(rho) for the right-hand side, the solver accelerates the damped
-synchronous substitution rho <- rho + d (G(rho) - rho) by safeguarded
-Anderson extrapolation (Walker & Ni, SIAM J. Numer. Anal. 2011), from the
-no-blocking start rho0_i = sum_r A_ir nu_r.  The per-flow products run
-over the demand matrix's non-zeros only, built once per solve.
+Writing G(rho) for the right-hand side, the solver runs safeguarded Newton
+on F(rho) = rho - G(rho) with G's exact Jacobian, from the no-blocking
+start rho0_i = sum_r A_ir nu_r, and falls back to the damped synchronous
+substitution rho <- rho + d (G(rho) - rho) where a Newton step fails its
+line search.  G is smooth wherever the loss families are, and has a
+unique root for Erlang blocking (Kelly, Adv. Appl. Prob. 1986).  The
+per-flow products, and the flow-pair sums that assemble the Jacobian,
+run over the demand matrix's non-zeros only, built once per solve.
 Feasibility of the allocation is not required; the system is defined for
 any C >= 0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .loss import loss, utilization_measure
+from .loss import get_family, loss, utilization_measure
 from .model import CapacityAllocation, NetworkModel, demand_matrix, loss_groups, offered_vector
 
 __all__ = [
@@ -35,10 +38,7 @@ __all__ = [
 
 SURVIVAL_UNDERFLOW = 1e-300
 TOL = 1e-9  # residual max_i |rho_i - G_i| / (1 + rho_i) at which the solve stops
-DAMPING = 0.5  # d in the damped map rho + d (G(rho) - rho)
-ANDERSON_DEPTH = 5  # secant pairs the extrapolation keeps
-ANDERSON_MIN_PAIRS = 3  # secant pairs it waits for after a start or a reset
-ANDERSON_DROP = 1e-10  # relative remainder below which a secant pair is dependent
+DAMPING = 0.5  # d in the damped map rho + d (G(rho) - rho), the fallback step
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,18 @@ class LoadState:
     converged: bool
     iterations: int
     residual: float
+
+
+class _Point(NamedTuple):
+    """An iterate, G there and what a Newton step from it reads."""
+
+    rho: np.ndarray
+    target: np.ndarray  # G(rho)
+    residual: float  # max_i |rho_i - G_i| / (1 + rho_i)
+    merit: float  # sum_i ((rho_i - G_i) / (1 + rho_i))^2
+    blocking: np.ndarray
+    weights: np.ndarray  # w_r = nu_r prod_j S_j^A_jr, the carried load per flow
+    pinned: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -98,109 +110,125 @@ def _flow_survival(survival: np.ndarray, entries) -> np.ndarray:
     return np.multiply.reduceat(survival[rows] ** vals, starts)
 
 
-def _anderson(points: list, images: list) -> np.ndarray:
-    """Type-II Anderson extrapolation from the iterates x_k and their damped
-    images g(x_k): the affine combination of the images whose residuals
-    f_k = g(x_k) - x_k combine to the least-squares smallest one.
-
-    The least squares over the differences of successive f_k runs through
-    a modified Gram-Schmidt QR, as in Walker & Ni; a difference that is
-    dependent on the earlier ones to ANDERSON_DROP is left out."""
-    residuals = [g - x for x, g in zip(points, images)]
-    basis, columns, kept = [], [], []  # Q, the columns of R, their pair index
-    for k in range(len(residuals) - 1):
-        v = residuals[k + 1] - residuals[k]
-        size = math.sqrt(v @ v)
-        column = []
-        for q in basis:
-            column.append(q @ v)
-            v = v - column[-1] * q
-        norm = math.sqrt(v @ v)
-        if norm <= ANDERSON_DROP * size:
-            continue
-        basis.append(v / norm)
-        columns.append(column + [norm])
-        kept.append(k)
-    # back substitution for R gamma = Q^T f
-    gamma = [q @ residuals[-1] for q in basis]
-    for i in reversed(range(len(basis))):
-        gamma[i] = (gamma[i] - sum(columns[t][i] * gamma[t] for t in range(i + 1, len(basis)))) / columns[i][i]
-    trial = images[-1].copy()
-    for k, weight in zip(kept, gamma):
-        trial -= weight * (images[k + 1] - images[k])
-    return trial
+def _flow_pairs(entries):
+    """Every ordered pair (j, k) of non-zeros within one flow r: j, k, the
+    product A_jr A_kr of their demands and r.  Weighted by w_r, one
+    bincount over them gives A diag(w) A^T without touching the demand
+    matrix's zeros."""
+    rows, vals, starts = entries
+    lengths = np.diff(starts, append=rows.size)
+    partners = np.repeat(lengths, lengths)  # per non-zero: its flow's length
+    first = np.repeat(np.arange(rows.size), partners)
+    offset = np.arange(first.size) - np.repeat(np.cumsum(partners) - partners, partners)
+    flow = np.repeat(np.arange(starts.size), lengths)[first]
+    second = starts[flow] + offset
+    return rows[first], rows[second], vals[first] * vals[second], flow
 
 
 def solve_fixed_point(model: NetworkModel, alloc: CapacityAllocation, max_iters: int = 10000) -> LoadState:
     """Solve rho = G(rho) to residual max_i |rho_i - G_i| / (1 + rho_i) <= TOL.
 
-    Safeguarded Anderson acceleration (Walker & Ni 2011) of the damped map
-    g(rho) = rho + DAMPING (G(rho) - rho), from the no-blocking start.  Once
-    ANDERSON_MIN_PAIRS damped steps have been taken since the start or the
-    last reset, each step extrapolates from the last ANDERSON_DEPTH + 1
-    accepted iterates, clipped at rho >= 0, and keeps the result only if
-    its residual is below the current one; otherwise the history is cleared
-    and the plain damped step is taken from the current point.  (A lone
-    secant pair taken right after a reset tends to overshoot the same kink
-    of G again.)  `iterations` counts evaluations of G, rejected ones
-    included, so `max_iters` bounds the work.
+    Safeguarded Newton on F(rho) = rho - G(rho) from the no-blocking start.
+    G's Jacobian is exact:
+
+        dG_i/drho_k = M_ik S'_k / (S_i S_k) - [i = k] raw_i S'_i / S_i^2
+
+    with S = 1 - B, S' = -dB/drho from each family's ``blocking_slope``,
+    w_r = nu_r prod_j S_j^A_jr, raw = A w and M = A diag(w) A^T.  Each
+    step solves (I - J_G) delta = G(rho) - rho and tries
+    rho+ = max(rho + t delta, 0) for t = 1, 1/2, 1/4, 1/8, taking the first
+    whose ||(rho - G) / (1 + rho)||_2^2 shows an Armijo decrease; if none
+    does, or the system is singular, the damped substitution
+    rho + DAMPING (G(rho) - rho) is taken instead.  `iterations` counts
+    evaluations of G, rejected trials included, so `max_iters` bounds the
+    work.
 
     Entities whose survival probability 1 - F underflows (capacity 0 under
     full load) are pinned to their no-blocking load with B = 1; every flow
     through them carries nothing, so the rest of the system is unaffected.
+    They get identity rows and columns in the Newton system.
     """
     if max_iters < 1:
         raise ValueError(f"fixedpoint: max_iters must be at least 1, got {max_iters!r}")
     caps = np.asarray(alloc.values, dtype=float)
-    if caps.size != model.m:
-        raise ValueError(f"fixedpoint: allocation length {caps.size} != m={model.m}")
+    m = model.m
+    if caps.size != m:
+        raise ValueError(f"fixedpoint: allocation length {caps.size} != m={m}")
     demands = demand_matrix(model)
     nu = offered_vector(model)
-    rho0 = demands @ nu if model.num_flows else np.zeros(model.m)
+    rho0 = demands @ nu if model.num_flows else np.zeros(m)
     groups = loss_groups(model)
+    families = [(get_family(spec.kind), idx) for spec, idx in groups]
     entries = _flow_entries(demands)
+    pair_row, pair_col, pair_demand, pair_flow = _flow_pairs(entries)
+    pair_index = pair_row * m + pair_col
 
     def evaluate(rho):
-        # G(rho) and the residual at rho
-        survival = 1.0 - _blocking_vector(groups, rho, caps)
-        raw = demands @ (nu * _flow_survival(survival, entries))
+        # G(rho) at rho, its residual and merit, and what the Jacobian needs
+        blocking = _blocking_vector(groups, rho, caps)
+        survival = 1.0 - blocking
+        weights = nu * _flow_survival(survival, entries)
+        raw = demands @ weights
         pinned = survival < SURVIVAL_UNDERFLOW
         target = rho0.copy()
         target[~pinned] = raw[~pinned] / survival[~pinned]
-        return target, float(np.max(np.abs(rho - target) / (1.0 + rho)))
+        scaled = (rho - target) / (1.0 + rho)
+        return _Point(rho, target, float(np.max(np.abs(scaled))), float(scaled @ scaled), blocking, weights, pinned)
 
-    rho = rho0.copy()
-    target, residual = evaluate(rho)
+    def newton_direction(point):
+        # delta solving (I - J_G) delta = G - rho, or None if that fails.
+        # I - J_G = I - diag(G slope / S) + diag(1 / S) M diag(slope / S)
+        # with slope = dB/drho = -S'; zeroing 1 / S on pinned entities
+        # leaves their rows and columns those of the identity.
+        free = ~point.pinned
+        slope = np.empty(m)
+        for family, idx in families:
+            slope[idx] = family.blocking_slope(point.rho[idx], caps[idx], point.blocking[idx])
+        inverse = np.zeros(m)
+        # a survival near the pinning floor can overflow these; the
+        # finiteness check below then rejects the step
+        with np.errstate(over="ignore", invalid="ignore"):
+            inverse[free] = 1.0 / (1.0 - point.blocking[free])
+            scaled = slope * inverse
+            pair_weights = pair_demand * point.weights[pair_flow] * inverse[pair_row] * scaled[pair_col]
+            system = np.bincount(pair_index, weights=pair_weights, minlength=m * m).reshape(m, m)
+            system.flat[:: m + 1] += 1.0 - point.target * scaled
+            try:
+                delta = np.linalg.solve(system, point.target - point.rho)
+            except np.linalg.LinAlgError:
+                return None
+        return delta if np.isfinite(delta).all() else None
+
+    point = evaluate(rho0.copy())
     iterations = 1
-    points: list[np.ndarray] = []
-    images: list[np.ndarray] = []
-    while residual > TOL and iterations < max_iters:
-        step = (1.0 - DAMPING) * rho + DAMPING * target
-        points = points[-ANDERSON_DEPTH:] + [rho]
-        images = images[-ANDERSON_DEPTH:] + [step]
-        if len(points) > ANDERSON_MIN_PAIRS:
-            trial = np.maximum(_anderson(points, images), 0.0)
-            trial_target, trial_residual = evaluate(trial)
-            iterations += 1
-            if trial_residual < residual:  # False for a NaN residual
-                rho, target, residual = trial, trial_target, trial_residual
-                continue
-            points, images = [rho], [step]
+    while point.residual > TOL and iterations < max_iters:
+        accepted = None
+        delta = newton_direction(point)
+        if delta is not None:
+            for t in (1.0, 0.5, 0.25, 0.125):
+                trial = evaluate(np.maximum(point.rho + t * delta, 0.0))
+                iterations += 1
+                # Armijo on the merit, whose Newton slope is -2 merit; False
+                # for a NaN merit
+                if trial.merit <= (1.0 - 2e-4 * t) * point.merit:
+                    accepted = trial
+                    break
+                if iterations >= max_iters:
+                    break
+        if accepted is None:
             if iterations >= max_iters:
                 break
-        rho = step
-        target, residual = evaluate(rho)
-        iterations += 1
+            accepted = evaluate((1.0 - DAMPING) * point.rho + DAMPING * point.target)
+            iterations += 1
+        point = accepted
 
-    blocking = _blocking_vector(groups, rho, caps)
-    carried = nu * _flow_survival(1.0 - blocking, entries)
     return LoadState(
-        offered=rho,
-        blocking=blocking,
-        carried_per_flow=carried,
-        converged=residual <= TOL,
+        offered=point.rho,
+        blocking=point.blocking,
+        carried_per_flow=point.weights,
+        converged=point.residual <= TOL,
         iterations=iterations,
-        residual=residual,
+        residual=point.residual,
     )
 
 

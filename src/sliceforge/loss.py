@@ -136,7 +136,7 @@ def _upper_inverse(family, y, cap):
         probe = np.where(grow, 2.0 * hi[live], 0.5 * (lo[live] + hi[live]))
         steps[live] += 1
         if (grow & ((probe > RHO_BRACKET_CAP) | (steps[live] > INVERSION_MAX_ITERS))).any():
-            raise InversionError("non-saturating loss function")
+            raise InversionError(f"loss: {family.name} is non-saturating: the log-loss inverse left its bracket")
         f = _log_loss(family, probe, cap[live])
         # A doubling moves both ends up; a bisection moves the end on its side.
         moves_lo, moves_hi = grow | (f <= y[live]), grow | (f > y[live])
@@ -163,13 +163,13 @@ def _finish(values, shape):
     return out
 
 
-def _levels(y, cap):
+def _levels(y, cap, kind):
     """Broadcast log-loss levels and capacities to flat arrays, checking both."""
     ys, cs, shape = _broadcast(y, cap)
     if not np.isfinite(ys).all() or (ys < 0.0).any():
-        raise LossDomainError("log-loss level must be finite and >= 0")
+        raise LossDomainError(f"loss: {kind} log-loss level must be finite and >= 0")
     if not np.isfinite(cs).all() or (cs < 0.0).any():
-        raise LossDomainError("capacity must be finite and >= 0")
+        raise LossDomainError(f"loss: {kind} capacity must be finite and >= 0")
     return ys, cs, shape
 
 
@@ -212,8 +212,9 @@ class LossFamily:
     axioms including saturation; the generic inversion, one batched
     bisection over all elements, raises InversionError otherwise.
     Override ``survival`` where 1 - F loses precision near F = 1, and
-    ``offered_at``, ``utilization``, ``utilization_terms`` and
-    ``utilization_slope`` (by default one more inversion) when closed
+    ``offered_at``, ``utilization``, ``utilization_terms``,
+    ``utilization_slope`` (by default one more inversion) and
+    ``blocking_slope`` (by default one more ``blocking`` call) when closed
     forms or array kernels exist.  Register with ``register_family``.
 
     The default ``utilization_terms`` integrates the blocking curve with
@@ -271,6 +272,12 @@ class LossFamily:
         floored at 0 since U is nondecreasing."""
         step = 1e-6 * (1.0 + y)
         return np.maximum((self.utilization(y + step, cap) - u) / step, 0.0)
+
+    def blocking_slope(self, rho, cap, b):
+        """dB/drho for checked 1-D arrays, given B there: a forward
+        difference, floored at 0 since B is nondecreasing."""
+        step = 1e-6 * (1.0 + rho)
+        return np.maximum((self.blocking(rho + step, cap) - b) / step, 0.0)
 
     def _integral(self, y, cap, rho):
         b0 = np.maximum(1.0, cap)
@@ -370,13 +377,32 @@ class _ErlangB(LossFamily):
             rho[live] = _erlang_invert(y[live], cap[live])
         return rho
 
+    def blocking_slope(self, rho, cap, b):
+        # Jagerman's dB/drho = B (cap - rho S) / rho; 0 at rho = 0, where
+        # no load is offered.
+        out = np.zeros(rho.size)
+        pos = rho > 0.0
+        out[pos] = b[pos] * _erlang_headroom(rho[pos], cap[pos], b[pos]) / rho[pos]
+        return out
+
     def utilization_slope(self, y, cap, u):
         # e^-y (drho/dy - rho) with drho/dy = rho rest / (cap - rho S) from
         # Jagerman's dB/drho, where rest = 1/expm1(y) and rho S = U.  U = 0
-        # gives 0; in saturation cap - U cancels and can round below 0.
-        with np.errstate(all="ignore"):
+        # gives 0.  In saturation cap - U and the final difference keep only
+        # the digits of rho(y), so there the slope is U (S - B H) / (B H)
+        # with H = cap - rho S from _erlang_headroom and the carried-load
+        # slope S - B H = (B sum_k k^2 (cap)_k / rho^k - H^2) / rho.
+        with np.errstate(all="ignore"):  # rho overflows past any ceiling
             slope = u / (np.expm1(y) * (cap - u)) - u
-        return np.where((u > 0.0) & (cap > u), np.maximum(slope, 0.0), 0.0)
+            rho = u * np.exp(y)
+            live = (u > 0.0) & (cap > u)
+            series = _saturated(rho, cap)  # so U > 0 there
+            if series.any():
+                rs, cs, b = rho[series], cap[series], -np.expm1(-y[series])
+                h = _erlang_headroom(rs, cs, b)
+                slope[series] = u[series] * (b * _erlang_series(rs, cs, 2) - h * h) / (rs * b * h)
+                live[series] = h > 0.0
+        return np.where(live, np.maximum(slope, 0.0), 0.0)
 
     def log_loss_ceiling(self, cap):
         # Carried load <= cap gives rho(y) <= cap * e^y; keeping that under
@@ -387,17 +413,19 @@ class _ErlangB(LossFamily):
 _SERIES_CHUNK = np.arange(16.0)  # asymptotic-series terms per vectorised step
 
 
-def _erlang_series_rest(rho, cap):
-    """1/B - 1 from the asymptotic series 1/B = sum_k (cap)_k / rho^k.
+def _erlang_series(rho, cap, power=0):
+    """sum_k k^power (cap)_k / rho^k over k >= 1; power 0 gives 1/B - 1
+    from the asymptotic series 1/B = sum_k (cap)_k / rho^k.
 
     (cap)_k is the falling factorial; the series is asymptotic, so each
     element stops at its smallest term, or once terms drop below 1e-18 of
-    the first (the sum itself is 1 - B to relative accuracy).  Truncation
+    the first (the sum itself is 1/B - 1 to relative accuracy).  Truncation
     error is ~e^(cap-rho) relative, which is why callers gate it on
-    rho >= max(4 cap, 35).  Terms come 16 at a time from a running
-    product, so the loop runs a handful of times, not once per term.
+    rho >= max(4 cap, 35) (``_saturated``).  Terms come 16 at a time from a
+    running product, so the loop runs a handful of times, not once per
+    term.
     """
-    rest = np.zeros(rho.size)
+    total = np.zeros(rho.size)
     term = np.ones(rho.size)
     prev_mag = np.full(rho.size, np.inf)
     floor = 1e-18 * cap / rho  # the first term
@@ -407,12 +435,36 @@ def _erlang_series_rest(rho, cap):
         mags = np.abs(terms)
         decreasing = mags < np.concatenate([prev_mag[:, None], mags[:, :-1]], axis=1)
         keep = np.logical_and.accumulate(decreasing & (mags > floor[:, None]), axis=1) & active[:, None]
-        rest += np.where(keep, terms, 0.0).sum(axis=1)
+        weighted = terms * (start + 1.0 + _SERIES_CHUNK) ** power if power else terms
+        total += np.where(keep, weighted, 0.0).sum(axis=1)
         active = keep[:, -1]
         if not active.any():
             break
         term, prev_mag = terms[:, -1], mags[:, -1]
-    return rest
+    return total
+
+
+def _saturated(rho, cap):
+    """Where the falling-factorial series replaces the incomplete gamma."""
+    return rho >= np.maximum(4.0 * cap, 35.0)
+
+
+def _erlang_headroom(rho, cap, b):
+    """cap - rho S for flat rho, cap, given B = 1 - S there.
+
+    Carried load rho S tends to cap in saturation, where the difference
+    keeps no digits; there it is B sum_k k (cap)_k / rho^k (subtract
+    rho S = rho B sum_{k>=1} (cap)_k / rho^k from cap = cap B / B term by
+    term).  Below that gate the difference is at least ~B cap / rho of
+    cap, so taken as it stands it loses at most about log10(rho / B)
+    digits.  Floored at 0, since Jagerman's dB/drho = B (cap - rho S) / rho
+    is nonnegative.
+    """
+    out = cap - rho * (1.0 - b)
+    series = _saturated(rho, cap) & (cap > 0.0)
+    if series.any():
+        out[series] = b[series] * _erlang_series(rho[series], cap[series], 1)
+    return np.maximum(out, 0.0)
 
 
 def _erlang_log_rest(rho, cap):
@@ -427,7 +479,7 @@ def _erlang_log_rest(rho, cap):
     factorial series far above cap and where the gamma tail underflows.
     """
     log_rest = np.empty(rho.size)
-    series = rho >= np.maximum(4.0 * cap, 35.0)
+    series = _saturated(rho, cap)
     direct = ~series
     if direct.any():
         rd, cd = rho[direct], cap[direct]
@@ -436,7 +488,7 @@ def _erlang_log_rest(rho, cap):
         log_rest[direct] = rd - cd * np.log(rd) + gammaln(cd + 1.0) + log_q
         series = ~np.isfinite(log_rest) | series
     if series.any():
-        log_rest[series] = np.log(_erlang_series_rest(rho[series], cap[series]))
+        log_rest[series] = np.log(_erlang_series(rho[series], cap[series]))
     return log_rest
 
 
@@ -526,10 +578,10 @@ def _erlang_invert(y, cap):
                 keep = ~done
                 idx, u, cap, lo, hi, log_y = idx[keep], u[keep], cap[keep], lo[keep], hi[keep], log_y[keep]
         else:
-            raise InversionError("Erlang log-loss inversion did not converge")
+            raise InversionError("loss: erlang_b log-loss inversion did not converge")
     rho = np.where(live, np.exp(out), 0.0)
     if (rho > RHO_BRACKET_CAP).any():
-        raise InversionError("non-saturating loss function")
+        raise InversionError(f"loss: erlang_b offered load above {RHO_BRACKET_CAP:g} at this log-loss level")
     return rho
 
 
@@ -558,6 +610,13 @@ class _LinearClip(LossFamily):
 
     def utilization_terms(self, y, cap):
         return np.where(y > 0.0, cap * y, 0.0), cap.copy()
+
+    def blocking_slope(self, rho, cap, b):
+        # cap / rho^2 above the kink at rho = cap, 0 on the plateau below
+        out = np.zeros(rho.size)
+        over = rho > cap
+        out[over] = cap[over] / rho[over] / rho[over]
+        return out
 
 
 class _ExpOverflow(LossFamily):
@@ -594,6 +653,14 @@ class _ExpOverflow(LossFamily):
         h[live] = -cap[live] * expi(_log1mexp(y[live]))
         return h, self.utilization(y, cap)
 
+    def blocking_slope(self, rho, cap, b):
+        # B cap / rho^2, and 0 where B = 0 (rho = 0, or cap / rho past
+        # exp's range)
+        out = np.zeros(rho.size)
+        pos = b > 0.0
+        out[pos] = b[pos] * (cap[pos] / rho[pos]) / rho[pos]
+        return out
+
     def utilization_slope(self, y, cap, u):
         # rho = -cap / log(1 - e^-y) gives dU/dy = U (rho / (cap expm1(y)) - 1)
         with np.errstate(all="ignore"):
@@ -612,7 +679,7 @@ def register_family(family: LossFamily) -> None:
     """Add a loss family to the registry under family.name."""
     name = getattr(family, "name", "")
     if not name or not isinstance(name, str):
-        raise LossDomainError("loss family must carry a non-empty name")
+        raise LossDomainError("loss: a loss family must carry a non-empty name")
     _REGISTRY[name] = family
 
 
@@ -620,7 +687,7 @@ def get_family(kind: str) -> LossFamily:
     try:
         return _REGISTRY[kind]
     except KeyError:
-        raise LossDomainError(f"unknown loss kind '{kind}'") from None
+        raise LossDomainError(f"loss: unknown loss kind '{kind}'") from None
 
 
 def loss_kinds() -> tuple[str, ...]:
@@ -640,14 +707,14 @@ class LossSpec:
 
     def __post_init__(self):
         if self.kind not in _REGISTRY:
-            raise LossDomainError(f"unknown loss kind '{self.kind}'")
+            raise LossDomainError(f"loss: unknown loss kind '{self.kind}'")
 
 
-def _check_domain(rho, cap):
+def _check_domain(rho, cap, kind):
     if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(cap))):
-        raise LossDomainError("load and capacity must be finite")
+        raise LossDomainError(f"loss: {kind} load and capacity must be finite")
     if np.any(np.asarray(rho) < 0.0) or np.any(np.asarray(cap) < 0.0):
-        raise LossDomainError("load and capacity must be >= 0")
+        raise LossDomainError(f"loss: {kind} load and capacity must be >= 0")
 
 
 def loss(spec: LossSpec, rho, cap):
@@ -655,7 +722,7 @@ def loss(spec: LossSpec, rho, cap):
 
     Accepts scalars or broadcastable numpy arrays.
     """
-    _check_domain(rho, cap)
+    _check_domain(rho, cap, spec.kind)
     r, c, shape = _broadcast(rho, cap)
     return _finish(get_family(spec.kind).blocking(r, c), shape)
 
@@ -665,21 +732,21 @@ def utilization(spec: LossSpec, y, cap):
 
     Accepts scalars or broadcastable numpy arrays.
     """
-    ys, cs, shape = _levels(y, cap)
+    ys, cs, shape = _levels(y, cap, spec.kind)
     return _finish(np.asarray(get_family(spec.kind).utilization(ys, cs), dtype=float), shape)
 
 
 def utilization_terms(spec: LossSpec, y, cap):
     """(H, U): the integral of U(z, cap) over [0, y] and U(y, cap), from
     one inversion per element.  Accepts scalars or broadcastable arrays."""
-    ys, cs, shape = _levels(y, cap)
+    ys, cs, shape = _levels(y, cap, spec.kind)
     h, u = get_family(spec.kind).utilization_terms(ys, cs)
     return _finish(h, shape), _finish(np.asarray(u, dtype=float), shape)
 
 
 def utilization_slope(spec: LossSpec, y, cap, u=None):
     """dU/dy at (y, cap), floored at 0; `u`, U there, saves an inversion."""
-    ys, cs, shape = _levels(y, cap)
+    ys, cs, shape = _levels(y, cap, spec.kind)
     family = get_family(spec.kind)
     us = family.utilization(ys, cs) if u is None else np.broadcast_to(u, shape).reshape(-1)
     return _finish(family.utilization_slope(ys, cs, np.asarray(us, dtype=float)), shape)
@@ -696,8 +763,8 @@ def utilization_measure(spec: LossSpec, blocking_prob, cap):
     level of blocking B in [0, 1).  Accepts scalars or broadcastable arrays."""
     bs = np.asarray(blocking_prob, dtype=float)
     if not np.all((bs >= 0.0) & (bs < 1.0)):
-        raise LossDomainError("blocking must lie in [0, 1)")
-    ys, cs, shape = _levels(-np.log1p(-bs), cap)
+        raise LossDomainError(f"loss: {spec.kind} blocking must lie in [0, 1)")
+    ys, cs, shape = _levels(-np.log1p(-bs), cap, spec.kind)
     return _finish(get_family(spec.kind).utilization_terms(ys, cs)[0], shape)
 
 

@@ -1,11 +1,12 @@
 """Damped Jacobi reference for the reduced-load fixed point.
 
-This is the fixed-point solver as it was before Anderson acceleration:
-a synchronous substitution rho <- (1 - d) rho + d G(rho) from the
-no-blocking start, with the per-flow survival taken as a dense product
-over the whole demand matrix.  It converges linearly and slowly under
-heavy overload, so it lives here as the oracle that
-`sliceforge.solve_fixed_point` is checked against, not in the library.
+This is the fixed-point solver as it was before Anderson acceleration,
+and later Newton steps, replaced it: a synchronous substitution
+rho <- (1 - d) rho + d G(rho) from the no-blocking start, with the
+per-flow survival taken as a dense product over the whole demand
+matrix.  It converges linearly and slowly under heavy overload, so it
+lives here as the oracle that `sliceforge.solve_fixed_point` is checked
+against, not in the library.
 """
 
 import math

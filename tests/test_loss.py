@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from sliceforge import (
     InversionError,
@@ -18,7 +19,7 @@ from sliceforge import (
     utilization_terms,
 )
 from sliceforge.inner import Y_CAP
-from sliceforge.loss import LossFamily, get_family, utilization_slope
+from sliceforge.loss import LossFamily, _erlang_headroom, get_family, utilization_slope
 
 from conftest import erlang_recursion
 from quad_oracle import oracle_measure
@@ -82,16 +83,25 @@ def test_survival_scalar_agrees_with_vector_path():
 
 
 def test_domain_errors():
-    with pytest.raises(LossDomainError):
+    # every message names the layer, and the family where one is known
+    with pytest.raises(LossDomainError, match=r"^loss: erlang_b load and capacity must be >= 0$"):
         loss(ERLANG, -1.0, 1.0)
-    with pytest.raises(LossDomainError):
+    with pytest.raises(LossDomainError, match=r"^loss: erlang_b load and capacity must be finite$"):
         loss(ERLANG, float("nan"), 1.0)
-    with pytest.raises(LossDomainError):
+    with pytest.raises(LossDomainError, match=r"^loss: erlang_b log-loss level must be finite and >= 0$"):
         utilization(ERLANG, -0.1, 1.0)
-    with pytest.raises(LossDomainError):
+    with pytest.raises(LossDomainError, match=r"^loss: exp_overflow capacity must be finite and >= 0$"):
+        utilization_terms(EXP, 0.1, -1.0)
+    with pytest.raises(LossDomainError, match=r"^loss: erlang_b blocking must lie in \[0, 1\)$"):
         utilization_measure(ERLANG, 1.0, 1.0)
-    with pytest.raises(LossDomainError):
-        utilization_measure(ERLANG, -0.2, 1.0)
+    with pytest.raises(LossDomainError, match=r"^loss: linear_clip blocking must lie in \[0, 1\)$"):
+        utilization_measure(LINEAR, -0.2, 1.0)
+    with pytest.raises(LossDomainError, match=r"^loss: unknown loss kind 'pareto'$"):
+        LossSpec("pareto")
+    with pytest.raises(LossDomainError, match=r"^loss: a loss family must carry a non-empty name$"):
+        register_family(type("Nameless", (LossFamily,), {"name": ""})())
+    with pytest.raises(InversionError, match=r"^loss: erlang_b offered load above 1e\+12 at this log-loss level$"):
+        utilization(ERLANG, 40.0, 1.0)
 
 
 def test_log_loss_round_trip():
@@ -230,7 +240,7 @@ def test_custom_family_registration_and_saturation_contract():
     assert loss(spec, 3.0, 1.0) <= 0.5
     # y above the family's reachable log-loss: inversion must refuse,
     # alone or as one element of a batch that is otherwise reachable
-    with pytest.raises(InversionError, match="non-saturating"):
+    with pytest.raises(InversionError, match=r"^loss: capped_test_only is non-saturating"):
         utilization(spec, 2.0, 1.0)
     assert np.all(np.isfinite(utilization(spec, np.array([0.1, 0.3]), np.array([1.0, 4.0]))))
     with pytest.raises(InversionError, match="non-saturating"):
@@ -348,3 +358,90 @@ def test_default_utilization_slope_matches_shipped_families():
         register_family(generic)
         slope = utilization_slope(LossSpec(generic.name), y, cap)
         assert slope == pytest.approx(utilization_slope(shipped, y, cap), rel=1e-4, abs=0.0)
+
+
+def _mp_erlang(mp, rho, cap):
+    """B and dB/drho at (rho, cap) in mpmath: 1/B = e^rho rho^-cap
+    Gamma(cap + 1, rho), and dB/drho = B (cap - rho (1 - B)) / rho."""
+    b = 1 / (mp.exp(rho) * rho ** (-cap) * mp.gammainc(cap + 1, rho))
+    return b, b * (cap - rho * (1 - b)) / rho
+
+
+def test_erlang_slopes_keep_their_digits_in_saturation():
+    # Near log_loss_ceiling rho S is within ~cap / rho of cap, which the
+    # slopes divide by or subtract from.  The references solve
+    # B(rho) = 1 - e^-y and differentiate in mpmath at 60 digits.  Without
+    # the series dU/dy kept 5 to 6 digits here, and dB/drho none.
+    mp = pytest.importorskip("mpmath")
+    family = get_family("erlang_b")
+    with mp.workdps(60):
+        for y, cap in ((20.6, 11.0), (22.1, 2.5), (23.9, 0.4)):
+            c = mp.mpf(cap)
+            level = mp.log(-mp.expm1(-mp.mpf(y)))
+            rho = mp.exp(mp.findroot(lambda u: mp.log(_mp_erlang(mp, mp.exp(u), c)[0]) - level, mp.log(c) + y))
+            b, db = _mp_erlang(mp, rho, c)
+            survival = 1 - b
+            # dU/dy = e^-y (drho/dy - rho) with drho/dy = S / B'
+            want = float(survival * (survival / db - rho))
+            assert utilization_slope(ERLANG, y, cap) == pytest.approx(want, rel=1e-10, abs=0.0)
+            # dB/drho at a float load, against mpmath at that same load
+            r = float(rho)
+            b, db = _mp_erlang(mp, mp.mpf(r), c)
+            got = family.blocking_slope(np.array([r]), np.array([cap]), np.array([loss(ERLANG, r, cap)]))[0]
+            assert got == pytest.approx(float(db), rel=1e-10, abs=0.0)
+
+
+def test_erlang_headroom_sums_the_series_in_saturation():
+    # For integer cap the series is finite: cap = 2 gives 1/B = 1 + 2/rho
+    # + 2/rho^2 and cap - rho S = B (2/rho + 4/rho^2), 12/61 at rho = 10;
+    # rho = 40 and 1e9 are past the series gate, and at 1e9 rho S rounds
+    # to cap.
+    for rho in (10.0, 40.0, 1e9):
+        b = 1.0 / (1.0 + 2.0 / rho + 2.0 / rho**2)
+        got = _erlang_headroom(np.array([rho]), np.array([2.0]), np.array([b]))[0]
+        assert got == pytest.approx(b * (2.0 / rho + 4.0 / rho**2), rel=1e-14, abs=0.0)
+
+
+@st.composite
+def _slope_points(draw):
+    """A family, a capacity (0, below 1 or up to 200) and a load from 1e-3
+    to 1e6 times max(1, cap): low load to deep saturation."""
+    kind = draw(st.sampled_from([spec.kind for spec in ALL]))
+    cap = draw(st.just(0.0) | st.floats(0.01, 0.99) | st.floats(1.0, 200.0))
+    rho = max(1.0, cap) * 10.0 ** draw(st.floats(-3.0, 6.0))
+    return kind, rho, cap
+
+
+@given(_slope_points())
+def test_blocking_slope_matches_central_differences(point):
+    # The difference is taken of B where B < 1/2 and of S = 1 - B above,
+    # whichever keeps the digits; linear_clip is tested off its kink.
+    kind, rho, cap = point
+    assume(kind != "linear_clip" or abs(rho - cap) > 1e-4 * rho)
+    spec, family = LossSpec(kind), get_family(kind)
+    b = loss(spec, rho, cap)
+    slope = family.blocking_slope(np.array([rho]), np.array([cap]), np.array([b]))[0]
+    h = 1e-6 * rho
+    if b < 0.5:
+        fd = (loss(spec, rho + h, cap) - loss(spec, rho - h, cap)) / (2 * h)
+    else:
+        fd = (family.survival_scalar(rho - h, cap) - family.survival_scalar(rho + h, cap)) / (2 * h)
+    assert slope >= 0.0
+    assert slope == pytest.approx(fd, rel=1e-6, abs=1e-300)
+
+
+@given(st.just(0.0) | st.floats(0.01, 0.99) | st.floats(1.0, 200.0), st.floats(0.2, 20.0))
+def test_default_blocking_slope_is_a_forward_difference(cap, ratio):
+    # A family with only blocking and survival falls back to one more
+    # blocking() call; exp_overflow's formula, at loads from 1/5 to 20
+    # times max(1, cap), against a central difference of its loss
+    generic = _GenericExpOverflow()
+    register_family(generic)
+    spec = LossSpec(generic.name)
+    rho = max(1.0, cap) * ratio
+    b = loss(spec, rho, cap)
+    slope = get_family(generic.name).blocking_slope(np.array([rho]), np.array([cap]), np.array([b]))[0]
+    h = 1e-6 * rho
+    fd = (loss(spec, rho + h, cap) - loss(spec, rho - h, cap)) / (2 * h)
+    assert slope >= 0.0
+    assert slope == pytest.approx(fd, rel=1e-4, abs=1e-300)
