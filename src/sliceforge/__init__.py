@@ -9,8 +9,9 @@ The pieces, bottom to top:
   quantities built on their log-loss inverses.
 * ``fixedpoint``: reduced-load fixed point giving per-entity blocking
   and per-flow carried load at a fixed allocation, with diagnostics.
-* ``inner``: the concave surrogate phi(C), evaluated by a smooth convex
-  minimization over per-entity log-loss levels.
+* ``inner``: the concave surrogate phi(C), a smooth convex minimization
+  over per-entity log-loss levels, evaluated at the reduced-load fixed
+  point that solves it.
 * ``outer``: Frank-Wolfe maximization of phi over the shared-capacity
   polytope, and the reconfigurable-substrate variant with budgeted 0-1
   activation and greedy rounding.

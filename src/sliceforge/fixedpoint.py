@@ -8,14 +8,14 @@ divides back out):
 
 Writing G(rho) for the right-hand side, the solver runs safeguarded Newton
 on F(rho) = rho - G(rho) with G's exact Jacobian, from the no-blocking
-start rho0_i = sum_r A_ir nu_r, and falls back to the damped synchronous
-substitution rho <- rho + d (G(rho) - rho) where a Newton step fails its
-line search.  G is smooth wherever the loss families are, and has a
-unique root for Erlang blocking (Kelly, Adv. Appl. Prob. 1986).  The
-per-flow products, and the flow-pair sums that assemble the Jacobian,
-run over the demand matrix's non-zeros only, built once per solve.
-Feasibility of the allocation is not required; the system is defined for
-any C >= 0.
+start rho0_i = sum_r A_ir nu_r or a caller's starting load, and falls
+back to the damped synchronous substitution rho <- rho + d (G(rho) - rho)
+where a Newton step fails its line search.  G is smooth wherever the loss
+families are, and has a unique root for Erlang blocking (Kelly, Adv.
+Appl. Prob. 1986).  The per-flow products, and the flow-pair sums that
+assemble the Jacobian, run over the demand matrix's non-zeros only, built
+once per solve.  Feasibility of the allocation is not required; the
+system is defined for any C >= 0.
 """
 
 from __future__ import annotations
@@ -125,10 +125,14 @@ def _flow_pairs(entries):
     return rows[first], rows[second], vals[first] * vals[second], flow
 
 
-def solve_fixed_point(model: NetworkModel, alloc: CapacityAllocation, max_iters: int = 10000) -> LoadState:
+def solve_fixed_point(
+    model: NetworkModel, alloc: CapacityAllocation, max_iters: int = 10000, start: np.ndarray | None = None
+) -> LoadState:
     """Solve rho = G(rho) to residual max_i |rho_i - G_i| / (1 + rho_i) <= TOL.
 
-    Safeguarded Newton on F(rho) = rho - G(rho) from the no-blocking start.
+    Safeguarded Newton on F(rho) = rho - G(rho) from `start`, a load
+    vector (e.g. the solution at a nearby allocation), or by default from
+    the no-blocking start.
     G's Jacobian is exact:
 
         dG_i/drho_k = M_ik S'_k / (S_i S_k) - [i = k] raw_i S'_i / S_i^2
@@ -154,14 +158,23 @@ def solve_fixed_point(model: NetworkModel, alloc: CapacityAllocation, max_iters:
     m = model.m
     if caps.size != m:
         raise ValueError(f"fixedpoint: allocation length {caps.size} != m={m}")
-    demands = demand_matrix(model)
-    nu = offered_vector(model)
-    rho0 = demands @ nu if model.num_flows else np.zeros(m)
-    groups = loss_groups(model)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != (m,) or not np.all(np.isfinite(start)) or np.any(start < 0.0):
+            raise ValueError(f"fixedpoint: start must be {m} finite non-negative loads")
+    return _solve(caps, demand_matrix(model), offered_vector(model), loss_groups(model), max_iters, start)
+
+
+def _solve(caps, demands, nu, groups, max_iters, start=None) -> LoadState:
+    """`solve_fixed_point` on a model's demand matrix, offered loads and
+    loss groups, for callers that already hold them."""
+    m = caps.size
+    rho0 = demands @ nu
     families = [(get_family(spec.kind), idx) for spec, idx in groups]
     entries = _flow_entries(demands)
-    pair_row, pair_col, pair_demand, pair_flow = _flow_pairs(entries)
-    pair_index = pair_row * m + pair_col
+    pairs = []  # _flow_pairs(entries), built at the first Newton step: a warm start may take none
+    if start is None:
+        start = rho0
 
     def evaluate(rho):
         # G(rho) at rho, its residual and merit, and what the Jacobian needs
@@ -180,6 +193,9 @@ def solve_fixed_point(model: NetworkModel, alloc: CapacityAllocation, max_iters:
         # I - J_G = I - diag(G slope / S) + diag(1 / S) M diag(slope / S)
         # with slope = dB/drho = -S'; zeroing 1 / S on pinned entities
         # leaves their rows and columns those of the identity.
+        if not pairs:
+            pairs.extend(_flow_pairs(entries))
+        pair_row, pair_col, pair_demand, pair_flow = pairs
         free = ~point.pinned
         slope = np.empty(m)
         for family, idx in families:
@@ -191,7 +207,7 @@ def solve_fixed_point(model: NetworkModel, alloc: CapacityAllocation, max_iters:
             inverse[free] = 1.0 / (1.0 - point.blocking[free])
             scaled = slope * inverse
             pair_weights = pair_demand * point.weights[pair_flow] * inverse[pair_row] * scaled[pair_col]
-            system = np.bincount(pair_index, weights=pair_weights, minlength=m * m).reshape(m, m)
+            system = np.bincount(pair_row * m + pair_col, weights=pair_weights, minlength=m * m).reshape(m, m)
             system.flat[:: m + 1] += 1.0 - point.target * scaled
             try:
                 delta = np.linalg.solve(system, point.target - point.rho)
@@ -199,7 +215,7 @@ def solve_fixed_point(model: NetworkModel, alloc: CapacityAllocation, max_iters:
                 return None
         return delta if np.isfinite(delta).all() else None
 
-    point = evaluate(rho0.copy())
+    point = evaluate(start.copy())
     iterations = 1
     while point.residual > TOL and iterations < max_iters:
         accepted = None

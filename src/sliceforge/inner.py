@@ -15,13 +15,17 @@ exploits.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fixedpoint import _flow_entries, _flow_survival, _solve
 from .loss import (
     InversionError,
+    LossFamily,
+    get_family,
     log_loss_ceiling,
     utilization,
     utilization_integral,  # noqa: F401  (perfbench/tracer.py wraps it under this module)
@@ -40,8 +44,14 @@ __all__ = [
 # Hard cap on any log-loss coordinate: exp(-50) ~ 2e-22 leaves the flow
 # term numerically dead, so nothing is lost by stopping there.
 Y_CAP = 50.0
-# Convergence tolerance, relative to 1 + |phi|: see `surrogate`.
+# Convergence tolerance of projected Newton, relative to 1 + |phi|: see
+# `_projected_newton`.
 TOL = 1e-8
+# Evaluations of G the fixed point may spend before `surrogate` hands the
+# allocation to projected Newton: about three times the most that any
+# warm-started Frank-Wolfe probe took on the random, demo and ladder
+# models (17).
+FIXED_POINT_EVALS = 50
 
 _TINY = np.finfo(float).tiny
 # A predicted decrease below this much of 1 + |phi| is rounding noise in phi.
@@ -195,14 +205,15 @@ def _conjugate_gradients(
     return p
 
 
-def surrogate(
+def _projected_newton(
     model: NetworkModel,
     alloc: CapacityAllocation,
     warm_start: np.ndarray | None = None,
     max_iters: int = 5000,
 ) -> InnerSolution:
-    """Evaluate phi(C) by two-metric projected Newton on the inner problem
-    (Bertsekas 1982; Gafni & Bertsekas 1984).
+    """Minimize the inner problem by two-metric projected Newton (Bertsekas
+    1982; Gafni & Bertsekas 1984): `surrogate`'s fallback where the fixed
+    point does not converge within its budget.
 
     The search box is [0, min(Y_CAP, per-entity ceiling)]; the ceiling
     keeps Erlang inversions away from their non-saturating regime.  A
@@ -222,11 +233,7 @@ def surrogate(
     also stops unconverged after `max_iters` Newton steps or when Armijo
     stalls.
     """
-    if max_iters < 1:
-        raise ValueError(f"inner: max_iters must be at least 1, got {max_iters!r}")
     caps = np.asarray(alloc.values, dtype=float)
-    if caps.size != model.m:
-        raise ValueError(f"inner: allocation length {caps.size} != m={model.m}")
     hi = _box_upper(model, caps)
     y = np.zeros(model.m) if warm_start is None else np.clip(np.asarray(warm_start, dtype=float), 0.0, hi)
     batch = _Batch(model, alloc)
@@ -287,3 +294,116 @@ def surrogate(
         iterations += 1
 
     return InnerSolution(log_loss=y, value=value, grad_norm=grad_norm, iterations=iterations, converged=converged)
+
+
+def _start_load(demands: np.ndarray, nu: np.ndarray, survival: np.ndarray) -> np.ndarray:
+    """The load rho = raw / S whose blocking is 1 - S at a fixed point,
+    with raw = A (nu prod_j S_j^A_jr) the carried load through each entity;
+    the no-blocking load where S = 0."""
+    raw = demands @ (nu * _flow_survival(survival, _flow_entries(demands)))
+    rho = demands @ nu
+    live = survival > 0.0
+    rho[live] = raw[live] / survival[live]
+    return rho
+
+
+def _least_levels(demands: np.ndarray, nu: np.ndarray, y: np.ndarray, entities: np.ndarray, tol: float) -> np.ndarray:
+    """For each of `entities`, a level t >= 0 at which the load it would
+    still pass with y_j = t, sum_r A_jr nu_r e^(-(A^T y)_r), is at most
+    `tol`: each of its n_j flows passes at most tol / n_j.  0 elsewhere."""
+    rows, flows = np.nonzero(demands)
+    keep = entities[rows]
+    rows, flows = rows[keep], flows[keep]
+    a = demands[rows, flows]
+    passing = (demands > 0.0).sum(axis=1)[rows]
+    others = (demands.T @ y)[flows] - a * y[rows]
+    levels = np.zeros(y.size)
+    with np.errstate(divide="ignore"):  # a flow of no load needs no level
+        np.maximum.at(levels, rows, (np.log(passing * a * nu[flows] / tol) - others) / a)
+    return levels
+
+
+def surrogate(
+    model: NetworkModel,
+    alloc: CapacityAllocation,
+    warm_start: np.ndarray | None = None,
+    max_iters: int = 5000,
+) -> InnerSolution:
+    """Evaluate phi(C) at the reduced-load fixed point.
+
+    At y = -log(1 - B) of the fixed point rho = G(rho), U_j = rho_j S_j
+    equals the flow term sum_r A_jr nu_r e^(-(A^T y)_r), so the inner
+    gradient vanishes there: y is the inner minimizer.  It is clipped to
+    the search box [0, min(Y_CAP, per-entity ceiling)], whose ceiling
+    keeps Erlang inversions away from their non-saturating regime; B = 1
+    (zero capacity under load) lands at the box end.  phi and the
+    projected gradient are then evaluated once.  For families without a
+    closed-form H (Erlang) H_j comes from the fixed point's rho_j, with
+    no inversion; entities clipped to the box end invert at it.
+
+    A warm start y (the optimum at a nearby allocation) starts the fixed
+    point at the load rho = raw / S with S = e^(-y), S = 0 at
+    zero-capacity entities at the box end, and raw = A (nu prod_j
+    S_j^A_jr).  Where a zero capacity makes y* not unique, this keeps the
+    fixed point that y belongs to.
+
+    A zero-capacity entity under load has B = 1 and y* at the box end,
+    but phi moves by less than TOL * (1 + |phi|) once the load it would
+    still pass is below that, and the supergradient reads H_j at y_j.
+    Where its flows carried nothing at the warm start, y_j keeps its warm
+    value, raised to a level where that load is below TOL * (1 + |phi|)
+    (`_least_levels`), as projected Newton from that start leaves it:
+    Frank-Wolfe leaves zero-capacity kinks by these finite slopes.
+
+    `converged` is the fixed point's and `iterations` counts its
+    evaluations of G.  Where it has not converged after FIXED_POINT_EVALS
+    of them (a kink of linear_clip that Newton steps cross), projected
+    Newton (`_projected_newton`) takes over from its y, and `iterations`
+    adds its Newton steps; `max_iters` bounds the sum.
+    """
+    if max_iters < 1:
+        raise ValueError(f"inner: max_iters must be at least 1, got {max_iters!r}")
+    caps = np.asarray(alloc.values, dtype=float)
+    if caps.size != model.m:
+        raise ValueError(f"inner: allocation length {caps.size} != m={model.m}")
+    hi = _box_upper(model, caps)
+    demands, nu, groups = demand_matrix(model), offered_vector(model), loss_groups(model)
+    start, y0 = None, np.zeros(model.m)
+    if warm_start is not None:
+        y0 = np.clip(np.asarray(warm_start, dtype=float), 0.0, hi)
+        survival = np.exp(-y0)
+        survival[(caps == 0.0) & (y0 >= hi)] = 0.0
+        start = _start_load(demands, nu, survival)
+    state = _solve(caps, demands, nu, groups, min(max_iters, FIXED_POINT_EVALS), start)
+    with np.errstate(divide="ignore"):
+        level = -np.log1p(-state.blocking)
+    y = np.minimum(level, hi)
+    if not state.converged:
+        sol = _projected_newton(model, alloc, warm_start=y, max_iters=max_iters - state.iterations)
+        return dataclasses.replace(sol, iterations=state.iterations + sol.iterations)
+
+    h, u = np.empty(model.m), np.empty(model.m)
+    for spec, idx in groups:
+        family = get_family(spec.kind)
+        yj, cj = y[idx], caps[idx]
+        if type(family).utilization_terms is not LossFamily.utilization_terms:
+            h[idx], u[idx] = utilization_terms(spec, yj, cj)
+            continue
+        rho, clipped = state.offered[idx], yj < level[idx]
+        hj, uj = np.zeros(idx.size), rho * np.exp(-yj)
+        live = (rho > 0.0) & (yj > 0.0) & ~clipped
+        hj[live] = family._integral(yj[live], cj[live], rho[live])
+        if clipped.any():
+            hj[clipped], uj[clipped] = utilization_terms(spec, yj[clipped], cj[clipped])
+        h[idx], u[idx] = hj, uj
+    # H_j and U_j vanish at zero capacity, so lowering such a y_j below
+    # the box end moves only the flow term.
+    loose = (caps == 0.0) & (level > hi) & (demands @ (nu * np.exp(-(demands.T @ y0))) <= TOL)
+    if loose.any():
+        tol = TOL * (1.0 + float(nu @ np.exp(-(demands.T @ y))) + float(h.sum()))
+        levels = _least_levels(demands, nu, np.where(loose, y0, y), loose, tol)
+        y[loose] = np.minimum(np.maximum(y0, levels), hi)[loose]
+    flow = np.exp(-(demands.T @ y))
+    value = float(nu @ flow) + float(h.sum())
+    grad_norm = float(np.linalg.norm(_projected_gradient(u - demands @ (nu * flow), y, hi)))
+    return InnerSolution(log_loss=y, value=value, grad_norm=grad_norm, iterations=state.iterations, converged=True)

@@ -162,7 +162,7 @@ def test_gradient_reuses_the_objective_inversion(monkeypatch):
     monkeypatch.setattr(family, "offered_at", offered)
     monkeypatch.setattr(inner, "inner_objective", objective)
     monkeypatch.setattr(inner, "inner_gradient", gradient)
-    sol = sf.surrogate(symmetric_pair(), CapacityAllocation(np.array([4.0, 6.0])))
+    sol = inner._projected_newton(symmetric_pair(), CapacityAllocation(np.array([4.0, 6.0])))
     assert sol.converged and sol.iterations > 0
     # one batched inversion per objective evaluation, none for the gradients
     # (the Hessian's reading of U at 1e-12 for coordinates at y = 0 is its own)

@@ -189,6 +189,19 @@ def test_rejects_an_empty_budget_and_a_wrong_allocation():
         solve_fixed_point(model, CapacityAllocation([1.0, 1.0]))
 
 
+def test_start_at_the_solution_converges_at_once(small_instances):
+    # A caller's starting load: at the solution one evaluation of G confirms it
+    for model, alloc in small_instances[:20]:
+        cold = solve_fixed_point(model, alloc)
+        warm = solve_fixed_point(model, alloc, start=cold.offered)
+        assert warm.converged and warm.iterations == 1
+        assert warm.blocking == pytest.approx(cold.blocking, abs=1e-12)
+    model = single_entity(1.0)
+    for start in ([1.0, 1.0], [-1.0], [math.inf]):
+        with pytest.raises(ValueError, match=r"^fixedpoint: start must be 1 finite non-negative loads$"):
+            solve_fixed_point(model, CapacityAllocation([1.0]), start=np.array(start))
+
+
 def _scaled(model, factor):
     flows = tuple(Flow(fl.id, fl.offered * factor, dict(fl.demands)) for fl in model.flows)
     return NetworkModel(physicals=model.physicals, logicals=model.logicals, flows=flows)

@@ -27,6 +27,7 @@ from sliceforge import (
 
 import sliceforge.outer
 from sliceforge.cli import _resolve_alloc
+from sliceforge.inner import FIXED_POINT_EVALS, _projected_newton
 
 from conftest import flat_pair, random_small_instance, single_entity, symmetric_pair
 
@@ -100,9 +101,10 @@ def test_flat_direction_converges_to_closed_form(c_a):
     model = flat_pair(nu)
     for c_b in (c_a, 1.0 - c_a, 0.02, 0.4, 0.74, 1.0):
         c = min(c_a, c_b)
-        sol = surrogate(model, CapacityAllocation([c_a, c_b]))
-        assert sol.converged
-        assert sol.value == pytest.approx(c * (1.0 + math.log(nu / c)), rel=1e-12)
+        for solve in (surrogate, _projected_newton):
+            sol = solve(model, CapacityAllocation([c_a, c_b]))
+            assert sol.converged
+            assert sol.value == pytest.approx(c * (1.0 + math.log(nu / c)), rel=1e-12)
 
 
 def test_flat_direction_is_followed_to_the_box():
@@ -110,9 +112,23 @@ def test_flat_direction_is_followed_to_the_box():
     # step that stopped CG without moving along the flat direction crept
     # along it for all 5,000 iterations.
     caps = [0.5000005440018066, 0.4999994559981934]
-    sol = surrogate(flat_pair(0.75), CapacityAllocation(caps), warm_start=np.array([0.0, 50.0]))
+    sol = _projected_newton(flat_pair(0.75), CapacityAllocation(caps), warm_start=np.array([0.0, 50.0]))
     assert sol.converged and sol.iterations < 20
     assert sol.value == pytest.approx(caps[1] * (1.0 + math.log(0.75 / caps[1])), rel=1e-12)
+
+
+# flat_pair's fixed point near its kink C_a = C_b (the second allocation
+# is a Frank-Wolfe probe): Newton on rho = G(rho) meets a singular
+# Jacobian where both entities block and creeps by damped steps, unconverged
+# after 10,000 evaluations of G at both, so the surrogate hands over to
+# projected Newton after FIXED_POINT_EVALS of them.
+@pytest.mark.parametrize("caps", [(0.4999, 0.5001), (0.49998071, 0.50001929)])
+def test_flat_pair_near_the_kink_converges(caps):
+    sol = surrogate(flat_pair(0.75), CapacityAllocation(list(caps)))
+    assert sol.converged
+    assert sol.iterations <= FIXED_POINT_EVALS + 20
+    c = min(caps)
+    assert sol.value == pytest.approx(c * (1.0 + math.log(0.75 / c)), rel=1e-12)
 
 
 def test_gradient_at_zero_erlang():
@@ -206,10 +222,28 @@ def test_phi_equals_modified_objective_on_random_and_demo_models(small_instances
     assert checked == len(cases)
 
 
+@given(seed=st.integers(0, 199), scale=st.sampled_from([1.0, 15.0, 50.0]), data=st.data())
+def test_fixed_point_phi_matches_projected_newton(seed, scale, data):
+    # The two routes to phi at random instances under 1x to 50x load, cold
+    # and warm-started from the optimum at a nearby allocation, as a
+    # Frank-Wolfe probe is.
+    model, alloc = random_small_instance(seed)
+    flows = tuple(Flow(f.id, f.offered * scale, dict(f.demands)) for f in model.flows)
+    model = NetworkModel(physicals=model.physicals, logicals=model.logicals, flows=flows)
+    moved = data.draw(st.lists(st.floats(0.0, 2.0), min_size=model.m, max_size=model.m))
+    nearby = CapacityAllocation(alloc.values * np.array(moved))
+    warm = surrogate(model, nearby).log_loss
+    for warm_start in (None, warm):
+        sol = surrogate(model, alloc, warm_start=warm_start)
+        oracle = _projected_newton(model, alloc, warm_start=warm_start)
+        assert sol.converged and oracle.converged
+        assert abs(sol.value - oracle.value) <= 1e-9 * (1.0 + abs(oracle.value))
+
+
 def test_cold_solve_counts(small_instances, monkeypatch):
-    # Newton converges in a handful of iterations, nearly all of them on
-    # the full step; a regression in the step or its curvature shows here
-    # first.
+    # Projected Newton converges in a handful of iterations, nearly all of
+    # them on the full step; a regression in the step or its curvature
+    # shows here first.
     import sliceforge.inner as inner
 
     cases = _random_and_demo_cases(small_instances)
@@ -223,7 +257,7 @@ def test_cold_solve_counts(small_instances, monkeypatch):
     monkeypatch.setattr(inner, "inner_objective", objective)
     for model, alloc in cases:
         evaluations[0] = 0
-        sol = surrogate(model, alloc)
+        sol = _projected_newton(model, alloc)
         assert sol.converged
         assert sol.iterations <= 25
         assert evaluations[0] <= sol.iterations + 10
@@ -304,12 +338,66 @@ _CUSP_WARM = [
 def test_warm_start_on_the_cusp_converges(ladder_model):
     model = ladder_model("erlang_m8")
     alloc = CapacityAllocation(_CUSP_ALLOC)
-    warm = surrogate(model, alloc, warm_start=np.array(_CUSP_WARM))
-    assert warm.converged
-    assert warm.iterations <= 20
     cold = surrogate(model, alloc)
     assert cold.converged
-    assert warm.value == pytest.approx(cold.value, rel=1e-13)
+    for solve in (surrogate, _projected_newton):
+        warm = solve(model, alloc, warm_start=np.array(_CUSP_WARM))
+        assert warm.converged
+        assert warm.iterations <= 20
+        assert warm.value == pytest.approx(cold.value, rel=1e-13)
+
+
+# Two Frank-Wolfe vertex probes of `solve` on the benchmark's erlang_m20
+# document (allocation, then the warm start: the previous probe's y*).
+# Warm-started projected Newton ends both unconverged at grad_norm 43: a
+# coordinate on U's cusp near y = 0 takes a step whose predicted decrease
+# of 5.7e-13 phi, at its rounding floor, does not show.
+_M20_PROBES = (
+    (  # probe 1
+        [
+            0.0, 0.0, 0.0, 0.0,
+            2.4279999999999973, 0.0, 0.0, 0.0,
+            0.0, 55.269, 0.0, 0.0,
+            112.768, 0.0, 0.0, 106.89100000000002,
+            0.0, 108.643, 0.0, 0.0,
+        ],
+        [
+            0.5606437681093818, 0.00025928620413787816, 0.001356967502630496, 0.0003170670638619347,
+            0.0016628836046996935, 0.5411960913480934, 0.00029974213812068007, 0.11382531864663871,
+            1.6006081835178774e-09, 0.5269122067382396, 0.5569695870950354, 0.16147379929397981,
+            0.17659195224930246, 0.1662644111991246, 0.5363962701242362, 0.002377175324300925,
+            2.394879262407224e-10, 4.736815808374161e-19, 0.1669012660578354, 0.5667698774924933,
+        ],
+    ),
+    (  # probe 2
+        [
+            0.0, 0.0, 0.0, 0.0,
+            2.4279999999999973, 0.0, 0.0, 0.0,
+            0.0, 55.269000000000005, 0.0, 0.0,
+            112.768, 0.0, 0.0, 106.891,
+            0.0, 108.643, 0.0, 0.0,
+        ],
+        [
+            0.5685332760915043, 0.0002771293893285221, 0.0018028268636172517, 0.0003416117203624685,
+            0.0017225328026513817, 0.5470453080049935, 0.0002958322102269912, 0.15345392231325522,
+            1.632256770901664e-09, 0.5219096615733382, 0.5564563507087632, 0.15720024481886913,
+            0.16426301094280998, 0.1656953771004524, 0.5406583558211369, 0.0020887049246713215,
+            3.2682455350653816e-10, 1.1761307098170205e-19, 0.16030152182360052, 0.5593750902745969,
+        ],
+    ),
+)
+
+
+@pytest.mark.parametrize("probe", range(len(_M20_PROBES)))
+def test_erlang_m20_vertex_probes_converge(ladder_model, probe):
+    model = ladder_model("erlang_m20")
+    caps, warm = _M20_PROBES[probe]
+    alloc = CapacityAllocation(caps)
+    sol = surrogate(model, alloc, warm_start=np.array(warm))
+    assert sol.converged and sol.iterations <= 10
+    cold = _projected_newton(model, alloc)
+    assert cold.converged
+    assert sol.value == pytest.approx(cold.value, rel=1e-12)
 
 
 @settings(max_examples=200)
@@ -326,7 +414,7 @@ def test_every_counted_iteration_lowers_phi(seed, scale, data):
     model = NetworkModel(physicals=model.physicals, logicals=model.logicals, flows=flows)
     alloc = CapacityAllocation(alloc.values * scale)
     jitter = data.draw(st.lists(st.floats(-1e-3, 1e-3), min_size=model.m, max_size=model.m))
-    warm = surrogate(model, alloc).log_loss * (1.0 + np.array(jitter))
+    warm = _projected_newton(model, alloc).log_loss * (1.0 + np.array(jitter))
     seen, path = {}, []
     real_objective, real_gradient = inner.inner_objective, inner.inner_gradient
 
@@ -339,7 +427,7 @@ def test_every_counted_iteration_lowers_phi(seed, scale, data):
         return real_gradient(model, alloc, y, batch)
 
     with mock.patch.object(inner, "inner_objective", objective), mock.patch.object(inner, "inner_gradient", gradient):
-        sol = surrogate(model, alloc, warm_start=warm)
+        sol = _projected_newton(model, alloc, warm_start=warm)
     assert len(path) == sol.iterations + 1
     assert all(later < earlier for earlier, later in zip(path, path[1:]))
 
@@ -364,18 +452,20 @@ def test_frank_wolfe_probes_converge_to_the_cold_minimum(ladder_model, monkeypat
     solves = []
 
     def recorded(model_, alloc, warm_start=None):
-        solves.append((alloc, surrogate(model_, alloc, warm_start=warm_start)))
-        return solves[-1][1]
+        solves.append((alloc, warm_start, surrogate(model_, alloc, warm_start=warm_start)))
+        return solves[-1][2]
 
     monkeypatch.setattr(sliceforge.outer, "surrogate", recorded)
     maximize_surrogate(model, max_iters=10)
     assert len(solves) >= 49
     # A converged phi may sit above the minimum by grad_norm times the box
     # width along the Hessian's near-null directions: 1.3e-9 relative here.
-    for alloc, sol in solves:
+    for alloc, warm_start, sol in solves:
         cold = surrogate(model, alloc)
-        assert sol.converged and cold.converged
+        newton = _projected_newton(model, alloc, warm_start=warm_start)
+        assert sol.converged and cold.converged and newton.converged
         assert sol.value <= cold.value + 1e-6 * (1.0 + abs(cold.value))
+        assert newton.value <= cold.value + 1e-6 * (1.0 + abs(cold.value))
 
 
 def test_coordinate_just_above_the_cusp_is_not_pinned():
@@ -398,16 +488,25 @@ def test_coordinate_just_above_the_cusp_is_not_pinned():
         ),
     )
     alloc = CapacityAllocation([0.631906289039607, 0.368093710960393, 0.0])
-    warm = surrogate(model, alloc, warm_start=np.array([46.051701859880914, 0.0, 46.051701859880914]))
     cold = surrogate(model, alloc)
-    assert warm.converged and cold.converged
-    assert warm.value == pytest.approx(cold.value, rel=1e-12)
-    assert warm.value == pytest.approx(0.4849542564535485, rel=1e-9)
+    assert cold.converged
+    for solve in (surrogate, _projected_newton):
+        warm = solve(model, alloc, warm_start=np.array([46.051701859880914, 0.0, 46.051701859880914]))
+        assert warm.converged
+        assert warm.value == pytest.approx(cold.value, rel=1e-12)
+        assert warm.value == pytest.approx(0.4849542564535485, rel=1e-9)
 
 
 def test_non_convergence_reported():
     model = single_entity(5.0, kind="erlang_b")
-    sol = surrogate(model, CapacityAllocation([2.0]), max_iters=1)
+    sol = _projected_newton(model, CapacityAllocation([2.0]), max_iters=1)
+    assert not sol.converged
+    assert sol.iterations == 1
+    # max_iters bounds the surrogate's evaluations of G: one is not enough
+    # where a flow crosses two blocking entities
+    sol = surrogate(symmetric_pair(), CapacityAllocation([4.0, 6.0]), max_iters=1)
+    assert sol.converged and sol.iterations == 1
+    sol = surrogate(flat_pair(0.75), CapacityAllocation([0.25, 0.75]), max_iters=1)
     assert not sol.converged
     assert sol.iterations == 1
 

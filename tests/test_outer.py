@@ -249,6 +249,17 @@ def test_frank_wolfe_leaves_zero_capacity_kinks(seed, max_iters, floor):
     assert trace.final_value >= floor
 
 
+@pytest.mark.parametrize("seed, floor", [(9, 1.8932), (10, 0.35146)])
+def test_frank_wolfe_converges_past_zero_capacity_kinks(seed, floor):
+    # The slope at a zero capacity reads H_j at y_j, which phi leaves free
+    # up to TOL there.  With every such y_j at the box end, seed 9 ran out
+    # of iterations and seed 10 stalled at phi = 8e-45.
+    model, _ = random_small_instance(seed)
+    _, trace = maximize_surrogate(model)
+    assert trace.converged
+    assert trace.final_value >= floor
+
+
 @pytest.mark.parametrize("name", ["reference_2x3", "three_potentials"])
 def test_demo_solve_takes_one_probe_per_step(name):
     _, trace = maximize_surrogate(load_model((MODELS / f"{name}.json").read_text()))
