@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .fixedpoint import diagnostics, solve_fixed_point
-from .inner import surrogate
+from .inner import _surrogate_at, surrogate
 from .model import (
     CapacityAllocation,
     ModelError,
@@ -171,6 +171,7 @@ def _evaluation_sections(model: NetworkModel, alloc: CapacityAllocation, want_ph
         ],
     }
     code = EXIT_OK if state.converged else EXIT_UNCONVERGED
+    sections["totals"] = None
     if state.converged:
         diag = diagnostics(model, alloc, state)
         sections["totals"] = {
@@ -181,24 +182,13 @@ def _evaluation_sections(model: NetworkModel, alloc: CapacityAllocation, want_ph
             "correction": diag.correction,
             "correction_bound": diag.correction_bound,
         }
-    else:
-        sections["totals"] = None
     if want_phi:
-        # The fixed point is a stationary point of the inner problem (there
-        # U_j = rho_j S_j equals the flow term), so the surrogate starts at
-        # its log-loss and moves only if its own gradient test fails there.
-        # B = 1 gives y = inf, which surrogate clips to the box end.
-        warm = None
-        if state.converged:
-            with np.errstate(divide="ignore"):
-                warm = -np.log1p(-state.blocking)
-        sol = surrogate(model, alloc, warm_start=warm)
+        # The fixed point minimizes the inner problem (U_j = rho_j S_j equals
+        # the flow term there), so phi is read off it and the H_j of its
+        # diagnostics; an unconverged state leaves phi to a cold surrogate.
+        sol = _surrogate_at(model, alloc, state, diag.measures) if state.converged else surrogate(model, alloc)
         implied = [float(-math.expm1(-y)) for y in sol.log_loss]
-        gap = 0.0
-        if state.converged:
-            gap = max(
-                (abs(b - i) for b, i in zip(state.blocking, implied)), default=0.0
-            )
+        gap = max((abs(b - i) for b, i in zip(state.blocking, implied)), default=0.0) if state.converged else 0.0
         sections["surrogate"] = {
             "value": sol.value,
             "converged": sol.converged,
@@ -213,15 +203,8 @@ def _evaluation_sections(model: NetworkModel, alloc: CapacityAllocation, want_ph
     return sections, code
 
 
-def _csv_table(fields: tuple[str, ...], rows: list[dict]) -> str:
-    return render_csv(list(fields), [[row[name] for name in fields] for row in rows])
-
-
-def _entity_csv(sections: dict) -> str:
-    return _csv_table(_ENTITY_FIELDS, sections["fixed_point"]["entities"])
-
-
-def _emit(report: dict, out_path: str | None, csv_text: str | None, csv_path: str | None) -> None:
+def _emit(report: dict, out_path: str | None, csv_path: str | None = None, fields=(), rows=()) -> None:
+    """The JSON report, and only with a CSV path the table of `rows` by `fields`."""
     text = render_json(report)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -229,10 +212,8 @@ def _emit(report: dict, out_path: str | None, csv_text: str | None, csv_path: st
     else:
         sys.stdout.write(text)
     if csv_path:
-        if csv_text is None:
-            raise ModelError("this command produces no CSV table")
         with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+            fh.write(render_csv(list(fields), [[row[name] for name in fields] for row in rows]))
 
 
 def _load(args) -> tuple[NetworkModel, dict]:
@@ -250,7 +231,7 @@ def _cmd_validate(args) -> int:
     except ModelError as exc:
         report["ok"] = False
         report["error"] = str(exc)
-        _emit(report, args.out, None, None)
+        _emit(report, args.out)
         print(f"invalid model: {exc}", file=sys.stderr)
         return EXIT_INVALID
     report["ok"] = True
@@ -261,7 +242,7 @@ def _cmd_validate(args) -> int:
         "capacity_types": sorted({p.ctype for p in model.physicals}),
         "total_physical_capacity": float(model.physical_capacities().sum()),
     }
-    _emit(report, args.out, None, None)
+    _emit(report, args.out)
     return EXIT_OK
 
 
@@ -274,7 +255,7 @@ def _cmd_evaluate(args) -> int:
     report["allocation"] = _allocation_section(model, alloc)
     sections, code = _evaluation_sections(model, alloc, want_phi=args.phi)
     report.update(sections)
-    _emit(report, args.out, _entity_csv(sections), args.csv)
+    _emit(report, args.out, args.csv, _ENTITY_FIELDS, sections["fixed_point"]["entities"])
     return code
 
 
@@ -289,7 +270,7 @@ def _cmd_solve(args) -> int:
     report.update(sections)
     if not trace.converged:
         code = max(code, EXIT_UNCONVERGED)
-    _emit(report, args.out, _entity_csv(sections), args.csv)
+    _emit(report, args.out, args.csv, _ENTITY_FIELDS, sections["fixed_point"]["entities"])
     return code
 
 
@@ -315,7 +296,7 @@ def _cmd_solve_reconfig(args) -> int:
     report.update(sections)
     if not (result.trace_joint.converged and result.trace_final.converged):
         code = max(code, EXIT_UNCONVERGED)
-    _emit(report, args.out, _entity_csv(sections), args.csv)
+    _emit(report, args.out, args.csv, _ENTITY_FIELDS, sections["fixed_point"]["entities"])
     return code
 
 
@@ -353,7 +334,7 @@ def _cmd_simulate(args) -> int:
         "blocked": int(result.blocked.sum()),
         "carried_estimate": float(result.carried.sum()),
     }
-    _emit(report, args.out, _csv_table(_SIM_FLOW_FIELDS, report["flows"]), args.csv)
+    _emit(report, args.out, args.csv, _SIM_FLOW_FIELDS, report["flows"])
     return EXIT_OK
 
 

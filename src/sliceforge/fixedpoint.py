@@ -13,9 +13,9 @@ back to the damped synchronous substitution rho <- rho + d (G(rho) - rho)
 where a Newton step fails its line search.  G is smooth wherever the loss
 families are, and has a unique root for Erlang blocking (Kelly, Adv.
 Appl. Prob. 1986).  The per-flow products, and the flow-pair sums that
-assemble the Jacobian, run over the demand matrix's non-zeros only, built
-once per solve.  Feasibility of the allocation is not required; the
-system is defined for any C >= 0.
+assemble the Jacobian, run over the demand matrix's non-zeros only,
+compiled once per model.  Feasibility of the allocation is not required;
+the system is defined for any C >= 0.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .loss import get_family, loss, utilization_measure
-from .model import CapacityAllocation, NetworkModel, demand_matrix, loss_groups, offered_vector
+from .loss import LossFamily, get_family, loss
+from .loss import utilization_measure  # noqa: F401  (perfbench/tracer.py wraps it under this module)
+from .model import CapacityAllocation, NetworkModel, _compiled, demand_matrix, loss_groups, offered_vector
 
 __all__ = [
     "LoadState",
@@ -70,9 +71,9 @@ class Diagnostics:
     """Carried-load totals and the correction-term bound check inputs.
 
     modified_objective = carried_total + correction, where correction is
-    the summed utilization measure of the entities; correction_bound is
-    the summed per-entity blocked load, which the correction never
-    exceeds.
+    the sum of `measures`, the per-entity H_j at y_j = -log(1 - B_j) that
+    phi at the state reuses; correction_bound is the summed per-entity
+    blocked load, which the correction never exceeds.
     """
 
     carried_total: float
@@ -81,6 +82,7 @@ class Diagnostics:
     max_route_length: float
     correction: float
     correction_bound: float
+    measures: np.ndarray = field(repr=False)
 
 
 def _blocking_vector(groups, rho: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -125,6 +127,13 @@ def _flow_pairs(entries):
     return rows[first], rows[second], vals[first] * vals[second], flow
 
 
+@_compiled
+def _model_flows(model: NetworkModel):
+    """`_flow_entries` of the model's demand matrix and their `_flow_pairs`."""
+    entries = _flow_entries(demand_matrix(model))
+    return entries, _flow_pairs(entries)
+
+
 def solve_fixed_point(
     model: NetworkModel, alloc: CapacityAllocation, max_iters: int = 10000, start: np.ndarray | None = None
 ) -> LoadState:
@@ -162,17 +171,16 @@ def solve_fixed_point(
         start = np.asarray(start, dtype=float)
         if start.shape != (m,) or not np.all(np.isfinite(start)) or np.any(start < 0.0):
             raise ValueError(f"fixedpoint: start must be {m} finite non-negative loads")
-    return _solve(caps, demand_matrix(model), offered_vector(model), loss_groups(model), max_iters, start)
+    return _solve(model, caps, max_iters, start)
 
 
-def _solve(caps, demands, nu, groups, max_iters, start=None) -> LoadState:
-    """`solve_fixed_point` on a model's demand matrix, offered loads and
-    loss groups, for callers that already hold them."""
+def _solve(model: NetworkModel, caps: np.ndarray, max_iters: int, start: np.ndarray | None = None) -> LoadState:
+    """`solve_fixed_point` without its argument checks."""
     m = caps.size
+    demands, nu, groups = demand_matrix(model), offered_vector(model), loss_groups(model)
+    entries, (pair_row, pair_col, pair_demand, pair_flow) = _model_flows(model)
     rho0 = demands @ nu
     families = [(get_family(spec.kind), idx) for spec, idx in groups]
-    entries = _flow_entries(demands)
-    pairs = []  # _flow_pairs(entries), built at the first Newton step: a warm start may take none
     if start is None:
         start = rho0
 
@@ -193,9 +201,6 @@ def _solve(caps, demands, nu, groups, max_iters, start=None) -> LoadState:
         # I - J_G = I - diag(G slope / S) + diag(1 / S) M diag(slope / S)
         # with slope = dB/drho = -S'; zeroing 1 / S on pinned entities
         # leaves their rows and columns those of the identity.
-        if not pairs:
-            pairs.extend(_flow_pairs(entries))
-        pair_row, pair_col, pair_demand, pair_flow = pairs
         free = ~point.pinned
         slope = np.empty(m)
         for family, idx in families:
@@ -253,19 +258,37 @@ def carried_total(model: NetworkModel, state: LoadState) -> float:
     return float(np.sum(state.carried_per_flow))
 
 
+def _utilization_measures(model: NetworkModel, caps: np.ndarray, state: LoadState) -> np.ndarray:
+    """H_j at y_j = -log(1 - B_j), read off the state's load rho_j with no
+    inversion: rho B(rho) - Int_0^rho B (``LossFamily._integral``) for
+    families with the default ``utilization_terms``, their closed form for
+    the others.  0 at zero capacity and where rho_j or B_j is 0; +inf
+    where B_j rounds to 1 at a positive capacity, since U tends to C_j."""
+    h = np.zeros(model.m)
+    with np.errstate(divide="ignore"):
+        level = -np.log1p(-state.blocking)
+    for spec, idx in loss_groups(model):
+        family = get_family(spec.kind)
+        idx = idx[(caps[idx] > 0.0) & (state.offered[idx] > 0.0) & (level[idx] > 0.0)]
+        h[idx] = np.inf
+        idx = idx[np.isfinite(level[idx])]
+        if type(family).utilization_terms is LossFamily.utilization_terms:
+            h[idx] = family._integral(level[idx], caps[idx], state.offered[idx])
+        else:
+            h[idx] = family.utilization_terms(level[idx], caps[idx])[0]
+    return h
+
+
 def diagnostics(model: NetworkModel, alloc: CapacityAllocation, state: LoadState) -> Diagnostics:
     """Totals, the modified objective, and the correction bound at a state."""
     if not state.converged:
         raise ValueError("diagnostics requires a converged state")
     caps = np.asarray(alloc.values, dtype=float)
-    demands = demand_matrix(model)
-    lengths = demands.sum(axis=0) if model.num_flows else np.zeros(0)
+    lengths = demand_matrix(model).sum(axis=0)
     total = carried_total(model, state)
-    weighted = float(np.sum(lengths * state.carried_per_flow)) if model.num_flows else 0.0
-    correction = 0.0
-    for spec, idx in loss_groups(model):
-        idx = idx[caps[idx] != 0.0]  # zero capacity supplies nothing even when fully blocked
-        correction += float(np.sum(utilization_measure(spec, state.blocking[idx], caps[idx])))
+    weighted = float(np.sum(lengths * state.carried_per_flow))
+    measures = _utilization_measures(model, caps, state)
+    correction = float(measures.sum())
     bound = float(np.sum(state.offered * state.blocking))
     return Diagnostics(
         carried_total=total,
@@ -274,4 +297,5 @@ def diagnostics(model: NetworkModel, alloc: CapacityAllocation, state: LoadState
         max_route_length=float(lengths.max()) if lengths.size else 0.0,
         correction=correction,
         correction_bound=bound,
+        measures=measures,
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fixedpoint import _flow_entries, _flow_survival, _solve
+from .fixedpoint import LoadState, _flow_survival, _model_flows, _solve, _utilization_measures
 from .loss import (
     InversionError,
     LossFamily,
@@ -296,11 +296,12 @@ def _projected_newton(
     return InnerSolution(log_loss=y, value=value, grad_norm=grad_norm, iterations=iterations, converged=converged)
 
 
-def _start_load(demands: np.ndarray, nu: np.ndarray, survival: np.ndarray) -> np.ndarray:
+def _start_load(model: NetworkModel, survival: np.ndarray) -> np.ndarray:
     """The load rho = raw / S whose blocking is 1 - S at a fixed point,
     with raw = A (nu prod_j S_j^A_jr) the carried load through each entity;
     the no-blocking load where S = 0."""
-    raw = demands @ (nu * _flow_survival(survival, _flow_entries(demands)))
+    demands, nu = demand_matrix(model), offered_vector(model)
+    raw = demands @ (nu * _flow_survival(survival, _model_flows(model)[0]))
     rho = demands @ nu
     live = survival > 0.0
     rho[live] = raw[live] / survival[live]
@@ -333,27 +334,14 @@ def surrogate(
 
     At y = -log(1 - B) of the fixed point rho = G(rho), U_j = rho_j S_j
     equals the flow term sum_r A_jr nu_r e^(-(A^T y)_r), so the inner
-    gradient vanishes there: y is the inner minimizer.  It is clipped to
-    the search box [0, min(Y_CAP, per-entity ceiling)], whose ceiling
-    keeps Erlang inversions away from their non-saturating regime; B = 1
-    (zero capacity under load) lands at the box end.  phi and the
-    projected gradient are then evaluated once.  For families without a
-    closed-form H (Erlang) H_j comes from the fixed point's rho_j, with
-    no inversion; entities clipped to the box end invert at it.
+    gradient vanishes there: y is the inner minimizer, at which
+    `_surrogate_at` evaluates phi.
 
     A warm start y (the optimum at a nearby allocation) starts the fixed
     point at the load rho = raw / S with S = e^(-y), S = 0 at
     zero-capacity entities at the box end, and raw = A (nu prod_j
     S_j^A_jr).  Where a zero capacity makes y* not unique, this keeps the
     fixed point that y belongs to.
-
-    A zero-capacity entity under load has B = 1 and y* at the box end,
-    but phi moves by less than TOL * (1 + |phi|) once the load it would
-    still pass is below that, and the supergradient reads H_j at y_j.
-    Where its flows carried nothing at the warm start, y_j keeps its warm
-    value, raised to a level where that load is below TOL * (1 + |phi|)
-    (`_least_levels`), as projected Newton from that start leaves it:
-    Frank-Wolfe leaves zero-capacity kinks by these finite slopes.
 
     `converged` is the fixed point's and `iterations` counts its
     evaluations of G.  Where it has not converged after FIXED_POINT_EVALS
@@ -367,43 +355,65 @@ def surrogate(
     if caps.size != model.m:
         raise ValueError(f"inner: allocation length {caps.size} != m={model.m}")
     hi = _box_upper(model, caps)
-    demands, nu, groups = demand_matrix(model), offered_vector(model), loss_groups(model)
     start, y0 = None, np.zeros(model.m)
     if warm_start is not None:
         y0 = np.clip(np.asarray(warm_start, dtype=float), 0.0, hi)
         survival = np.exp(-y0)
         survival[(caps == 0.0) & (y0 >= hi)] = 0.0
-        start = _start_load(demands, nu, survival)
-    state = _solve(caps, demands, nu, groups, min(max_iters, FIXED_POINT_EVALS), start)
+        start = _start_load(model, survival)
+    state = _solve(model, caps, min(max_iters, FIXED_POINT_EVALS), start)
+    if state.converged:
+        sol = _surrogate_at(model, alloc, state, _utilization_measures(model, caps, state), y0, hi)
+        return dataclasses.replace(sol, iterations=state.iterations)
+    with np.errstate(divide="ignore"):
+        y = np.minimum(-np.log1p(-state.blocking), hi)
+    sol = _projected_newton(model, alloc, warm_start=y, max_iters=max_iters - state.iterations)
+    return dataclasses.replace(sol, iterations=state.iterations + sol.iterations)
+
+
+def _surrogate_at(
+    model: NetworkModel, alloc: CapacityAllocation, state: LoadState, measures: np.ndarray, y0=None, hi=None
+) -> InnerSolution:
+    """phi(C) at a converged fixed point `state` of C and its H_j at y_j =
+    -log(1 - B_j) (`fixedpoint._utilization_measures`), with no G: 0 iterations.
+
+    y is clipped to the search box `hi`, [0, min(Y_CAP, per-entity
+    ceiling)], whose ceiling keeps Erlang inversions off their
+    non-saturating regime; B = 1 (zero capacity under load) lands at the
+    box end, where H and U invert.  Closed forms give H and U at y (U is C
+    on linear_clip's plateau, not rho e^(-y)); phi and the projected
+    gradient are then evaluated once.
+
+    A zero-capacity entity under load has B = 1 and y* at the box end,
+    but phi moves by less than TOL * (1 + |phi|) once the load it would
+    still pass is below that, and the supergradient reads H_j at y_j.
+    Where its flows carried nothing at `surrogate`'s start `y0` (0 when
+    cold), y_j keeps its value there, raised to a level where that load is
+    below TOL * (1 + |phi|) (`_least_levels`), as projected Newton from
+    that start leaves it: Frank-Wolfe leaves zero-capacity kinks by these
+    finite slopes.  Without `y0` it stays at the box end, as y0 = y gives.
+    """
+    caps = np.asarray(alloc.values, dtype=float)
+    hi = _box_upper(model, caps) if hi is None else hi
+    demands, nu = demand_matrix(model), offered_vector(model)
     with np.errstate(divide="ignore"):
         level = -np.log1p(-state.blocking)
     y = np.minimum(level, hi)
-    if not state.converged:
-        sol = _projected_newton(model, alloc, warm_start=y, max_iters=max_iters - state.iterations)
-        return dataclasses.replace(sol, iterations=state.iterations + sol.iterations)
-
-    h, u = np.empty(model.m), np.empty(model.m)
-    for spec, idx in groups:
-        family = get_family(spec.kind)
-        yj, cj = y[idx], caps[idx]
-        if type(family).utilization_terms is not LossFamily.utilization_terms:
-            h[idx], u[idx] = utilization_terms(spec, yj, cj)
-            continue
-        rho, clipped = state.offered[idx], yj < level[idx]
-        hj, uj = np.zeros(idx.size), rho * np.exp(-yj)
-        live = (rho > 0.0) & (yj > 0.0) & ~clipped
-        hj[live] = family._integral(yj[live], cj[live], rho[live])
-        if clipped.any():
-            hj[clipped], uj[clipped] = utilization_terms(spec, yj[clipped], cj[clipped])
-        h[idx], u[idx] = hj, uj
+    h, u = measures.copy(), state.offered * np.exp(-y)
+    for spec, idx in loss_groups(model):
+        if type(get_family(spec.kind)).utilization_terms is LossFamily.utilization_terms:
+            idx = idx[y[idx] < level[idx]]
+        if idx.size:
+            h[idx], u[idx] = utilization_terms(spec, y[idx], caps[idx])
     # H_j and U_j vanish at zero capacity, so lowering such a y_j below
     # the box end moves only the flow term.
-    loose = (caps == 0.0) & (level > hi) & (demands @ (nu * np.exp(-(demands.T @ y0))) <= TOL)
-    if loose.any():
-        tol = TOL * (1.0 + float(nu @ np.exp(-(demands.T @ y))) + float(h.sum()))
-        levels = _least_levels(demands, nu, np.where(loose, y0, y), loose, tol)
-        y[loose] = np.minimum(np.maximum(y0, levels), hi)[loose]
+    if y0 is not None:
+        loose = (caps == 0.0) & (level > hi) & (demands @ (nu * np.exp(-(demands.T @ y0))) <= TOL)
+        if loose.any():
+            tol = TOL * (1.0 + float(nu @ np.exp(-(demands.T @ y))) + float(h.sum()))
+            levels = _least_levels(demands, nu, np.where(loose, y0, y), loose, tol)
+            y[loose] = np.minimum(np.maximum(y0, levels), hi)[loose]
     flow = np.exp(-(demands.T @ y))
     value = float(nu @ flow) + float(h.sum())
     grad_norm = float(np.linalg.norm(_projected_gradient(u - demands @ (nu * flow), y, hi)))
-    return InnerSolution(log_loss=y, value=value, grad_norm=grad_norm, iterations=state.iterations, converged=True)
+    return InnerSolution(log_loss=y, value=value, grad_norm=grad_norm, iterations=0, converged=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import wraps
 
 import numpy as np
 
@@ -187,6 +188,29 @@ class FeasibilityReport:
 # derived arrays
 
 
+def _compiled(build):
+    """Compile `build(model)` once per model, at its first call (load_model
+    makes none): later calls return its arrays, cached read-only."""
+    key = "_compiled_" + build.__name__
+
+    @wraps(build)
+    def cached(model: NetworkModel):
+        if key not in model.__dict__:
+            model.__dict__[key] = _read_only(build(model))
+        return model.__dict__[key]
+
+    return cached
+
+
+def _read_only(out):
+    if isinstance(out, np.ndarray):
+        out.flags.writeable = False
+    for part in out if isinstance(out, tuple) else ():
+        _read_only(part)
+    return out
+
+
+@_compiled
 def incidence(model: NetworkModel) -> np.ndarray:
     """m x n 0-1 matrix; entry (i, j) = 1 iff physical j is in logical i."""
     index = {p.id: j for j, p in enumerate(model.physicals)}
@@ -197,6 +221,7 @@ def incidence(model: NetworkModel) -> np.ndarray:
     return s
 
 
+@_compiled
 def demand_matrix(model: NetworkModel) -> np.ndarray:
     """m x R integer matrix of capacity units demanded per unit flow."""
     index = {lg.id: i for i, lg in enumerate(model.logicals)}
@@ -207,10 +232,12 @@ def demand_matrix(model: NetworkModel) -> np.ndarray:
     return a
 
 
+@_compiled
 def offered_vector(model: NetworkModel) -> np.ndarray:
     return np.array([fl.offered for fl in model.flows], dtype=float)
 
 
+@_compiled
 def loss_groups(model: NetworkModel) -> tuple[tuple[LossSpec, np.ndarray], ...]:
     """Logical entities grouped by loss family, in order of first appearance:
     (spec, indices) pairs, so each family's array kernels run once per group."""
@@ -222,8 +249,6 @@ def loss_groups(model: NetworkModel) -> tuple[tuple[LossSpec, np.ndarray], ...]:
 
 def no_blocking_loads(model: NetworkModel) -> np.ndarray:
     """Per-logical offered load if nothing anywhere were blocked."""
-    if model.num_flows == 0:
-        return np.zeros(model.m)
     return demand_matrix(model) @ offered_vector(model)
 
 

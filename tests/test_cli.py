@@ -182,13 +182,81 @@ def test_unconverged_fixed_point_falls_back_to_the_cold_start(tmp_path, capsys, 
     ids=["evaluate-reference_2x3", "evaluate-symmetric_pair", "evaluate-three_potentials", "solve-reference_2x3"],
 )
 def test_report_surrogate_starts_converged_at_the_fixed_point(capsys, argv):
-    # The report's surrogate starts at the fixed point's log-loss, whose
-    # load is already the fixed point: one evaluation of G confirms it.
+    # The report's surrogate is read off the report's own converged fixed
+    # point: it spends no evaluation of G.
     code, out, _ = invoke(capsys, *argv)
     assert code == 0
     sur = report_of(out)["surrogate"]
     assert sur["converged"] is True
-    assert sur["iterations"] == 1
+    assert sur["iterations"] == 0
+
+
+@pytest.mark.parametrize("name", ["reference_2x3", "erlang_m20"])
+def test_evaluate_phi_solves_once_and_inverts_nothing(tmp_path, capsys, monkeypatch, ladder_model, name):
+    # One fixed point, one H and no Erlang inversion serve both the totals
+    # and the surrogate section of `evaluate --phi`.
+    import sliceforge.fixedpoint as fixedpoint
+    import sliceforge.inner as inner
+
+    loss_module = sys.modules["sliceforge.loss"]  # the package's `loss` attribute is the function
+
+    path = REFERENCE
+    if name != "reference_2x3":
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_model(ladder_model(name)))
+    calls = {"solve": 0, "measures": 0, "invert": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (fixedpoint, inner):
+        monkeypatch.setattr(module, "_solve", counting("solve", fixedpoint._solve))
+        monkeypatch.setattr(module, "_utilization_measures", counting("measures", fixedpoint._utilization_measures))
+    monkeypatch.setattr(loss_module, "_erlang_invert", counting("invert", loss_module._erlang_invert))
+    code, out, _ = invoke(capsys, "evaluate", path, "--alloc", "proportional", "--phi")
+    assert code == 0
+    assert report_of(out)["surrogate"]["converged"] is True
+    assert calls == {"solve": 1, "measures": 1, "invert": 0}
+
+
+def _csv_oracle(fields, rows):
+    # the CSV table rebuilt from the JSON report's rows without
+    # report.render_csv: comma-separated values, floats as %.17g
+    lines = [",".join(fields)]
+    for row in rows:
+        lines.append(",".join(format(row[k], ".17g") if isinstance(row[k], float) else str(row[k]) for k in fields))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, fields, rows",
+    [
+        (("solve", REFERENCE), ("id", "capacity", "offered_load", "blocking"), ("fixed_point", "entities")),
+        (
+            ("solve-reconfig", POTENTIALS, "--budget", "2"),
+            ("id", "capacity", "offered_load", "blocking"),
+            ("fixed_point", "entities"),
+        ),
+        (
+            ("simulate", REFERENCE, "--alloc", "proportional", "--seed", "7", "--horizon", "1e4"),
+            sliceforge.cli._SIM_FLOW_FIELDS,
+            ("flows",),
+        ),
+    ],
+    ids=["solve", "solve-reconfig", "simulate"],
+)
+def test_csv_on_request_writes_the_same_table(tmp_path, capsys, argv, fields, rows):
+    out_path, csv_path = tmp_path / "report.json", tmp_path / "table.csv"
+    code, _, _ = invoke(capsys, *argv, "--out", out_path, "--csv", csv_path)
+    assert code == 0
+    table = json.loads(out_path.read_text())
+    for key in rows:
+        table = table[key]
+    assert csv_path.read_bytes() == _csv_oracle(fields, table).encode()
 
 
 def test_evaluate_proportional_and_csv(tmp_path, capsys):
@@ -450,7 +518,7 @@ def test_perfbench_tracer_patches_names_that_exist(tmp_path):
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH")]))
-    argv = ["evaluate", str(REFERENCE), "--alloc", "proportional", "--phi", "--out", str(tmp_path / "rep.json")]
+    argv = ["solve", str(REFERENCE), "--out", str(tmp_path / "rep.json")]
     proc = subprocess.run(
         [sys.executable, "-c", script, *argv], capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path
     )

@@ -19,6 +19,7 @@ from sliceforge import (
     inner_gradient,
     inner_objective,
     load_model,
+    loss_groups,
     maximize_surrogate,
     offered_vector,
     solve_fixed_point,
@@ -28,6 +29,7 @@ from sliceforge import (
 import sliceforge.outer
 from sliceforge.cli import _resolve_alloc
 from sliceforge.inner import FIXED_POINT_EVALS, _projected_newton
+from sliceforge.loss import utilization_measure
 
 from conftest import flat_pair, random_small_instance, single_entity, symmetric_pair
 
@@ -220,6 +222,36 @@ def test_phi_equals_modified_objective_on_random_and_demo_models(small_instances
         assert abs(sol.value - q) <= 1e-9 * (1.0 + abs(sol.value))
         checked += 1
     assert checked == len(cases)
+
+
+def _measures_by_inversion(model, caps, state):
+    """The correction's former route: H_j at y_j = -log(1 - B_j) by
+    inverting the log-loss curve there (`utilization_measure`), 0 at zero
+    capacity."""
+    out = np.zeros(model.m)
+    for spec, idx in loss_groups(model):
+        idx = idx[caps[idx] != 0.0]
+        out[idx] = utilization_measure(spec, state.blocking[idx], caps[idx])
+    return out
+
+
+def test_correction_matches_the_inversion_oracle(small_instances):
+    # H read off the fixed point's load agrees with inverting at its
+    # blocking, entity by entity, for every family, and with each case's
+    # first capacity set to 0 as well.
+    kinds, zero = set(), 0
+    for model, alloc in _random_and_demo_cases(small_instances):
+        for caps in (alloc.values, np.concatenate(([0.0], alloc.values[1:]))):
+            at = CapacityAllocation(caps)
+            state = solve_fixed_point(model, at)
+            assert state.converged
+            d = diagnostics(model, at, state)
+            oracle = _measures_by_inversion(model, caps, state)
+            assert np.all(np.abs(d.measures - oracle) <= 1e-13 * np.abs(oracle))
+            assert abs(d.correction - oracle.sum()) <= 1e-13 * abs(oracle.sum())
+            kinds.update(lg.loss.kind for lg in model.logicals)
+            zero += int(np.count_nonzero(caps == 0.0))
+    assert kinds == {"erlang_b", "linear_clip", "exp_overflow"} and zero > 0
 
 
 @given(seed=st.integers(0, 199), scale=st.sampled_from([1.0, 15.0, 50.0]), data=st.data())

@@ -15,6 +15,7 @@ from sliceforge import (
     demand_matrix,
     incidence,
     load_model,
+    loss_groups,
     no_blocking_loads,
     offered_vector,
     serialize_model,
@@ -131,6 +132,14 @@ def test_demand_matrix_and_offered_vector():
     assert np.array_equal(a, np.eye(3))
     assert offered_vector(model).tolist() == [3.0, 1.0, 2.0]
     assert no_blocking_loads(model).tolist() == [3.0, 1.0, 2.0]
+
+
+def test_derived_arrays_are_compiled_once_and_read_only():
+    model = three_potentials()
+    assert demand_matrix(model) is demand_matrix(model)
+    for array in (demand_matrix(model), offered_vector(model), incidence(model), loss_groups(model)[0][1]):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
 
 
 def test_allocation_validation():
