@@ -232,7 +232,7 @@ def _cmd_validate(args) -> int:
         report["ok"] = False
         report["error"] = str(exc)
         _emit(report, args.out)
-        print(f"invalid model: {exc}", file=sys.stderr)
+        print(f"invalid {exc}", file=sys.stderr)  # "invalid model: ..."
         return EXIT_INVALID
     report["ok"] = True
     report["model"] = {

@@ -12,7 +12,11 @@ start rho0_i = sum_r A_ir nu_r or a caller's starting load, and falls
 back to the damped synchronous substitution rho <- rho + d (G(rho) - rho)
 where a Newton step fails its line search.  G is smooth wherever the loss
 families are, and has a unique root for Erlang blocking (Kelly, Adv.
-Appl. Prob. 1986).  The per-flow products, and the flow-pair sums that
+Appl. Prob. 1986).  Where a family's blocking has a kink (linear_clip at
+rho = cap, ``LossFamily.kink_load``), a Newton step that crosses it was
+computed from the near side's Jacobian; a failed step may then land on
+the first kink it crosses instead, so that the next Jacobian is the far
+side's.  The per-flow products, and the flow-pair sums that
 assemble the Jacobian, run over the demand matrix's non-zeros only,
 compiled once per model.  Feasibility of the allocation is not required;
 the system is defined for any C >= 0.
@@ -152,9 +156,24 @@ def solve_fixed_point(
     rho+ = max(rho + t delta, 0) for t = 1, 1/2, 1/4, 1/8, taking the first
     whose ||(rho - G) / (1 + rho)||_2^2 shows an Armijo decrease; if none
     does, or the system is singular, the damped substitution
-    rho + DAMPING (G(rho) - rho) is taken instead.  `iterations` counts
-    evaluations of G, rejected trials included, so `max_iters` bounds the
-    work.
+    rho + DAMPING (G(rho) - rho) is taken instead.
+
+    The kink step: G's Jacobian jumps where a family's blocking has a kink
+    (``LossFamily.kink_load``; linear_clip's at rho_j = C_j), so a step
+    computed on one side can fail its line search on the other, and the
+    damped fallback creeps.  Where the line search fails, the point
+    rho + t_k delta at which the first entity that delta carries across
+    its kink lands exactly on it is taken instead of the damped step,
+    whatever its merit, when t_k is below every trial's t (each trial
+    crossed the kink, so none tried the Newton model on its own side), or
+    when the last damped step crept: it left more than (1 - DAMPING)^2 of
+    the merit, the factor it gives where G is flat.  The landing entity's
+    next Jacobian is the far side's.  Far from the root a damped step
+    still makes headway where a landing can raise the merit for several
+    steps, so other failed steps keep the damped fallback.
+
+    `iterations` counts evaluations of G, rejected trials included, so
+    `max_iters` bounds the work.
 
     Entities whose survival probability 1 - F underflows (capacity 0 under
     full load) are pinned to their no-blocking load with B = 1; every flow
@@ -220,8 +239,25 @@ def _solve(model: NetworkModel, caps: np.ndarray, max_iters: int, start: np.ndar
                 return None
         return delta if np.isfinite(delta).all() else None
 
+    kinks = np.full(m, np.inf)
+    for family, idx in families:
+        kinks[idx] = family.kink_load(caps[idx])
+
+    def kink_landing(point, delta):
+        # the least t > 0 at which delta carries an entity across its kink,
+        # and rho + t delta with that entity exactly on it
+        gap = kinks - point.rho
+        crossing = np.flatnonzero(gap * (gap - delta) < 0.0)
+        if not crossing.size:
+            return None, None
+        ts = gap[crossing] / delta[crossing]
+        first = int(np.argmin(ts))
+        rho = np.maximum(point.rho + ts[first] * delta, 0.0)
+        rho[crossing[first]] = kinks[crossing[first]]
+        return ts[first], rho
+
     point = evaluate(start.copy())
-    iterations = 1
+    iterations, crept = 1, False
     while point.residual > TOL and iterations < max_iters:
         accepted = None
         delta = newton_direction(point)
@@ -236,11 +272,18 @@ def _solve(model: NetworkModel, caps: np.ndarray, max_iters: int, start: np.ndar
                     break
                 if iterations >= max_iters:
                     break
+            if accepted is None and iterations < max_iters:
+                t_kink, landing = kink_landing(point, delta)
+                if landing is not None and (t_kink < t or crept):
+                    accepted, crept = evaluate(landing), False
+                    iterations += 1
         if accepted is None:
             if iterations >= max_iters:
                 break
             accepted = evaluate((1.0 - DAMPING) * point.rho + DAMPING * point.target)
             iterations += 1
+            # where G is flat the damped map cuts the residual by 1 - DAMPING
+            crept = accepted.merit > (1.0 - DAMPING) ** 2 * point.merit
         point = accepted
 
     return LoadState(

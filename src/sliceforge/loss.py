@@ -21,7 +21,6 @@ Derived quantities:
   U(z, cap) for z in [0, y].  ``utilization_terms`` returns H and U
   together from one inversion; all three accept arrays, one entity per
   element, and run as one batched call per family.
-* ``utilization_slope(spec, y, cap, u)``: dU/dy, the curvature of H, given U.
 * ``utilization_measure(spec, B, cap)``: H at the level y = -log(1-B);
   the capacity-cost correction attached to a blocking level B.
 
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import expi, expit, gammaincc, gammaln
+from scipy.special import expi, expit, gammaincc, gammaln, xlogy
 
 __all__ = [
     "LossSpec",
@@ -52,7 +51,6 @@ __all__ = [
     "utilization_measure",
     "utilization_integral",
     "utilization_terms",
-    "utilization_slope",
     "log_loss_ceiling",
     "register_family",
     "get_family",
@@ -211,11 +209,11 @@ class LossFamily:
     Subclasses must implement ``blocking`` and must satisfy the module
     axioms including saturation; the generic inversion, one batched
     bisection over all elements, raises InversionError otherwise.
-    Override ``survival`` where 1 - F loses precision near F = 1, and
-    ``offered_at``, ``utilization``, ``utilization_terms``,
-    ``utilization_slope`` (by default one more inversion) and
+    Override ``survival`` where 1 - F loses precision near F = 1,
+    ``offered_at``, ``utilization``, ``utilization_terms`` and
     ``blocking_slope`` (by default one more ``blocking`` call) when closed
-    forms or array kernels exist.  Register with ``register_family``.
+    forms or array kernels exist, and ``kink_load`` where F has a kink.
+    Register with ``register_family``.
 
     The default ``utilization_terms`` integrates the blocking curve with
     fixed rules, which holds a family to this contract: near s = 0,
@@ -266,12 +264,6 @@ class LossFamily:
         if live.any():
             h[live] = self._integral(y[live], cap[live], rho[live])
         return h, u
-
-    def utilization_slope(self, y, cap, u):
-        """dU/dy for checked 1-D arrays, given U there: a forward difference,
-        floored at 0 since U is nondecreasing."""
-        step = 1e-6 * (1.0 + y)
-        return np.maximum((self.utilization(y + step, cap) - u) / step, 0.0)
 
     def blocking_slope(self, rho, cap, b):
         """dB/drho for checked 1-D arrays, given B there: a forward
@@ -329,7 +321,12 @@ class LossFamily:
     def log_loss_ceiling(self, cap):
         """Largest y this family can be evaluated at before the inversion
         bracket cap would be exceeded; inf when the inverse is analytic."""
-        return math.inf
+        return np.full(cap.size, np.inf)
+
+    def kink_load(self, cap):
+        """The load at which F has a kink, where Newton steps on the fixed
+        point change their Jacobian; inf (none) by default."""
+        return np.full(cap.size, np.inf)
 
 
 # Log-load floor of the Erlang inversion: levels whose rho(y) provably
@@ -385,29 +382,12 @@ class _ErlangB(LossFamily):
         out[pos] = b[pos] * _erlang_headroom(rho[pos], cap[pos], b[pos]) / rho[pos]
         return out
 
-    def utilization_slope(self, y, cap, u):
-        # e^-y (drho/dy - rho) with drho/dy = rho rest / (cap - rho S) from
-        # Jagerman's dB/drho, where rest = 1/expm1(y) and rho S = U.  U = 0
-        # gives 0.  In saturation cap - U and the final difference keep only
-        # the digits of rho(y), so there the slope is U (S - B H) / (B H)
-        # with H = cap - rho S from _erlang_headroom and the carried-load
-        # slope S - B H = (B sum_k k^2 (cap)_k / rho^k - H^2) / rho.
-        with np.errstate(all="ignore"):  # rho overflows past any ceiling
-            slope = u / (np.expm1(y) * (cap - u)) - u
-            rho = u * np.exp(y)
-            live = (u > 0.0) & (cap > u)
-            series = _saturated(rho, cap)  # so U > 0 there
-            if series.any():
-                rs, cs, b = rho[series], cap[series], -np.expm1(-y[series])
-                h = _erlang_headroom(rs, cs, b)
-                slope[series] = u[series] * (b * _erlang_series(rs, cs, 2) - h * h) / (rs * b * h)
-                live[series] = h > 0.0
-        return np.where(live, np.maximum(slope, 0.0), 0.0)
-
     def log_loss_ceiling(self, cap):
         # Carried load <= cap gives rho(y) <= cap * e^y; keeping that under
-        # 1e10 leaves a 100x margin inside the 1e12 bracket cap.
-        return max(1e-3, math.log(1e10 / max(cap, 1e-10)))
+        # 1e10 leaves a 100x margin inside the 1e12 bracket cap.  xlogy(1, z)
+        # is libm's log(z), as math.log is; numpy's vectorised log can
+        # differ from it in the last bit.
+        return np.maximum(1e-3, xlogy(1.0, 1e10 / np.maximum(cap, 1e-10)))
 
 
 _SERIES_CHUNK = np.arange(16.0)  # asymptotic-series terms per vectorised step
@@ -611,6 +591,9 @@ class _LinearClip(LossFamily):
     def utilization_terms(self, y, cap):
         return np.where(y > 0.0, cap * y, 0.0), cap.copy()
 
+    def kink_load(self, cap):
+        return cap.copy()  # B = 0 up to rho = cap, (rho - cap) / rho past it
+
     def blocking_slope(self, rho, cap, b):
         # cap / rho^2 above the kink at rho = cap, 0 on the plateau below
         out = np.zeros(rho.size)
@@ -660,12 +643,6 @@ class _ExpOverflow(LossFamily):
         pos = b > 0.0
         out[pos] = b[pos] * (cap[pos] / rho[pos]) / rho[pos]
         return out
-
-    def utilization_slope(self, y, cap, u):
-        # rho = -cap / log(1 - e^-y) gives dU/dy = U (rho / (cap expm1(y)) - 1)
-        with np.errstate(all="ignore"):
-            slope = u * (-1.0 / (_log1mexp(y) * np.expm1(y)) - 1.0)
-        return np.where(u > 0.0, np.maximum(slope, 0.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -744,14 +721,6 @@ def utilization_terms(spec: LossSpec, y, cap):
     return _finish(h, shape), _finish(np.asarray(u, dtype=float), shape)
 
 
-def utilization_slope(spec: LossSpec, y, cap, u=None):
-    """dU/dy at (y, cap), floored at 0; `u`, U there, saves an inversion."""
-    ys, cs, shape = _levels(y, cap, spec.kind)
-    family = get_family(spec.kind)
-    us = family.utilization(ys, cs) if u is None else np.broadcast_to(u, shape).reshape(-1)
-    return _finish(family.utilization_slope(ys, cs, np.asarray(us, dtype=float)), shape)
-
-
 def utilization_integral(spec: LossSpec, y, cap):
     """Integral of U(z, cap) over [0, y].  Accepts scalars or broadcastable
     numpy arrays."""
@@ -768,6 +737,8 @@ def utilization_measure(spec: LossSpec, blocking_prob, cap):
     return _finish(get_family(spec.kind).utilization_terms(ys, cs)[0], shape)
 
 
-def log_loss_ceiling(spec: LossSpec, cap: float) -> float:
-    """Safe upper bound on y for this family and capacity (inf if analytic)."""
-    return get_family(spec.kind).log_loss_ceiling(cap)
+def log_loss_ceiling(spec: LossSpec, cap):
+    """Safe upper bound on y for this family and capacity (inf if analytic).
+    Accepts a scalar or a numpy array of capacities."""
+    cs = np.asarray(cap, dtype=float)
+    return _finish(get_family(spec.kind).log_loss_ceiling(cs.reshape(-1)), cs.shape)

@@ -41,7 +41,11 @@ __all__ = [
 
 
 class ModelError(ValueError):
-    """Malformed or invalid model document; the message names the culprit."""
+    """Malformed or invalid model document; the message names the culprit
+    and starts with the layer, ``model: ``, as other layers' errors do."""
+
+    def __init__(self, message: str):
+        super().__init__(f"model: {message}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +104,9 @@ def _check_id(value, what):
 
 def _validate(model: NetworkModel) -> None:
     if len(model.physicals) < 1:
-        raise ModelError("model needs at least one physical entity")
+        raise ModelError("needs at least one physical entity")
     if len(model.logicals) < 1:
-        raise ModelError("model needs at least one logical entity")
+        raise ModelError("needs at least one logical entity")
 
     ctypes = {}
     for p in model.physicals:

@@ -198,8 +198,7 @@ def supergradient(
     hi = caps + h
     grad = np.zeros(model.m)
     for spec, idx in loss_groups(model):
-        ceiling = np.array([log_loss_ceiling(spec, float(c)) for c in hi[idx]])
-        y = np.minimum(inner.log_loss[idx], ceiling)
+        y = np.minimum(inner.log_loss[idx], log_loss_ceiling(spec, hi[idx]))
         both = utilization_integral(spec, np.concatenate([y, y]), np.concatenate([hi[idx], lo[idx]]))
         grad[idx] = (both[: idx.size] - both[idx.size :]) / (hi[idx] - lo[idx])
     return grad

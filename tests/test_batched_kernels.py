@@ -14,6 +14,7 @@ from sliceforge import CapacityAllocation, LossSpec, utilization, utilization_in
 from sliceforge.loss import get_family
 
 from conftest import single_entity, symmetric_pair
+from inner_oracle import projected_newton
 
 loss_module = importlib.import_module("sliceforge.loss")
 ERLANG = LossSpec("erlang_b")
@@ -162,7 +163,7 @@ def test_gradient_reuses_the_objective_inversion(monkeypatch):
     monkeypatch.setattr(family, "offered_at", offered)
     monkeypatch.setattr(inner, "inner_objective", objective)
     monkeypatch.setattr(inner, "inner_gradient", gradient)
-    sol = inner._projected_newton(symmetric_pair(), CapacityAllocation(np.array([4.0, 6.0])))
+    sol = projected_newton(symmetric_pair(), CapacityAllocation(np.array([4.0, 6.0])))
     assert sol.converged and sol.iterations > 0
     # one batched inversion per objective evaluation, none for the gradients
     # (the Hessian's reading of U at 1e-12 for coordinates at y = 0 is its own)

@@ -19,9 +19,10 @@ from sliceforge import (
     utilization_terms,
 )
 from sliceforge.inner import Y_CAP
-from sliceforge.loss import LossFamily, _erlang_headroom, get_family, utilization_slope
+from sliceforge.loss import LossFamily, _erlang_headroom, get_family
 
 from conftest import erlang_recursion
+from inner_oracle import utilization_slope
 from quad_oracle import oracle_measure
 
 ERLANG = LossSpec("erlang_b")
@@ -206,6 +207,16 @@ def test_ceiling_is_usable():
     assert math.isfinite(ceil) and ceil > 0.0
     # just below the ceiling the inversion still works
     assert utilization(ERLANG, 0.99 * ceil, 5.0) >= 0.0
+
+
+def test_ceiling_of_a_capacity_array_is_the_scalar_formula_bit_for_bit():
+    caps = np.array([0.0, 1e-12, 0.3, 5.0, 1e9])
+    want = [max(1e-3, math.log(1e10 / max(c, 1e-10))) for c in caps.tolist()]
+    assert log_loss_ceiling(ERLANG, caps).tolist() == want
+    assert [log_loss_ceiling(ERLANG, c) for c in caps.tolist()] == want
+    assert log_loss_ceiling(ERLANG, caps.reshape(5, 1)).shape == (5, 1)
+    for spec in (LINEAR, EXP):
+        assert np.isinf(log_loss_ceiling(spec, caps)).all()
 
 
 @pytest.mark.parametrize("spec", ALL, ids=lambda spec: spec.kind)

@@ -79,7 +79,7 @@ def test_document_order_is_preserved():
 def test_validation_errors_name_the_offender(mutate, message):
     doc = json.loads(json.dumps(MINIMAL))
     mutate(doc)
-    with pytest.raises(ModelError, match=message):
+    with pytest.raises(ModelError, match=f"^model: {message}"):
         load_model(json.dumps(doc))
 
 
