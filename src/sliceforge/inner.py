@@ -51,6 +51,11 @@ class InnerSolution:
     grad_norm: float
     iterations: int
     converged: bool
+    # rho_j(y_j, C_j), the offered load at which entity j's log-loss is
+    # y_j: the fixed point's rho*_j where y_j is its level, else U_j e^(y_j)
+    # from the inversion that gives H_j there (0 at zero capacity).
+    # `outer.supergradient` reads dH_j/dC off it without inverting.
+    load: np.ndarray = field(repr=False)
 
 
 def _check_y(model: NetworkModel, y: np.ndarray) -> np.ndarray:
@@ -221,6 +226,7 @@ def _surrogate_at(
             idx = idx[y[idx] < level[idx]]
         if idx.size:
             h[idx], u[idx] = utilization_terms(spec, y[idx], caps[idx])
+    load = np.where(y == level, state.offered, u * np.exp(y))
     # H_j and U_j vanish at zero capacity, so lowering such a y_j below
     # the box end moves only the flow term.
     if y0 is not None:
@@ -232,4 +238,6 @@ def _surrogate_at(
     flow = np.exp(-(demands.T @ y))
     value = float(nu @ flow) + float(h.sum())
     grad_norm = float(np.linalg.norm(_projected_gradient(u - demands @ (nu * flow), y, hi)))
-    return InnerSolution(log_loss=y, value=value, grad_norm=grad_norm, iterations=0, converged=state.converged)
+    return InnerSolution(
+        log_loss=y, value=value, grad_norm=grad_norm, iterations=0, converged=state.converged, load=load
+    )

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import expi, expit, gammaincc, gammaln, xlogy
+from scipy.special import exp1, expi, expit, gammaincc, gammaln, xlogy
 
 __all__ = [
     "LossSpec",
@@ -58,14 +58,16 @@ __all__ = [
 ]
 
 RHO_BRACKET_CAP = 1e12
-# Log-loss spread at which the generic bisection stops.  Tight, because the
-# inversion runs inside optimization loops whose finite differences divide
-# by steps ~1e-6 and would otherwise amplify inversion noise past the
-# gradient checks.
+# Log-loss spread at which the generic bisection stops.  Tight, so that a
+# custom family's U and H keep the digits that central differences of them
+# (the inner gradient checks) divide by steps ~1e-6.
 INVERSION_TOL = 1e-13
 INVERSION_MAX_ITERS = 200
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny  # least normal load the inversion probes
+# Capacity step of the default capacity_slope: max(_FD_STEP_FLOOR, _FD_STEP_REL * cap)
+_FD_STEP_FLOOR = 1e-4
+_FD_STEP_REL = 1e-6
 
 
 class LossDomainError(ValueError):
@@ -210,10 +212,11 @@ class LossFamily:
     axioms including saturation; the generic inversion, one batched
     bisection over all elements, raises InversionError otherwise.
     Override ``survival`` where 1 - F loses precision near F = 1,
-    ``offered_at``, ``utilization``, ``utilization_terms`` and
-    ``blocking_slope`` (by default one more ``blocking`` call) when closed
-    forms or array kernels exist, and ``kink_load`` where F has a kink.
-    Register with ``register_family``.
+    ``offered_at``, ``utilization``, ``utilization_terms``,
+    ``blocking_slope`` (by default one more ``blocking`` call) and
+    ``capacity_slope`` (by default a difference of the H quadrature) when
+    closed forms or array kernels exist, and ``kink_load`` where F has a
+    kink.  Register with ``register_family``.
 
     The default ``utilization_terms`` integrates the blocking curve with
     fixed rules, which holds a family to this contract: near s = 0,
@@ -270,6 +273,33 @@ class LossFamily:
         difference, floored at 0 since B is nondecreasing."""
         step = 1e-6 * (1.0 + rho)
         return np.maximum((self.blocking(rho + step, cap) - b) / step, 0.0)
+
+    def capacity_slope(self, y, cap, rho):
+        """dH/dcap at fixed y, given rho = rho(y, cap); 0 at y = 0, where H
+        vanishes for every cap.
+
+        With B = 1 - e^(-y) fixed, H = rho B - Int_0^rho B(s, cap) ds and
+        the rho B terms cancel, so dH/dcap = -d/dcap Int_0^rho B(s, cap) ds
+        at fixed rho.  At cap > 0 this is a central difference of
+        ``_integral`` over [max(0, cap - h), cap + h] with
+        h = max(_FD_STEP_FLOOR, _FD_STEP_REL cap), which inverts nothing.
+        At cap = 0 it is the capped one-sided secant H(y_c, h) / h at
+        y_c = min(y, ceiling(h)), from one inversion: a rule, not a
+        derivative, since the slope there can be +inf.
+        """
+        out = np.zeros(y.size)
+        live = (y > 0.0) & (cap > 0.0) & (rho > 0.0)
+        if live.any():
+            c, r = cap[live], rho[live]
+            step = np.maximum(_FD_STEP_FLOOR, _FD_STEP_REL * c)
+            lo, hi = np.maximum(0.0, c - step), c + step
+            both = self._integral(np.tile(y[live], 2), np.concatenate((hi, lo)), np.tile(r, 2))
+            out[live] = (both[: c.size] - both[c.size :]) / (hi - lo)
+        zero = (y > 0.0) & (cap == 0.0)
+        if zero.any():
+            step = np.full(int(zero.sum()), _FD_STEP_FLOOR)
+            out[zero] = self.utilization_terms(np.minimum(y[zero], self.log_loss_ceiling(step)), step)[0] / step
+        return out
 
     def _integral(self, y, cap, rho):
         b0 = np.maximum(1.0, cap)
@@ -382,6 +412,18 @@ class _ErlangB(LossFamily):
         out[pos] = b[pos] * _erlang_headroom(rho[pos], cap[pos], b[pos]) / rho[pos]
         return out
 
+    def capacity_slope(self, y, cap, rho):
+        # The default difference at cap > 0.  At cap = 0 its capped secant
+        # would invert at rho ~ 1e10 and integrate a cap = 1e-4 cusp; its
+        # h -> 0 limit (_erlang_zero_capacity_slope) costs neither.
+        out = np.empty(y.size)
+        zero = cap == 0.0
+        out[~zero] = super().capacity_slope(y[~zero], cap[~zero], rho[~zero])
+        if zero.any():
+            ceiling = self.log_loss_ceiling(np.array([_FD_STEP_FLOOR]))
+            out[zero] = _erlang_zero_capacity_slope(np.minimum(y[zero], ceiling))
+        return out
+
     def log_loss_ceiling(self, cap):
         # Carried load <= cap gives rho(y) <= cap * e^y; keeping that under
         # 1e10 leaves a 100x margin inside the 1e12 bracket cap.  xlogy(1, z)
@@ -468,7 +510,10 @@ def _erlang_log_rest(rho, cap):
         log_rest[direct] = rd - cd * np.log(rd) + gammaln(cd + 1.0) + log_q
         series = ~np.isfinite(log_rest) | series
     if series.any():
-        log_rest[series] = np.log(_erlang_series(rho[series], cap[series]))
+        # the series' first term cap / rho underflows at a subnormal cap:
+        # rest = 0, so B = 1
+        with np.errstate(divide="ignore"):
+            log_rest[series] = np.log(_erlang_series(rho[series], cap[series]))
     return log_rest
 
 
@@ -565,6 +610,66 @@ def _erlang_invert(y, cap):
     return rho
 
 
+def _scaled_exp1(x):
+    """e^x E1(x) for flat x > 0: scipy's exp1 below 50, above it the
+    asymptotic series sum_k (-1)^k k! / x^(k+1), whose 20 terms leave
+    3e-16 relative there."""
+    out = np.empty(x.size)
+    near = x < 50.0
+    out[near] = np.exp(x[near]) * exp1(x[near])
+    far = x[~near, None]
+    out[~near] = (1.0 + np.cumprod(-np.arange(1.0, 20.0) / far, axis=1).sum(axis=1)) / far[:, 0]
+    return out
+
+
+def _erlang_zero_capacity_slope(y):
+    """The capped secant H(y, h) / h of erlang_b at cap = 0, h =
+    _FD_STEP_FLOOR, in its h -> 0 limit, for flat y >= 0 (already capped).
+
+    d(1/B)/dcap = e^s E1(s) at cap = 0 (Jagerman's integral), so the
+    survival is S(s, cap) = cap e^s E1(s) + O(cap^2).  At S = e^(-y) the load
+    solves e^rho E1(rho) = t = e^(-y) / h, and H / h tends to
+    Int_0^rho (1 - s e^s E1(s)) ds = log rho + gamma + (1 - rho) t.  The
+    secant differs from the limit by O(h): 4e-6 relative at the Erlang
+    ceiling, where t = 1e-10 and the limit is log(1e10) + gamma - 1, and
+    1.3e-4 at y = 9.67, where rho is near 1.
+
+    rho comes from safeguarded Newton in u = log rho on log(e^rho E1(rho) / t),
+    whose slope is rho - 1 / (e^rho E1(rho)), inside the bracket that
+    1 / (rho + 1) < e^rho E1(rho) < min(1 / rho, log(1 + 1 / rho)) and
+    e^rho E1(rho) > log(1 + 2 / rho) / 2 give, padded as in _erlang_invert
+    (at the ceiling the root lies within rounding of its lower end).  It
+    starts from the lower bound 1 / t - 1 where that is positive, else from
+    the low-load form e^rho E1(rho) ~ -gamma - log rho.  The slope is at
+    most rho, so where the bracket's upper end underflows it is 0.
+    """
+    out = np.zeros(y.size)
+    t = np.exp(-y) / _FD_STEP_FLOOR
+    with np.errstate(over="ignore", divide="ignore"):
+        lo = np.log(np.maximum(1.0 / t - 1.0, 2.0 / np.expm1(2.0 * t)))
+        hi = np.log(np.minimum(1.0 / t, 1.0 / np.expm1(t)))
+    live = (y > 0.0) & (hi > _LOG_RHO_MIN)
+    t, hi = t[live], hi[live]
+    lo = np.maximum(lo[live], _LOG_RHO_MIN)
+    pad = 1e-9 * (1.0 + np.abs(lo) + np.abs(hi))
+    lo, hi = lo - pad, hi + pad
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.clip(np.where(t < 1.0, np.log(1.0 / t - 1.0), -np.euler_gamma - t), lo, hi)
+    for _ in range(_NEWTON_MAX_ITERS):
+        f = _scaled_exp1(np.exp(u))
+        g = np.log(f / t)
+        lo, hi = np.where(g > 0.0, u, lo), np.where(g < 0.0, u, hi)
+        step = g / (np.exp(u) - 1.0 / f)
+        if np.all(np.abs(step) <= 4.0 * _EPS * np.maximum(1.0, np.abs(u))):
+            break
+        nxt = u - step
+        u = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+    # Where rho is small the terms cancel to O(rho), which leaves an
+    # absolute error of a few ulps of log rho: no price that matters.
+    out[live] = np.maximum(u + np.euler_gamma + (1.0 - np.exp(u)) * t, 0.0)
+    return out
+
+
 class _LinearClip(LossFamily):
     """B = max(0, (rho - cap)/rho): lossless below cap, overflow above."""
 
@@ -593,6 +698,18 @@ class _LinearClip(LossFamily):
 
     def kink_load(self, cap):
         return cap.copy()  # B = 0 up to rho = cap, (rho - cap) / rho past it
+
+    def capacity_slope(self, y, cap, rho):
+        # H = cap y, so the slope is y: log(rho / cap) above the kink, 0 on
+        # the plateau below it.  It is taken as the difference of that H
+        # over the default step's [max(0, cap - h), cap + h], which is y up
+        # to a few ulps, because Frank-Wolfe's zigzag across flat_pair's
+        # kink follows those ulps: with y itself it reaches probes whose
+        # capacities lie 3.5e-9 apart, where the warm-started fixed point
+        # does not converge (test_flat_pair_probes_converge_without_creeping).
+        step = np.maximum(_FD_STEP_FLOOR, _FD_STEP_REL * cap)
+        lo, hi = np.maximum(0.0, cap - step), cap + step
+        return (hi * y - lo * y) / (hi - lo)
 
     def blocking_slope(self, rho, cap, b):
         # cap / rho^2 above the kink at rho = cap, 0 on the plateau below
@@ -635,6 +752,13 @@ class _ExpOverflow(LossFamily):
         live = (y > 0.0) & (cap > 0.0)
         h[live] = -cap[live] * expi(_log1mexp(y[live]))
         return h, self.utilization(y, cap)
+
+    def capacity_slope(self, y, cap, rho):
+        # H is linear in cap at fixed y: -Ei(log(1 - e^(-y))), which is E1(cap / rho)
+        out = np.zeros(y.size)
+        live = y > 0.0
+        out[live] = -expi(_log1mexp(y[live]))
+        return out
 
     def blocking_slope(self, rho, cap, b):
         # B cap / rho^2, and 0 where B = 0 (rho = 0, or cap / rho past

@@ -1,11 +1,13 @@
 """Outer capacity optimization: Frank-Wolfe over a capacity polytope.
 
-The surrogate phi(C) is concave, so each iteration solves the linear
-program max_s <g, s> over the polytope at a supergradient g, giving both
-a step direction and the duality gap <g, s - C>, which upper-bounds the
-suboptimality of the current iterate.  The step zeroes the slope of phi
-along s - C (the gap at C).  The LP solver is a dense tableau simplex
-with Bland's rule, deliberately deterministic.
+Each iteration solves the linear program max_s <g, s> over the polytope
+at a supergradient g of the surrogate phi(C), giving both a step
+direction and the duality gap <g, s - C>.  Where phi is concave and g a
+true supergradient (every C_j > 0; see `supergradient`), the gap
+upper-bounds the suboptimality of the current iterate.  g is read off
+the inner solution's fixed-point load, with no inversion.  The step
+zeroes the slope of phi along s - C (the gap at C).  The LP solver is a
+dense tableau simplex with Bland's rule, deliberately deterministic.
 
 The reconfigurable variant relaxes the budgeted 0/1 physical activations
 P to [0, 1].  phi ignores P, and P = S^T C is the least activation an
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .inner import InnerSolution, surrogate
-from .loss import log_loss_ceiling, utilization_integral
+from .loss import get_family
+from .loss import log_loss_ceiling, utilization_integral  # noqa: F401  (perfbench/tracer.py wraps them under this module)
 from .model import CapacityAllocation, NetworkModel, incidence, loss_groups
 
 __all__ = [
@@ -92,9 +95,6 @@ MAX_ITERS = 500  # Frank-Wolfe iterations per solve unless maximize_surrogate is
 GAP_TOL = 1e-5  # converged once the duality gap is within GAP_TOL * (1 + |phi|)
 LINE_SEARCH_EVALS = 40  # surrogate solves a step may spend
 LINE_SEARCH_TOL = 1e-6  # relative stop of the step's slope search (see _slope_search)
-# Supergradient central-difference step: max(_FD_STEP_FLOOR, _FD_STEP_REL * C_j)
-_FD_STEP_FLOOR = 1e-4
-_FD_STEP_REL = 1e-6
 
 
 def lp_solve(objective: np.ndarray, polytope: Polytope) -> tuple[np.ndarray, float]:
@@ -184,23 +184,42 @@ def supergradient(
     """Supergradient of phi at an allocation via the inner optimum.
 
     With y* fixed, phi depends on C only through the utilization
-    integrals, so each coordinate is a central finite difference of
-    H_j(y*_j, .) with the loss variable clipped to the ceiling of the
-    upper capacity (the ceiling shrinks as capacity grows).
+    integrals, so by the envelope theorem g_j = dH_j/dC at fixed y*_j.
+    B is fixed with y, so the rho B terms of H cancel and this is
+    -d/dC Int_0^rho B(s, C_j) ds at fixed rho = rho_j(y*_j, C_j), the load
+    the inner solution carries (`InnerSolution.load`).  That is the fixed
+    point's rho*_j except at entities clipped below their level at
+    positive capacity (B rounding to 1, or past the log-loss ceiling),
+    where it is the load `surrogate` already inverted for their H_j.
+    Nothing is inverted here.  Each family group takes one
+    `LossFamily.capacity_slope` call: y for linear_clip and E1(C / rho)
+    for exp_overflow, a central difference of the H quadrature at fixed
+    rho with step max(1e-4, 1e-6 C_j) for erlang_b and custom families.
+
+    At C_j = 0 the closed-family slopes are +inf wherever load is
+    offered, and the LP needs finite prices.  There g_j is a capped
+    one-sided secant H_j(y_c, h) / h with h = 1e-4 and y_c = y*_j capped at
+    the Erlang ceiling of h: y_c for linear_clip, -Ei(log(1 - e^(-y_c)))
+    for exp_overflow, its h -> 0 limit for erlang_b, and one inversion
+    for custom families.  It is a rule, not a supergradient, so the
+    Frank-Wolfe gap bounds phi* - phi only at iterates with every C_j > 0,
+    and only where phi is concave there (it need not be where an erlang_b
+    capacity on a shared flow is below 1; see README).
     """
     caps = np.asarray(alloc.values, dtype=float)
     if caps.size != model.m:
         raise ValueError(f"outer: allocation length {caps.size} != m={model.m}")
     if inner is None:
         inner = surrogate(model, alloc)
-    h = np.maximum(_FD_STEP_FLOOR, _FD_STEP_REL * caps)
-    lo = np.maximum(0.0, caps - h)
-    hi = caps + h
     grad = np.zeros(model.m)
     for spec, idx in loss_groups(model):
-        y = np.minimum(inner.log_loss[idx], log_loss_ceiling(spec, hi[idx]))
-        both = utilization_integral(spec, np.concatenate([y, y]), np.concatenate([hi[idx], lo[idx]]))
-        grad[idx] = (both[: idx.size] - both[idx.size :]) / (hi[idx] - lo[idx])
+        grad[idx] = get_family(spec.kind).capacity_slope(inner.log_loss[idx], caps[idx], inner.load[idx])
+        bad = idx[~np.isfinite(grad[idx])]
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(
+                f"outer: {spec.kind} capacity slope at entity '{model.logicals[j].id}' is {grad[j]}, not finite"
+            )
     return grad
 
 

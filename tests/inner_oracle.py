@@ -265,4 +265,12 @@ def projected_newton(model, alloc, warm_start=None, max_iters=5000):
         y, value = accepted
         iterations += 1
 
-    return InnerSolution(log_loss=y, value=value, grad_norm=grad_norm, iterations=iterations, converged=converged)
+    # No fixed point, so no load to carry: not an input for `supergradient`.
+    return InnerSolution(
+        log_loss=y,
+        value=value,
+        grad_norm=grad_norm,
+        iterations=iterations,
+        converged=converged,
+        load=np.full(model.m, np.nan),
+    )

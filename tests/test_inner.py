@@ -28,6 +28,7 @@ from sliceforge import (
 
 import sliceforge.outer
 from sliceforge.cli import _resolve_alloc
+from sliceforge.inner import TOL
 from sliceforge.loss import utilization_measure
 
 from conftest import flat_pair, random_small_instance, single_entity, symmetric_pair
@@ -268,11 +269,35 @@ def test_fixed_point_phi_matches_projected_newton(seed, scale, data):
     moved = data.draw(st.lists(st.floats(0.0, 2.0), min_size=model.m, max_size=model.m))
     nearby = CapacityAllocation(alloc.values * np.array(moved))
     warm = surrogate(model, nearby).log_loss
+    # The oracle starts cold: warm-started, it can stop above the minimum
+    # (test_warm_probe_matches_the_cold_oracle_minimum).
+    oracle = projected_newton(model, alloc)
+    assert oracle.converged
     for warm_start in (None, warm):
         sol = surrogate(model, alloc, warm_start=warm_start)
-        oracle = projected_newton(model, alloc, warm_start=warm_start)
-        assert sol.converged and oracle.converged
+        assert sol.converged
         assert abs(sol.value - oracle.value) <= 1e-9 * (1.0 + abs(oracle.value))
+
+
+def test_warm_probe_matches_the_cold_oracle_minimum():
+    # A Frank-Wolfe probe of a 20-iteration solve of seed 27.  Warm-started
+    # projected Newton stops "converged" here 2.6e-6 (1 + phi) above the
+    # minimum, with the linear_clip l1 (C = 0) and the erlang_b l2 (C =
+    # 0.0016, on its cusp) sharing the load.  The fixed point reads phi at
+    # the minimum, cold or warm; warm, the zero-capacity l1 whose flows
+    # carried nothing at the start keeps the least level at which they pass
+    # at most inner.TOL (1 + phi) (`_least_levels`), which lifts phi by
+    # 5e-9 (1 + phi), within that documented bound.
+    model, _ = random_small_instance(27)
+    alloc = CapacityAllocation([5.2749, 0.0, 0.0016377, 0.66258])
+    warm = np.array([2.7e-4, 0.0, 46.05, 0.0])
+    oracle = projected_newton(model, alloc)
+    scale = 1.0 + abs(oracle.value)
+    assert oracle.converged
+    cold, lifted = surrogate(model, alloc), surrogate(model, alloc, warm_start=warm)
+    assert cold.converged and lifted.converged
+    assert abs(cold.value - oracle.value) <= 1e-9 * scale
+    assert -1e-9 * scale <= lifted.value - oracle.value <= TOL * scale
 
 
 def test_cold_solve_counts(small_instances, monkeypatch):

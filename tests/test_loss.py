@@ -285,6 +285,31 @@ class _GenericErlang(LossFamily):
         return get_family("erlang_b").survival(rho, cap)
 
 
+def test_default_capacity_slope_matches_shipped_families():
+    # The default dH/dcap: a difference of the H quadrature at fixed load
+    # at cap > 0, the capped secant H(y_c, 1e-4) / 1e-4 from one inversion
+    # at cap = 0.  exp_overflow's closed forms hold it to the quadrature's
+    # accuracy (3e-7 at cap = 0.4: e^(-cap/s) is not the s^cap head the
+    # default rules are built for); erlang_b shares the difference, and its
+    # zero-capacity limit lies within the secant's O(h) term, which stays
+    # near 0.8 h = 8e-5 absolute (4e-6 relative at the ceiling).
+    # (Custom families have no log-loss ceiling, so their secant's load at
+    # cap 1e-4 leaves the inversion bracket past y = 15 for exp_overflow's
+    # curve and past y = 36 for erlang_b's.)
+    levels = {EXP: [0.0, 0.01, 0.3, 1.0, 3.0, 8.0, 15.0], ERLANG: [0.0, 0.01, 0.3, 1.0, 3.0, 8.0, 15.0, 25.0, 32.0]}
+    for generic, shipped in ((_GenericExpOverflow(), EXP), (_GenericErlang(), ERLANG)):
+        y, cap = (a.ravel() for a in np.meshgrid(levels[shipped], [0.0, 0.4, 1.5, 11.0]))
+        family = get_family(shipped.kind)
+        y = np.minimum(y, family.log_loss_ceiling(cap))
+        rho = family.offered_at(y, cap)
+        ref = family.capacity_slope(y, cap, rho)
+        got = generic.capacity_slope(y, cap, rho)
+        assert np.all(got[y == 0.0] == 0.0)
+        positive = cap > 0.0
+        assert got[positive] == pytest.approx(ref[positive], rel=1e-6, abs=1e-300)
+        assert got[~positive] == pytest.approx(ref[~positive], rel=0.0, abs=1e-4)
+
+
 def test_default_utilization_terms_match_shipped_families():
     # The default route (bisection inversion, then fixed rules over the
     # blocking curve) must reproduce the shipped closed form and Newton
