@@ -188,8 +188,14 @@ def solve_fixed_point(
         raise ValueError(f"fixedpoint: allocation length {caps.size} != m={m}")
     if start is not None:
         start = np.asarray(start, dtype=float)
-        if start.shape != (m,) or not np.all(np.isfinite(start)) or np.any(start < 0.0):
+        if start.shape != (m,):
             raise ValueError(f"fixedpoint: start must be {m} finite non-negative loads")
+        bad = np.flatnonzero(~(np.isfinite(start) & (start >= 0.0)))
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(
+                f"fixedpoint: start load at entity '{model.logicals[j].id}' is {start[j]}, not finite and non-negative"
+            )
     return _solve(model, caps, max_iters, start)
 
 

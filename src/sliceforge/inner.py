@@ -62,8 +62,10 @@ def _check_y(model: NetworkModel, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (model.m,):
         raise ValueError(f"inner: log-loss vector must have shape ({model.m},)")
-    if not np.all(np.isfinite(y)) or np.any(y < 0.0):
-        raise ValueError("inner: log-loss vector must be finite and non-negative")
+    bad = np.flatnonzero(~(np.isfinite(y) & (y >= 0.0)))
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(f"inner: log-loss at entity '{model.logicals[j].id}' is {y[j]}, not finite and non-negative")
     return y
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import exp1, expi, expit, gammaincc, gammaln, xlogy
+from scipy.special import expi, expit, gammaincc, gammaln, xlogy
 
 __all__ = [
     "LossSpec",
@@ -283,11 +283,11 @@ class LossFamily:
         at fixed rho.  At cap > 0 this is a central difference of
         ``_integral`` over [max(0, cap - h), cap + h] with
         h = max(_FD_STEP_FLOOR, _FD_STEP_REL cap), which inverts nothing.
-        At cap = 0 it is the capped one-sided secant H(y_c, h) / h at
-        y_c = min(y, ceiling(h)), from one inversion: a rule, not a
-        derivative, since the slope there can be +inf.
+        At cap = 0 it is y, a rule rather than a derivative: the slope of
+        the bound H(y, cap) <= cap y, which holds wherever carried load U is
+        at most cap, so y bounds every secant H(y, h) / h from above.
         """
-        out = np.zeros(y.size)
+        out = np.where(cap == 0.0, y, 0.0)
         live = (y > 0.0) & (cap > 0.0) & (rho > 0.0)
         if live.any():
             c, r = cap[live], rho[live]
@@ -295,10 +295,6 @@ class LossFamily:
             lo, hi = np.maximum(0.0, c - step), c + step
             both = self._integral(np.tile(y[live], 2), np.concatenate((hi, lo)), np.tile(r, 2))
             out[live] = (both[: c.size] - both[c.size :]) / (hi - lo)
-        zero = (y > 0.0) & (cap == 0.0)
-        if zero.any():
-            step = np.full(int(zero.sum()), _FD_STEP_FLOOR)
-            out[zero] = self.utilization_terms(np.minimum(y[zero], self.log_loss_ceiling(step)), step)[0] / step
         return out
 
     def _integral(self, y, cap, rho):
@@ -410,18 +406,6 @@ class _ErlangB(LossFamily):
         out = np.zeros(rho.size)
         pos = rho > 0.0
         out[pos] = b[pos] * _erlang_headroom(rho[pos], cap[pos], b[pos]) / rho[pos]
-        return out
-
-    def capacity_slope(self, y, cap, rho):
-        # The default difference at cap > 0.  At cap = 0 its capped secant
-        # would invert at rho ~ 1e10 and integrate a cap = 1e-4 cusp; its
-        # h -> 0 limit (_erlang_zero_capacity_slope) costs neither.
-        out = np.empty(y.size)
-        zero = cap == 0.0
-        out[~zero] = super().capacity_slope(y[~zero], cap[~zero], rho[~zero])
-        if zero.any():
-            ceiling = self.log_loss_ceiling(np.array([_FD_STEP_FLOOR]))
-            out[zero] = _erlang_zero_capacity_slope(np.minimum(y[zero], ceiling))
         return out
 
     def log_loss_ceiling(self, cap):
@@ -608,66 +592,6 @@ def _erlang_invert(y, cap):
     if (rho > RHO_BRACKET_CAP).any():
         raise InversionError(f"loss: erlang_b offered load above {RHO_BRACKET_CAP:g} at this log-loss level")
     return rho
-
-
-def _scaled_exp1(x):
-    """e^x E1(x) for flat x > 0: scipy's exp1 below 50, above it the
-    asymptotic series sum_k (-1)^k k! / x^(k+1), whose 20 terms leave
-    3e-16 relative there."""
-    out = np.empty(x.size)
-    near = x < 50.0
-    out[near] = np.exp(x[near]) * exp1(x[near])
-    far = x[~near, None]
-    out[~near] = (1.0 + np.cumprod(-np.arange(1.0, 20.0) / far, axis=1).sum(axis=1)) / far[:, 0]
-    return out
-
-
-def _erlang_zero_capacity_slope(y):
-    """The capped secant H(y, h) / h of erlang_b at cap = 0, h =
-    _FD_STEP_FLOOR, in its h -> 0 limit, for flat y >= 0 (already capped).
-
-    d(1/B)/dcap = e^s E1(s) at cap = 0 (Jagerman's integral), so the
-    survival is S(s, cap) = cap e^s E1(s) + O(cap^2).  At S = e^(-y) the load
-    solves e^rho E1(rho) = t = e^(-y) / h, and H / h tends to
-    Int_0^rho (1 - s e^s E1(s)) ds = log rho + gamma + (1 - rho) t.  The
-    secant differs from the limit by O(h): 4e-6 relative at the Erlang
-    ceiling, where t = 1e-10 and the limit is log(1e10) + gamma - 1, and
-    1.3e-4 at y = 9.67, where rho is near 1.
-
-    rho comes from safeguarded Newton in u = log rho on log(e^rho E1(rho) / t),
-    whose slope is rho - 1 / (e^rho E1(rho)), inside the bracket that
-    1 / (rho + 1) < e^rho E1(rho) < min(1 / rho, log(1 + 1 / rho)) and
-    e^rho E1(rho) > log(1 + 2 / rho) / 2 give, padded as in _erlang_invert
-    (at the ceiling the root lies within rounding of its lower end).  It
-    starts from the lower bound 1 / t - 1 where that is positive, else from
-    the low-load form e^rho E1(rho) ~ -gamma - log rho.  The slope is at
-    most rho, so where the bracket's upper end underflows it is 0.
-    """
-    out = np.zeros(y.size)
-    t = np.exp(-y) / _FD_STEP_FLOOR
-    with np.errstate(over="ignore", divide="ignore"):
-        lo = np.log(np.maximum(1.0 / t - 1.0, 2.0 / np.expm1(2.0 * t)))
-        hi = np.log(np.minimum(1.0 / t, 1.0 / np.expm1(t)))
-    live = (y > 0.0) & (hi > _LOG_RHO_MIN)
-    t, hi = t[live], hi[live]
-    lo = np.maximum(lo[live], _LOG_RHO_MIN)
-    pad = 1e-9 * (1.0 + np.abs(lo) + np.abs(hi))
-    lo, hi = lo - pad, hi + pad
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = np.clip(np.where(t < 1.0, np.log(1.0 / t - 1.0), -np.euler_gamma - t), lo, hi)
-    for _ in range(_NEWTON_MAX_ITERS):
-        f = _scaled_exp1(np.exp(u))
-        g = np.log(f / t)
-        lo, hi = np.where(g > 0.0, u, lo), np.where(g < 0.0, u, hi)
-        step = g / (np.exp(u) - 1.0 / f)
-        if np.all(np.abs(step) <= 4.0 * _EPS * np.maximum(1.0, np.abs(u))):
-            break
-        nxt = u - step
-        u = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-    # Where rho is small the terms cancel to O(rho), which leaves an
-    # absolute error of a few ulps of log rho: no price that matters.
-    out[live] = np.maximum(u + np.euler_gamma + (1.0 - np.exp(u)) * t, 0.0)
-    return out
 
 
 class _LinearClip(LossFamily):

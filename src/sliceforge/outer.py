@@ -196,12 +196,12 @@ def supergradient(
     for exp_overflow, a central difference of the H quadrature at fixed
     rho with step max(1e-4, 1e-6 C_j) for erlang_b and custom families.
 
-    At C_j = 0 the closed-family slopes are +inf wherever load is
-    offered, and the LP needs finite prices.  There g_j is a capped
-    one-sided secant H_j(y_c, h) / h with h = 1e-4 and y_c = y*_j capped at
-    the Erlang ceiling of h: y_c for linear_clip, -Ei(log(1 - e^(-y_c)))
-    for exp_overflow, its h -> 0 limit for erlang_b, and one inversion
-    for custom families.  It is a rule, not a supergradient, so the
+    At C_j = 0 phi's slope can be +inf wherever load is offered (y*_j
+    grows without bound as C_j -> 0), and the LP needs finite prices.
+    There g_j = y*_j for every family but exp_overflow, whose E1(C / rho)
+    is exact and finite since its H is linear in C: y*_j is the slope of
+    the bound H_j(y, C) <= C y, which holds wherever carried load is at
+    most capacity.  It is a rule, not a supergradient, so the
     Frank-Wolfe gap bounds phi* - phi only at iterates with every C_j > 0,
     and only where phi is concave there (it need not be where an erlang_b
     capacity on a shared flow is below 1; see README).

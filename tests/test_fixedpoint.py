@@ -198,9 +198,12 @@ def test_start_at_the_solution_converges_at_once(small_instances):
         assert warm.converged and warm.iterations == 1
         assert warm.blocking == pytest.approx(cold.blocking, abs=1e-12)
     model = single_entity(1.0)
-    for start in ([1.0, 1.0], [-1.0], [math.inf]):
-        with pytest.raises(ValueError, match=r"^fixedpoint: start must be 1 finite non-negative loads$"):
-            solve_fixed_point(model, CapacityAllocation([1.0]), start=np.array(start))
+    with pytest.raises(ValueError, match=r"^fixedpoint: start must be 1 finite non-negative loads$"):
+        solve_fixed_point(model, CapacityAllocation([1.0]), start=np.array([1.0, 1.0]))
+    for start in (-1.0, math.inf):
+        message = rf"^fixedpoint: start load at entity 'l' is {start}, not finite and non-negative$"
+        with pytest.raises(ValueError, match=message):
+            solve_fixed_point(model, CapacityAllocation([1.0]), start=np.array([start]))
 
 
 def _scaled(model, factor):

@@ -579,5 +579,5 @@ def test_errors_name_the_layer():
         surrogate(model, CapacityAllocation([2.0, 2.0]))
     with pytest.raises(ValueError, match=r"^inner: log-loss vector must have shape \(1,\)$"):
         inner_objective(model, alloc, np.zeros(2))
-    with pytest.raises(ValueError, match=r"^inner: log-loss vector must be finite and non-negative$"):
+    with pytest.raises(ValueError, match=r"^inner: log-loss at entity 'l' is -1.0, not finite and non-negative$"):
         inner_gradient(model, alloc, np.array([-1.0]))

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sliceforge import (
     CapacityAllocation,
@@ -42,6 +44,39 @@ def test_round_trip_is_identity():
     for model in (load_model(json.dumps(MINIMAL)), symmetric_pair(), three_potentials()):
         again = load_model(serialize_model(model))
         assert again == model
+
+
+_IDS = st.text(min_size=1, max_size=6)
+_AMOUNTS = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def _models(draw):
+    """Valid models with random ids, capacity types, capacities, members,
+    the shipped loss kinds and flows with integer demands."""
+    ctypes = draw(st.lists(_IDS, min_size=1, max_size=3, unique=True))
+    physicals = tuple(
+        PhysicalEntity(pid, draw(st.sampled_from(ctypes)), draw(_AMOUNTS))
+        for pid in draw(st.lists(_IDS, min_size=1, max_size=5, unique=True))
+    )
+    logicals = []
+    for lid in draw(st.lists(_IDS, min_size=1, max_size=5, unique=True)):
+        ctype = draw(st.sampled_from([p.ctype for p in physicals]))
+        pool = [p.id for p in physicals if p.ctype == ctype]
+        members = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+        kind = draw(st.sampled_from(["erlang_b", "linear_clip", "exp_overflow"]))
+        logicals.append(LogicalEntity(lid, tuple(members), LossSpec(kind)))
+    lids = [lg.id for lg in logicals]
+    flows = tuple(
+        Flow(fid, draw(_AMOUNTS), draw(st.dictionaries(st.sampled_from(lids), st.integers(1, 50), min_size=1)))
+        for fid in draw(st.lists(_IDS, max_size=4, unique=True))
+    )
+    return NetworkModel(physicals=physicals, logicals=tuple(logicals), flows=flows)
+
+
+@given(_models())
+def test_round_trip_is_identity_on_generated_models(model):
+    assert load_model(serialize_model(model)) == model
 
 
 def test_document_order_is_preserved():

@@ -29,11 +29,20 @@ from sliceforge import (
     surrogate,
 )
 from sliceforge.fixedpoint import TOL as FIXED_POINT_TOL
-from sliceforge.loss import _FD_STEP_FLOOR, _FD_STEP_REL, get_family, log_loss_ceiling, utilization_integral
+from sliceforge.inner import Y_CAP as INNER_Y_CAP
+from sliceforge.loss import (
+    _FD_STEP_FLOOR,
+    _FD_STEP_REL,
+    get_family,
+    log_loss_ceiling,
+    register_family,
+    utilization_integral,
+)
 from sliceforge.model import loss_groups
-from sliceforge.outer import LINE_SEARCH_EVALS, LINE_SEARCH_TOL, _slope_search
+from sliceforge.outer import GAP_TOL, LINE_SEARCH_EVALS, LINE_SEARCH_TOL, _slope_search
 
 from conftest import flat_pair, random_small_instance, single_entity, symmetric_pair, three_potentials
+from test_loss import _GenericErlang, _GenericExpOverflow
 
 MODELS = Path(__file__).resolve().parent.parent / "demos" / "models"
 DEMOS = ("reference_2x3", "symmetric_pair", "three_potentials")
@@ -147,7 +156,7 @@ def _inverting_supergradient(model, caps, log_loss, scale=1.0):
     fixed point's load: per coordinate a central difference of H_j(y_j, .)
     over [max(0, C - h), C + h] with h = scale * max(_FD_STEP_FLOOR,
     _FD_STEP_REL * C), both ends inverted, and y_j clipped to the log-loss
-    ceiling of C + h.  At C = 0 that is the secant H(y_c, h) / h."""
+    ceiling of C + h."""
     h = scale * np.maximum(_FD_STEP_FLOOR, _FD_STEP_REL * caps)
     lo, hi = np.maximum(0.0, caps - h), caps + h
     grad = np.zeros(model.m)
@@ -161,9 +170,7 @@ def _inverting_supergradient(model, caps, log_loss, scale=1.0):
 def _check_against_the_inverting_route(model, caps, sol):
     g = supergradient(model, CapacityAllocation(caps), inner=sol)
     ref = _inverting_supergradient(model, caps, sol.log_loss)
-    # The same route at h / 2; at C = 0 with y_c + log 2, which keeps
-    # t = e^(-y_c) / h fixed (and the ceiling clip, which moves by log 2).
-    half = _inverting_supergradient(model, caps, sol.log_loss + np.where(caps == 0.0, math.log(2.0), 0.0), 0.5)
+    half = _inverting_supergradient(model, caps, sol.log_loss, 0.5)
     erlang = np.array([lg.loss.kind == "erlang_b" for lg in model.logicals])
     err = np.abs(g - ref)
     # Closed families: H is linear in C at fixed y, so the difference is
@@ -178,23 +185,19 @@ def _check_against_the_inverting_route(model, caps, sol):
     # Prices below 1e-15 are rounding noise.
     own = 2.0 * np.abs(ref - half)
     assert np.all((err <= 1e-7 * np.abs(ref) + own + 1e-15)[erlang & (caps > 0.0)])
-    # C = 0: the library returns the secant's h -> 0 limit at fixed t, the
-    # secant's own Richardson extrapolation 2 D(h/2) - D(h).  At the ceiling
-    # clip (every zero capacity under load in the demos) the secant is
-    # within 4e-6 of it; at a lower y_c its O(h) term is larger (1.3e-4 at
-    # y_c = 9.67 on seed 163).  Below a price of about 1e-12 the limit
-    # keeps only absolute digits (see _erlang_zero_capacity_slope).
+    # C = 0: the price is the level itself, whether the level sits at the
+    # box end (B = 1 under load) or was lifted to the least level at which
+    # the entity passes almost nothing (inner._least_levels).
     zero = erlang & (caps == 0.0)
-    limit = 2.0 * half - ref
-    assert np.all((np.abs(g - limit) <= 1e-6 * np.abs(limit) + 1e-12)[zero])
-    clipped = zero & (sol.log_loss >= log_loss_ceiling(LossSpec("erlang_b"), _FD_STEP_FLOOR))
-    assert np.all((err <= 1e-5 * np.abs(ref))[clipped])
-    return int(np.count_nonzero(erlang & (caps > 0.0))), int(np.count_nonzero(zero)), int(np.count_nonzero(clipped))
+    assert np.array_equal(g[zero], sol.log_loss[zero])
+    box_end = zero & (sol.log_loss == np.minimum(log_loss_ceiling(LossSpec("erlang_b"), 0.0), INNER_Y_CAP))
+    lifted = zero & ~box_end
+    return int(np.count_nonzero(erlang & (caps > 0.0))), int(np.count_nonzero(box_end)), int(np.count_nonzero(lifted))
 
 
 def _checked_probes(monkeypatch, counts):
     """Check every supergradient Frank-Wolfe reads against the inverting
-    route; `counts` collects (positive Erlang, zero Erlang, clipped) sizes."""
+    route; `counts` collects (positive, box-end zero, lifted zero) Erlang sizes."""
     library = sliceforge.outer.supergradient
 
     def checked(model, alloc, inner=None):
@@ -210,8 +213,8 @@ def test_supergradient_matches_the_inverting_route_on_demo_probes(monkeypatch):
     for name in DEMOS:
         maximize_surrogate(demo_model(name))
     solve_reconfig(ReconfigProblem(demo_model("three_potentials"), 2.0))
-    positive, zero, clipped = np.sum(counts, axis=0)
-    assert len(counts) == 14 and positive > 0 and zero == clipped > 0
+    positive, box_end, lifted = np.sum(counts, axis=0)
+    assert len(counts) == 14 and positive > 0 and box_end > lifted == 0
 
 
 def test_supergradient_matches_the_inverting_route_on_random_iterates(monkeypatch):
@@ -220,8 +223,8 @@ def test_supergradient_matches_the_inverting_route_on_random_iterates(monkeypatc
     for seed in range(1, 200, 10):  # seed 141 is among them
         model, _ = random_small_instance(seed)
         maximize_surrogate(model, max_iters=12)
-    positive, zero, clipped = np.sum(counts, axis=0)
-    assert positive > 100 and zero > clipped > 0
+    positive, box_end, lifted = np.sum(counts, axis=0)
+    assert positive > 100 and box_end > 0 and lifted > 0
 
 
 def test_supergradient_matches_the_inverting_route_at_a_ladder_iterate(ladder_model):
@@ -254,22 +257,6 @@ def test_capacity_slope_beats_the_inverting_difference_at_small_capacity(cap, y)
     assert abs(library - exact) <= abs(inverting - exact)
 
 
-def test_erlang_zero_capacity_slope_is_the_secant_limit():
-    # H(y_c, h) / h along t = e^(-y_c) / h fixed converges to the closed
-    # form linearly in h; at the ceiling clip it is log(1e10) + gamma - 1.
-    erlang = LossSpec("erlang_b")
-    family = get_family("erlang_b")
-    for y in (9.6689574837605, 18.0, float(log_loss_ceiling(erlang, _FD_STEP_FLOOR))):
-        t = math.exp(-y) / _FD_STEP_FLOOR
-        limit = family.capacity_slope(np.array([y]), np.zeros(1), np.zeros(1))[0]
-        for step in (1e-5, 1e-6):
-            secant = utilization_integral(erlang, -math.log(t * step), step) / step
-            assert abs(secant - limit) <= 2.0 * step * abs(limit)
-    at_clip = family.capacity_slope(np.array([40.0]), np.zeros(1), np.zeros(1))[0]
-    assert at_clip == pytest.approx(math.log(1e10) + np.euler_gamma - 1.0, rel=1e-9)
-    assert family.capacity_slope(np.zeros(1), np.zeros(1), np.zeros(1))[0] == 0.0
-
-
 def _supergradient_slack(g, caps, other, phi_other):
     """What the inequality may miss by: the difference's error (1e-7 of each
     |g_j (C'_j - C_j)|, the bound the oracle checks hold it to) plus the fixed
@@ -290,7 +277,7 @@ def _supergradient_excess(model, caps, other):
 )
 def test_supergradient_inequality(source, data):
     # phi(C') <= phi(C) + <g, C' - C> is what makes the Frank-Wolfe gap a
-    # bound.  Every C_j > 0: at C_j = 0 g_j is a capped secant, not a
+    # bound.  Every C_j > 0: at C_j = 0 g_j is the level y_j, a rule, not a
     # supergradient.  On the random models Erlang capacities are drawn at
     # 1 or more: below that phi is not concave on some of them (the xfail
     # case below); the demo models hold across their whole capacity box.
@@ -478,6 +465,28 @@ def test_frank_wolfe_converges_past_zero_capacity_kinks(seed, floor):
     _, trace = maximize_surrogate(model)
     assert trace.converged
     assert trace.final_value >= floor
+
+
+def _with_kind(model, kind):
+    logicals = tuple(dataclasses.replace(lg, loss=LossSpec(kind)) for lg in model.logicals)
+    return NetworkModel(physicals=model.physicals, logicals=logicals, flows=model.flows)
+
+
+@pytest.mark.parametrize("name", ["reference_2x3", "symmetric_pair"])
+def test_custom_families_solve(name):
+    # A family that brings only blocking and survival takes every default
+    # route, the zero-capacity price included, which must invert nothing:
+    # at a small capacity such a family's load leaves the inversion
+    # bracket.  The generic Erlang family solves as erlang_b does.
+    model = demo_model(name)
+    shipped, shipped_trace = maximize_surrogate(model)
+    for generic in (_GenericErlang(), _GenericExpOverflow()):
+        register_family(generic)
+        alloc, trace = maximize_surrogate(_with_kind(model, generic.name))
+        assert trace.converged
+        if isinstance(generic, _GenericErlang):
+            assert alloc.values == pytest.approx(shipped.values, rel=0.0, abs=GAP_TOL)
+            assert trace.final_value == pytest.approx(shipped_trace.final_value, rel=GAP_TOL, abs=0.0)
 
 
 @pytest.mark.parametrize("name", ["reference_2x3", "three_potentials"])
