@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .loss import LossFamily, get_family, loss
+from .loss import get_family, log_loss_ceiling, loss
 from .loss import utilization_measure  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .model import CapacityAllocation, NetworkModel, _compiled, demand_matrix, loss_groups, offered_vector
 
@@ -44,6 +44,9 @@ __all__ = [
 SURVIVAL_UNDERFLOW = 1e-300
 TOL = 1e-9  # residual max_i |rho_i - G_i| / (1 + rho_i) at which the solve stops
 DAMPING = 0.5  # d in the damped map rho + d (G(rho) - rho), the fallback step
+# Hard cap on the surrogate's log-loss coordinates: exp(-50) ~ 2e-22 leaves
+# the flow term numerically dead, so nothing is lost by stopping there.
+Y_CAP = 50.0
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,8 @@ class Diagnostics:
 
     modified_objective = carried_total + correction, where correction is
     the sum of `measures`, the per-entity H_j at y_j = -log(1 - B_j) that
-    phi at the state reuses; correction_bound is the summed per-entity
-    blocked load, which the correction never exceeds.
+    phi at the state reuses (`_utilization_measures`); correction_bound is
+    the summed per-entity blocked load, which the correction never exceeds.
     """
 
     carried_total: float
@@ -136,6 +139,27 @@ def _model_flows(model: NetworkModel):
     """`_flow_entries` of the model's demand matrix and their `_flow_pairs`."""
     entries = _flow_entries(demand_matrix(model))
     return entries, _flow_pairs(entries)
+
+
+def _load_map(model: NetworkModel, survival: np.ndarray, rho0: np.ndarray):
+    """G from the survivals S = 1 - B: the load rho = (A w) / S whose blocking
+    is 1 - S, w_r = nu_r prod_j S_j^A_jr being the carried load per flow, and
+    `rho0` where S underflows (pinned).  Returns rho, w and the pinned mask."""
+    weights = offered_vector(model) * _flow_survival(survival, _model_flows(model)[0])
+    raw = demand_matrix(model) @ weights
+    pinned = survival < SURVIVAL_UNDERFLOW
+    rho = rho0.copy()
+    rho[~pinned] = raw[~pinned] / survival[~pinned]
+    return rho, weights, pinned
+
+
+def _box_upper(model: NetworkModel, caps: np.ndarray) -> np.ndarray:
+    """The surrogate's log-loss box ends min(Y_CAP, ``log_loss_ceiling``):
+    the ceiling keeps Erlang inversions off their non-saturating regime."""
+    hi = np.empty(caps.size)
+    for spec, idx in loss_groups(model):
+        hi[idx] = log_loss_ceiling(spec, caps[idx])
+    return np.minimum(hi, Y_CAP)
 
 
 def solve_fixed_point(
@@ -202,9 +226,9 @@ def solve_fixed_point(
 def _solve(model: NetworkModel, caps: np.ndarray, max_iters: int, start: np.ndarray | None = None) -> LoadState:
     """`solve_fixed_point` without its argument checks."""
     m = caps.size
-    demands, nu, groups = demand_matrix(model), offered_vector(model), loss_groups(model)
-    entries, (pair_row, pair_col, pair_demand, pair_flow) = _model_flows(model)
-    rho0 = demands @ nu
+    groups = loss_groups(model)
+    pair_row, pair_col, pair_demand, pair_flow = _model_flows(model)[1]
+    rho0 = demand_matrix(model) @ offered_vector(model)
     families = [(get_family(spec.kind), idx) for spec, idx in groups]
     if start is None:
         start = rho0
@@ -212,12 +236,7 @@ def _solve(model: NetworkModel, caps: np.ndarray, max_iters: int, start: np.ndar
     def evaluate(rho):
         # G(rho) at rho, its residual and merit, and what the Jacobian needs
         blocking = _blocking_vector(groups, rho, caps)
-        survival = 1.0 - blocking
-        weights = nu * _flow_survival(survival, entries)
-        raw = demands @ weights
-        pinned = survival < SURVIVAL_UNDERFLOW
-        target = rho0.copy()
-        target[~pinned] = raw[~pinned] / survival[~pinned]
+        target, weights, pinned = _load_map(model, 1.0 - blocking, rho0)
         scaled = (rho - target) / (1.0 + rho)
         return _Point(rho, target, float(np.max(np.abs(scaled))), float(scaled @ scaled), blocking, weights, pinned)
 
@@ -308,23 +327,24 @@ def carried_total(model: NetworkModel, state: LoadState) -> float:
 
 
 def _utilization_measures(model: NetworkModel, caps: np.ndarray, state: LoadState) -> np.ndarray:
-    """H_j at y_j = -log(1 - B_j), read off the state's load rho_j with no
-    inversion: rho B(rho) - Int_0^rho B (``LossFamily._integral``) for
-    families with the default ``utilization_terms``, their closed form for
-    the others.  0 at zero capacity and where rho_j or B_j is 0; +inf
-    where B_j rounds to 1 at a positive capacity, since U tends to C_j."""
+    """H_j at y_j = -log(1 - B_j), read off the state's load rho_j by each
+    family's ``integral_at_load``, with no inversion; 0 at zero capacity
+    and where rho_j or B_j is 0.  Where B_j rounds to 1 at a positive
+    capacity, y_j is infinite and so is H_j (U tends to C_j): there H_j
+    is taken at the box end (`_box_upper`), by inverting, as phi takes it
+    (`inner._surrogate_at`)."""
     h = np.zeros(model.m)
     with np.errstate(divide="ignore"):
         level = -np.log1p(-state.blocking)
+    saturated = np.isinf(level) & (caps > 0.0)
+    hi = _box_upper(model, caps) if saturated.any() else None
     for spec, idx in loss_groups(model):
         family = get_family(spec.kind)
-        idx = idx[(caps[idx] > 0.0) & (state.offered[idx] > 0.0) & (level[idx] > 0.0)]
-        h[idx] = np.inf
-        idx = idx[np.isfinite(level[idx])]
-        if type(family).utilization_terms is LossFamily.utilization_terms:
-            h[idx] = family._integral(level[idx], caps[idx], state.offered[idx])
-        else:
-            h[idx] = family.utilization_terms(level[idx], caps[idx])[0]
+        ends = idx[saturated[idx]]
+        if ends.size:
+            h[ends] = family.utilization_terms(hi[ends], caps[ends])[0]
+        idx = idx[(caps[idx] > 0.0) & (state.offered[idx] > 0.0) & (level[idx] > 0.0) & ~saturated[idx]]
+        h[idx] = family.integral_at_load(level[idx], caps[idx], state.offered[idx])
     return h
 
 

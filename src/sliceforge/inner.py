@@ -22,9 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fixedpoint import LoadState, _flow_survival, _model_flows, _solve, _utilization_measures
-from .loss import LossFamily, get_family, log_loss_ceiling, utilization, utilization_integral, utilization_terms
-from .model import CapacityAllocation, NetworkModel, demand_matrix, loss_groups, offered_vector
+from .fixedpoint import LoadState, _box_upper, _load_map, _solve, _utilization_measures
+from .loss import log_loss_ceiling  # noqa: F401  (perfbench/tracer.py wraps it under this module)
+from .loss import utilization, utilization_integral, utilization_terms
+from .model import CapacityAllocation, NetworkModel, demand_matrix, loss_groups, no_blocking_loads, offered_vector
 
 __all__ = [
     "InnerSolution",
@@ -33,9 +34,6 @@ __all__ = [
     "surrogate",
 ]
 
-# Hard cap on any log-loss coordinate: exp(-50) ~ 2e-22 leaves the flow
-# term numerically dead, so nothing is lost by stopping there.
-Y_CAP = 50.0
 # Load, relative to 1 + |phi|, that a zero-capacity entity held below its
 # box end may still pass: see `_surrogate_at`.
 TOL = 1e-8
@@ -45,9 +43,9 @@ TOL = 1e-8
 class InnerSolution:
     log_loss: np.ndarray = field(repr=False)  # optimal y
     value: float  # phi(C)
-    # Projected-gradient norm at `log_loss`: what the fixed point's
-    # residual leaves of U_j - (A w)_j, plus the load that zero-capacity
-    # entities held below their box end still pass (`_least_levels`).
+    # Projected-gradient norm at `log_loss`: what the fixed point's residual
+    # leaves of U_j - (A w)_j with U_j = rho*_j e^(-y_j), plus the load that
+    # zero-capacity entities held below their box end still pass (`_least_levels`).
     grad_norm: float
     iterations: int
     converged: bool
@@ -69,70 +67,27 @@ def _check_y(model: NetworkModel, y: np.ndarray) -> np.ndarray:
     return y
 
 
-class _Batch:
-    """One allocation's flow arrays and per-family entity groups, so each
-    evaluation runs one batched kernel call per loss family."""
-
-    def __init__(self, model: NetworkModel, alloc: CapacityAllocation):
-        self.caps = np.asarray(alloc.values, dtype=float)
-        self.nu = offered_vector(model)
-        self.demands = demand_matrix(model)
-        self.groups = loss_groups(model)
-
-    def objective(self, y: np.ndarray) -> float:
-        h = np.empty(y.size)
-        for spec, idx in self.groups:
-            h[idx] = utilization_integral(spec, y[idx], self.caps[idx])
-        return float(self.nu @ np.exp(-(self.demands.T @ y))) + float(h.sum())
-
-    def gradient(self, y: np.ndarray) -> np.ndarray:
-        u = np.empty(y.size)
-        for spec, idx in self.groups:
-            u[idx] = utilization(spec, y[idx], self.caps[idx])
-        return u - self.demands @ (self.nu * np.exp(-(self.demands.T @ y)))
-
-
-def inner_objective(
-    model: NetworkModel, alloc: CapacityAllocation, y: np.ndarray, batch: _Batch | None = None
-) -> float:
-    """sum_r nu_r exp(-(A^T y)_r) + sum_j H_j(y_j, C_j).
-
-    `batch` carries the arrays a surrogate call builds once; without it
-    they are built here.
-    """
+def inner_objective(model: NetworkModel, alloc: CapacityAllocation, y: np.ndarray) -> float:
+    """sum_r nu_r exp(-(A^T y)_r) + sum_j H_j(y_j, C_j)."""
     y = _check_y(model, y)
-    return (batch if batch is not None else _Batch(model, alloc)).objective(y)
+    caps, h = np.asarray(alloc.values, dtype=float), np.empty(y.size)
+    for spec, idx in loss_groups(model):
+        h[idx] = utilization_integral(spec, y[idx], caps[idx])
+    return float(offered_vector(model) @ np.exp(-(demand_matrix(model).T @ y))) + float(h.sum())
 
 
-def inner_gradient(
-    model: NetworkModel, alloc: CapacityAllocation, y: np.ndarray, batch: _Batch | None = None
-) -> np.ndarray:
+def inner_gradient(model: NetworkModel, alloc: CapacityAllocation, y: np.ndarray) -> np.ndarray:
     """d/dy_j = -sum_r A_jr nu_r exp(-(A^T y)_r) + U_j(y_j, C_j)."""
     y = _check_y(model, y)
-    return (batch if batch is not None else _Batch(model, alloc)).gradient(y)
-
-
-def _box_upper(model: NetworkModel, caps: np.ndarray) -> np.ndarray:
-    hi = np.empty(caps.size)
+    caps, u = np.asarray(alloc.values, dtype=float), np.empty(y.size)
     for spec, idx in loss_groups(model):
-        hi[idx] = log_loss_ceiling(spec, caps[idx])
-    return np.minimum(hi, Y_CAP)
+        u[idx] = utilization(spec, y[idx], caps[idx])
+    demands = demand_matrix(model)
+    return u - demands @ (offered_vector(model) * np.exp(-(demands.T @ y)))
 
 
 def _projected_gradient(grad: np.ndarray, y: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.where(y <= 0.0, np.minimum(grad, 0.0), np.where(y >= hi, np.maximum(grad, 0.0), grad))
-
-
-def _start_load(model: NetworkModel, survival: np.ndarray) -> np.ndarray:
-    """The load rho = raw / S whose blocking is 1 - S at a fixed point,
-    with raw = A (nu prod_j S_j^A_jr) the carried load through each entity;
-    the no-blocking load where S = 0."""
-    demands, nu = demand_matrix(model), offered_vector(model)
-    raw = demands @ (nu * _flow_survival(survival, _model_flows(model)[0]))
-    rho = demands @ nu
-    live = survival > 0.0
-    rho[live] = raw[live] / survival[live]
-    return rho
 
 
 def _least_levels(demands: np.ndarray, nu: np.ndarray, y: np.ndarray, entities: np.ndarray, tol: float) -> np.ndarray:
@@ -167,10 +122,10 @@ def surrogate(
     `_surrogate_at` evaluates phi.
 
     A warm start y (the optimum at a nearby allocation) starts the fixed
-    point at the load rho = raw / S with S = e^(-y), S = 0 at
-    zero-capacity entities at the box end, and raw = A (nu prod_j
-    S_j^A_jr).  Where a zero capacity makes y* not unique, this keeps the
-    fixed point that y belongs to.
+    point at G's load for the survivals S = e^(-y), S = 0 at zero-capacity
+    entities at the box end (`fixedpoint._load_map`).  Where a zero
+    capacity makes y* not unique, this keeps the fixed point that y
+    belongs to.
 
     `converged` is the fixed point's, `iterations` counts its evaluations
     of G and `max_iters` bounds them.  An unconverged fixed point gives
@@ -187,7 +142,7 @@ def surrogate(
         y0 = np.clip(np.asarray(warm_start, dtype=float), 0.0, hi)
         survival = np.exp(-y0)
         survival[(caps == 0.0) & (y0 >= hi)] = 0.0
-        start = _start_load(model, survival)
+        start = _load_map(model, survival, no_blocking_loads(model))[0]
     state = _solve(model, caps, max_iters, start)
     sol = _surrogate_at(model, alloc, state, _utilization_measures(model, caps, state), y0, hi)
     return dataclasses.replace(sol, iterations=state.iterations)
@@ -200,12 +155,11 @@ def _surrogate_at(
     -log(1 - B_j) (`fixedpoint._utilization_measures`), with no G: 0
     iterations, and `converged` as the state is.
 
-    y is clipped to the search box `hi`, [0, min(Y_CAP, per-entity
-    ceiling)], whose ceiling keeps Erlang inversions off their
-    non-saturating regime; B = 1 (zero capacity under load) lands at the
-    box end, where H and U invert.  Closed forms give H and U at y (U is C
-    on linear_clip's plateau, not rho e^(-y)); phi and the projected
-    gradient are then evaluated once.
+    y is clipped to the search box `hi` (`fixedpoint._box_upper`); B = 1
+    (zero capacity under load) lands at the box end.  Where y_j is its
+    level, H_j comes from `measures` and U_j = rho*_j e^(-y_j); only
+    clipped entities invert, for H and U at the box end.  phi and the
+    projected gradient are then evaluated once.
 
     A zero-capacity entity under load has B = 1 and y* at the box end,
     but phi moves by less than TOL * (1 + |phi|) once the load it would
@@ -224,8 +178,7 @@ def _surrogate_at(
     y = np.minimum(level, hi)
     h, u = measures.copy(), state.offered * np.exp(-y)
     for spec, idx in loss_groups(model):
-        if type(get_family(spec.kind)).utilization_terms is LossFamily.utilization_terms:
-            idx = idx[y[idx] < level[idx]]
+        idx = idx[y[idx] < level[idx]]
         if idx.size:
             h[idx], u[idx] = utilization_terms(spec, y[idx], caps[idx])
     load = np.where(y == level, state.offered, u * np.exp(y))

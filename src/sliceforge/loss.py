@@ -24,10 +24,12 @@ Derived quantities:
 * ``utilization_measure(spec, B, cap)``: H at the level y = -log(1-B);
   the capacity-cost correction attached to a blocking level B.
 
-Every family's H has one numerical route: its own closed form, or else
-the default change of variables to offered load in
-``LossFamily.utilization_terms``.  The adaptive quadrature of U in z
-that checks it lives in the tests.
+Every family's H has one numerical route, its hook
+``LossFamily.integral_at_load``: H at a level given the offered load
+there, by its own closed form or else the default change of variables to
+offered load.  ``utilization_terms`` inverts for that load and calls it;
+the fixed point, which knows its load, calls it directly.  The adaptive
+quadrature of U in z that checks it lives in the tests.
 
 Three families ship here; more can be added with ``register_family``.
 """
@@ -212,17 +214,17 @@ class LossFamily:
     axioms including saturation; the generic inversion, one batched
     bisection over all elements, raises InversionError otherwise.
     Override ``survival`` where 1 - F loses precision near F = 1,
-    ``offered_at``, ``utilization``, ``utilization_terms``,
-    ``blocking_slope`` (by default one more ``blocking`` call) and
-    ``capacity_slope`` (by default a difference of the H quadrature) when
-    closed forms or array kernels exist, and ``kink_load`` where F has a
-    kink.  Register with ``register_family``.
+    ``offered_at``, ``utilization``, ``integral_at_load`` (H at a known
+    load), ``blocking_slope`` (by default one more ``blocking`` call) and
+    ``capacity_slope`` (by default a difference of ``integral_at_load``)
+    when closed forms or array kernels exist, and ``kink_load`` where F
+    has a kink.  Register with ``register_family``.
 
-    The default ``utilization_terms`` integrates the blocking curve with
+    The default ``integral_at_load`` integrates the blocking curve with
     fixed rules, which holds a family to this contract: near s = 0,
     B(s, cap) behaves like s^cap (or is flatter), and B has no kink inside
     [0, rho(y)].  A family whose blocking has a kink there overrides
-    ``utilization_terms``, as linear_clip does (its kink at rho = cap
+    ``integral_at_load``, as linear_clip does (its kink at rho = cap
     would put the default H off by ~1e-3 relative at cap = 0.4).
     """
 
@@ -250,22 +252,15 @@ class LossFamily:
         return self.offered_at(y, cap) * np.exp(-y)
 
     def utilization_terms(self, y, cap):
-        """H(y, cap) and U(y, cap) from one inversion; H(0, cap) = 0 even
-        where rho(0) > 0 (a plateau, or a log-loss that rounds to 0).
-
-        Changing variables z -> rho turns Int_0^y U dz into
-        Int_0^rho S(s) ds - rho e^(-y) = rho B(rho) - Int_0^rho B(s) ds.
-        The head [0, min(rho, max(1, cap))] integrates B, which keeps
-        low-load levels free of cancellation; past it the tail runs in
-        log space, where the carried curve s S(s) flattens in saturation,
-        so deep-saturation levels cost the same fixed rule.
-        """
+        """H(y, cap) and U(y, cap) from one inversion: rho = rho(y, cap),
+        then ``integral_at_load`` there.  H(0, cap) = 0 even where
+        rho(0) > 0 (a plateau, or a log-loss that rounds to 0)."""
         rho = self.offered_at(y, cap)
         u = rho * np.exp(-y)
         h = np.zeros(y.size)
         live = (rho > 0.0) & (y > 0.0)
         if live.any():
-            h[live] = self._integral(y[live], cap[live], rho[live])
+            h[live] = self.integral_at_load(y[live], cap[live], rho[live])
         return h, u
 
     def blocking_slope(self, rho, cap, b):
@@ -281,11 +276,18 @@ class LossFamily:
         With B = 1 - e^(-y) fixed, H = rho B - Int_0^rho B(s, cap) ds and
         the rho B terms cancel, so dH/dcap = -d/dcap Int_0^rho B(s, cap) ds
         at fixed rho.  At cap > 0 this is a central difference of
-        ``_integral`` over [max(0, cap - h), cap + h] with
+        ``integral_at_load`` over [max(0, cap - h), cap + h] with
         h = max(_FD_STEP_FLOOR, _FD_STEP_REL cap), which inverts nothing.
         At cap = 0 it is y, a rule rather than a derivative: the slope of
         the bound H(y, cap) <= cap y, which holds wherever carried load U is
         at most cap, so y bounds every secant H(y, h) / h from above.
+
+        linear_clip's H = cap y would give y itself at cap > 0 too, but
+        it takes this difference, which is y up to a few ulps, because
+        Frank-Wolfe's zigzag across flat_pair's kink follows those ulps:
+        with y itself it reaches probes whose capacities lie 3.5e-9 apart,
+        where the warm-started fixed point does not converge
+        (test_flat_pair_probes_converge_without_creeping).
         """
         out = np.where(cap == 0.0, y, 0.0)
         live = (y > 0.0) & (cap > 0.0) & (rho > 0.0)
@@ -293,11 +295,21 @@ class LossFamily:
             c, r = cap[live], rho[live]
             step = np.maximum(_FD_STEP_FLOOR, _FD_STEP_REL * c)
             lo, hi = np.maximum(0.0, c - step), c + step
-            both = self._integral(np.tile(y[live], 2), np.concatenate((hi, lo)), np.tile(r, 2))
+            both = self.integral_at_load(np.tile(y[live], 2), np.concatenate((hi, lo)), np.tile(r, 2))
             out[live] = (both[: c.size] - both[c.size :]) / (hi - lo)
         return out
 
-    def _integral(self, y, cap, rho):
+    def integral_at_load(self, y, cap, rho):
+        """H(y, cap) given rho = rho(y, cap), for y > 0 and rho > 0; the
+        one place a family's H is formed.
+
+        Changing variables z -> rho turns Int_0^y U dz into
+        Int_0^rho S(s) ds - rho e^(-y) = rho B(rho) - Int_0^rho B(s) ds.
+        The head [0, min(rho, max(1, cap))] integrates B, which keeps
+        low-load levels free of cancellation; past it the tail runs in
+        log space, where the carried curve s S(s) flattens in saturation,
+        so deep-saturation levels cost the same fixed rule.
+        """
         b0 = np.maximum(1.0, cap)
         x = np.minimum(rho, b0)
         head = self._blocking_head(x, cap)
@@ -367,7 +379,7 @@ class _ErlangB(LossFamily):
     1/B = rho * Int_0^inf e^(-rho t) (1+t)^cap dt, which equals
     e^rho * rho^(-cap) * Gamma(cap+1, rho); see _erlang_log_rest for how B
     and 1 - B are evaluated.  offered_at is a batched Newton inversion
-    (_erlang_invert); H and U then come from the default fixed rules.
+    (_erlang_invert); H then comes from the default fixed rules.
     """
 
     name = "erlang_b"
@@ -489,7 +501,9 @@ def _erlang_log_rest(rho, cap):
     direct = ~series
     if direct.any():
         rd, cd = rho[direct], cap[direct]
-        with np.errstate(divide="ignore"):
+        # gammaincc can return 0, or a value below 0 at a subnormal cap;
+        # either log is non-finite and the element takes the series
+        with np.errstate(divide="ignore", invalid="ignore"):
             log_q = np.log(gammaincc(cd, rd))
         log_rest[direct] = rd - cd * np.log(rd) + gammaln(cd + 1.0) + log_q
         series = ~np.isfinite(log_rest) | series
@@ -524,22 +538,24 @@ def _erlang_invert(y, cap):
     log_b = _log1mexp(y)  # log(1 - e^-y) = log B at the root
     lgam = gammaln(cap + 1.0)
     log_cap = np.log(cap)
-    low = (lgam + log_b) / cap
-    lo = np.maximum(low, _LOG_RHO_MIN)
-    big = cap >= 1.0
-    lo[big] = np.maximum(lo[big], log_cap[big] + np.log(np.expm1(y[big])))
-    hi = log_cap + y
-    k = lgam + log_b + 1.0
-    small = k < 0.0
-    hi[small] = np.minimum(hi[small], k[small] / cap[small])
-    with np.errstate(over="ignore", divide="ignore"):
+    # At a subnormal cap the low-load bounds overflow to -inf, and a padded
+    # hi of -inf is NaN: such an element is not live, so rho(y) = 0.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        low = (lgam + log_b) / cap
+        lo = np.maximum(low, _LOG_RHO_MIN)
+        big = cap >= 1.0
+        lo[big] = np.maximum(lo[big], log_cap[big] + np.log(np.expm1(y[big])))
+        hi = log_cap + y
+        k = lgam + log_b + 1.0
+        small = k < 0.0
+        hi[small] = np.minimum(hi[small], k[small] / cap[small])
         saturated = np.log(np.maximum(cap * np.exp(y) - 1.0, 0.0))
-    # The bounds are exact in limits (cap = 1, rho -> 0), where rounding
-    # can put the root a hair outside; a relative pad keeps Newton steps
-    # that land there from being mistaken for escapes.
-    pad = 1e-9 * (1.0 + np.abs(lo) + np.abs(hi))
-    lo, hi = lo - pad, hi + pad
-    u = np.clip(np.maximum(low, saturated), lo, hi)
+        # The bounds are exact in limits (cap = 1, rho -> 0), where rounding
+        # can put the root a hair outside; a relative pad keeps Newton steps
+        # that land there from being mistaken for escapes.
+        pad = 1e-9 * (1.0 + np.abs(lo) + np.abs(hi))
+        lo, hi = lo - pad, hi + pad
+        u = np.clip(np.maximum(low, saturated), lo, hi)
 
     # Working arrays hold the unconverged elements only; a converged
     # element's u is written out and it leaves them.
@@ -617,23 +633,11 @@ class _LinearClip(LossFamily):
     def utilization(self, y, cap):
         return cap.copy()
 
-    def utilization_terms(self, y, cap):
-        return np.where(y > 0.0, cap * y, 0.0), cap.copy()
+    def integral_at_load(self, y, cap, rho):
+        return cap * y  # U = cap at every level
 
     def kink_load(self, cap):
         return cap.copy()  # B = 0 up to rho = cap, (rho - cap) / rho past it
-
-    def capacity_slope(self, y, cap, rho):
-        # H = cap y, so the slope is y: log(rho / cap) above the kink, 0 on
-        # the plateau below it.  It is taken as the difference of that H
-        # over the default step's [max(0, cap - h), cap + h], which is y up
-        # to a few ulps, because Frank-Wolfe's zigzag across flat_pair's
-        # kink follows those ulps: with y itself it reaches probes whose
-        # capacities lie 3.5e-9 apart, where the warm-started fixed point
-        # does not converge (test_flat_pair_probes_converge_without_creeping).
-        step = np.maximum(_FD_STEP_FLOOR, _FD_STEP_REL * cap)
-        lo, hi = np.maximum(0.0, cap - step), cap + step
-        return (hi * y - lo * y) / (hi - lo)
 
     def blocking_slope(self, rho, cap, b):
         # cap / rho^2 above the kink at rho = cap, 0 on the plateau below
@@ -669,13 +673,10 @@ class _ExpOverflow(LossFamily):
         rho[live] = -cap[live] / _log1mexp(y[live])
         return rho
 
-    def utilization_terms(self, y, cap):
+    def integral_at_load(self, y, cap, rho):
         # substituting u = 1 - e^(-z) gives cap * Int_0^B du/(-log u),
         # the logarithmic integral, expressed through Ei.
-        h = np.zeros(y.size)
-        live = (y > 0.0) & (cap > 0.0)
-        h[live] = -cap[live] * expi(_log1mexp(y[live]))
-        return h, self.utilization(y, cap)
+        return -cap * expi(_log1mexp(y))
 
     def capacity_slope(self, y, cap, rho):
         # H is linear in cap at fixed y: -Ei(log(1 - e^(-y))), which is E1(cap / rho)

@@ -192,9 +192,9 @@ def supergradient(
     positive capacity (B rounding to 1, or past the log-loss ceiling),
     where it is the load `surrogate` already inverted for their H_j.
     Nothing is inverted here.  Each family group takes one
-    `LossFamily.capacity_slope` call: y for linear_clip and E1(C / rho)
-    for exp_overflow, a central difference of the H quadrature at fixed
-    rho with step max(1e-4, 1e-6 C_j) for erlang_b and custom families.
+    `LossFamily.capacity_slope` call: E1(C / rho) for exp_overflow, else a
+    central difference of the family's `integral_at_load` at fixed rho with
+    step max(1e-4, 1e-6 C_j) (y to a few ulps for linear_clip's H = C y).
 
     At C_j = 0 phi's slope can be +inf wherever load is offered (y*_j
     grows without bound as C_j -> 0), and the LP needs finite prices.

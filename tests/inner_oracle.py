@@ -9,16 +9,17 @@ with the Newton step taken by preconditioned conjugate gradients on
 Hessian-vector products.  The fixed point is where this problem is
 stationary, so the solver lives here as the oracle that `surrogate` is
 checked against, not in the library.  It evaluates the objective and the
-gradient through `sliceforge.inner.inner_objective` and `inner_gradient`,
-looked up at call time, so tests can count those calls.
+gradient through `NewtonBatch.objective` and `NewtonBatch.gradient`,
+looked up on the class at call time, so tests can patch them to count
+those calls.
 """
 
 import math
 
 import numpy as np
 
-import sliceforge.inner as inner
-from sliceforge.inner import TOL, InnerSolution, _box_upper, _Batch, _projected_gradient
+from sliceforge.fixedpoint import _box_upper
+from sliceforge.inner import TOL, InnerSolution, _projected_gradient
 from sliceforge.loss import (
     InversionError,
     _erlang_headroom,
@@ -31,6 +32,7 @@ from sliceforge.loss import (
     utilization,
     utilization_terms,
 )
+from sliceforge.model import demand_matrix, loss_groups, offered_vector
 
 _TINY = np.finfo(float).tiny
 # A predicted decrease below this much of 1 + |phi| is rounding noise in phi.
@@ -92,15 +94,18 @@ _SLOPES = {
 }
 
 
-class NewtonBatch(_Batch):
-    """`inner._Batch` with what a Newton step reads.  Objective
+class NewtonBatch:
+    """One allocation's arrays and what a Newton step reads.  Objective
     evaluations remember U at every point they visit until the next
     gradient, which then reuses the U of its point instead of inverting
     again; the gradient keeps U, the flow weights nu e^(-A^T y) and itself
     at its point for the Hessian there."""
 
     def __init__(self, model, alloc):
-        super().__init__(model, alloc)
+        self.caps = np.asarray(alloc.values, dtype=float)
+        self.nu = offered_vector(model)
+        self.demands = demand_matrix(model)
+        self.groups = loss_groups(model)
         self.demands_squared = self.demands**2
         self._visited = {}
 
@@ -213,11 +218,11 @@ def projected_newton(model, alloc, warm_start=None, max_iters=5000):
     # flows get through: hi is then the minimizer.
     starved = (caps == 0.0) & (batch.demands @ (batch.nu * np.exp(-(batch.demands.T @ y))) > TOL)
     y[starved] = hi[starved]
-    value = inner.inner_objective(model, alloc, y, batch)
+    value = batch.objective(y)
 
     iterations, converged, grad_norm = 0, False, math.inf
     for _ in range(max_iters):
-        grad = inner.inner_gradient(model, alloc, y, batch)
+        grad = batch.gradient(y)
         grad_norm = float(np.linalg.norm(_projected_gradient(grad, y, hi)))
         if grad_norm <= TOL * (1.0 + abs(value)):
             converged = True
@@ -251,7 +256,7 @@ def projected_newton(model, alloc, warm_start=None, max_iters=5000):
         while alpha >= 1e-14 and accepted is None:
             y_trial = arc(alpha)
             try:
-                trial = inner.inner_objective(model, alloc, y_trial, batch)
+                trial = batch.objective(y_trial)
             except InversionError:
                 trial = math.inf  # step left the evaluable region
             if trial <= value + 1e-4 * float(grad @ (y_trial - y)):

@@ -14,7 +14,7 @@ from sliceforge import CapacityAllocation, LossSpec, utilization, utilization_in
 from sliceforge.loss import get_family
 
 from conftest import single_entity, symmetric_pair
-from inner_oracle import projected_newton
+from inner_oracle import NewtonBatch, projected_newton
 
 loss_module = importlib.import_module("sliceforge.loss")
 ERLANG = LossSpec("erlang_b")
@@ -135,13 +135,11 @@ def test_fixed_point_calls_loss_once_per_family(monkeypatch):
 
 
 def test_gradient_reuses_the_objective_inversion(monkeypatch):
-    from sliceforge import inner
-
     family = get_family("erlang_b")
     inversions = [0]
     objectives = [0, 0]  # calls, inversions inside them
     gradient_inversions = [0]
-    real_offered, real_objective, real_gradient = family.offered_at, inner.inner_objective, inner.inner_gradient
+    real_offered, real_objective, real_gradient = family.offered_at, NewtonBatch.objective, NewtonBatch.gradient
 
     def offered(*args, **kwargs):
         inversions[0] += 1
@@ -161,10 +159,10 @@ def test_gradient_reuses_the_objective_inversion(monkeypatch):
         return grad
 
     monkeypatch.setattr(family, "offered_at", offered)
-    monkeypatch.setattr(inner, "inner_objective", objective)
-    monkeypatch.setattr(inner, "inner_gradient", gradient)
+    monkeypatch.setattr(NewtonBatch, "objective", objective)
+    monkeypatch.setattr(NewtonBatch, "gradient", gradient)
     sol = projected_newton(symmetric_pair(), CapacityAllocation(np.array([4.0, 6.0])))
-    assert sol.converged and sol.iterations > 0
+    assert sol.converged and sol.iterations > 0 and objectives[0] > 0
     # one batched inversion per objective evaluation, none for the gradients
     # (the Hessian's reading of U at 1e-12 for coordinates at y = 0 is its own)
     assert objectives[1] == objectives[0]

@@ -12,6 +12,7 @@ import pytest
 import sliceforge.cli
 from sliceforge import diagnostics, load_model, maximize_surrogate, serialize_model, solve_fixed_point, surrogate
 from sliceforge.cli import _resolve_alloc, run
+from sliceforge.loss import get_family
 from sliceforge.outer import SolveTrace
 
 from conftest import flat_pair, single_entity, symmetric_pair
@@ -145,6 +146,49 @@ def test_evaluate_phi_with_a_starved_entity(tmp_path, capsys, kind):
     assert all(math.isfinite(y) for y in sur["log_loss"])
     assert sur["implied_blocking"][0] == pytest.approx(1.0, abs=1e-15)
     assert sur["value"] == pytest.approx(rep["totals"]["modified_objective"], rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["erlang_b", "exp_overflow", "linear_clip"])
+def test_evaluate_phi_at_a_tiny_positive_capacity(tmp_path, capsys, kind):
+    # At C = 1e-17 under a load of 5, B rounds to 1 at a positive capacity:
+    # the correction takes H at the box end, as phi does, so the totals
+    # stay finite and the report is written.
+    model_path = tmp_path / "m.json"
+    model_path.write_text(serialize_model(single_entity(5.0, kind=kind)))
+    alloc_path = tmp_path / "a.json"
+    alloc_path.write_text("[1e-17]")
+    code, out, err = invoke(capsys, "evaluate", model_path, "--phi", "--alloc", alloc_path)
+    assert code == 0, err
+    rep = report_of(out)
+    assert rep["fixed_point"]["entities"][0]["blocking"] == 1.0
+    assert all(math.isfinite(v) for v in rep["totals"].values())
+    phi = rep["surrogate"]["value"]
+    assert abs(phi - rep["totals"]["modified_objective"]) <= 1e-9 * (1.0 + abs(phi))
+
+
+def test_phi_inverts_only_clipped_entities(tmp_path, capsys, monkeypatch, ladder_model):
+    # surrogate and evaluate --phi take H_j from the fixed point's measures
+    # and U_j = rho*_j e^(-y_j) wherever y_j is its level; on closed_m50_x3
+    # every y_j is, so no family's utilization_terms runs at all.
+    model = ladder_model("closed_m50_x3")
+    alloc = _resolve_alloc("proportional", model)[0]
+    level = -np.log1p(-solve_fixed_point(model, alloc).blocking)
+    elements = []
+    for kind in ("erlang_b", "exp_overflow", "linear_clip"):
+        family = get_family(kind)
+
+        def counting(y, cap, real=family.utilization_terms):
+            elements.append(y.size)
+            return real(y, cap)
+
+        monkeypatch.setattr(family, "utilization_terms", counting)
+    sol = surrogate(model, alloc)
+    assert sol.converged and sol.log_loss.tolist() == level.tolist()
+    model_path = tmp_path / "m.json"
+    model_path.write_text(serialize_model(model))
+    code, _, _ = invoke(capsys, "evaluate", model_path, "--alloc", "proportional", "--phi")
+    assert code == 0
+    assert elements == []
 
 
 def test_unconverged_fixed_point_falls_back_to_the_cold_start(tmp_path, capsys, monkeypatch):

@@ -216,7 +216,11 @@ def test_phi_equals_modified_objective_on_random_and_demo_models(small_instances
     # The surrogate minimum and the fixed point's carried load plus
     # correction are two formulations of one value; with one route for H
     # they agree to the solvers' precision, not a quadrature tolerance.
+    # Each shipped family at capacities so small that B rounds to 1 under
+    # load: there H_j is taken at the box end on both routes.
     cases = _random_and_demo_cases(small_instances)
+    for kind in ("erlang_b", "linear_clip", "exp_overflow"):
+        cases += [(single_entity(5.0, kind=kind), CapacityAllocation([cap])) for cap in (1e-310, 1e-20, 1e-17)]
     checked = 0
     for model, alloc in cases:
         sol = surrogate(model, alloc)
@@ -334,7 +338,7 @@ def test_hessian_vector_product_matches_gradient_differences(seed, data):
     y = np.array(data.draw(st.lists(st.floats(0.05, 3.0), min_size=m, max_size=m)))
     v = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
     batch = NewtonBatch(model, alloc)
-    grad = inner_gradient(model, alloc, y, batch)
+    grad = batch.gradient(y)
     hv = batch.hessian_times(v, batch.hessian_diagonal(y))
     h = 1e-5
     fd = (inner_gradient(model, alloc, y + h * v) - inner_gradient(model, alloc, y - h * v)) / (2 * h)
@@ -465,8 +469,6 @@ def test_every_counted_iteration_lowers_phi(seed, scale, data):
     # rounding floor of phi, where Armijo can accept a step that phi does
     # not show.  Each counted iteration's point gets the next gradient, so
     # phi at the gradient points is phi after each counted iteration.
-    import sliceforge.inner as inner
-
     model, alloc = random_small_instance(seed)
     flows = tuple(Flow(f.id, f.offered * scale, dict(f.demands)) for f in model.flows)
     model = NetworkModel(physicals=model.physicals, logicals=model.logicals, flows=flows)
@@ -474,17 +476,17 @@ def test_every_counted_iteration_lowers_phi(seed, scale, data):
     jitter = data.draw(st.lists(st.floats(-1e-3, 1e-3), min_size=model.m, max_size=model.m))
     warm = projected_newton(model, alloc).log_loss * (1.0 + np.array(jitter))
     seen, path = {}, []
-    real_objective, real_gradient = inner.inner_objective, inner.inner_gradient
+    real_objective, real_gradient = NewtonBatch.objective, NewtonBatch.gradient
 
-    def objective(model, alloc, y, batch=None):
-        seen[y.tobytes()] = value = real_objective(model, alloc, y, batch)
+    def objective(batch, y):
+        seen[y.tobytes()] = value = real_objective(batch, y)
         return value
 
-    def gradient(model, alloc, y, batch=None):
+    def gradient(batch, y):
         path.append(seen[y.tobytes()])
-        return real_gradient(model, alloc, y, batch)
+        return real_gradient(batch, y)
 
-    with mock.patch.object(inner, "inner_objective", objective), mock.patch.object(inner, "inner_gradient", gradient):
+    with mock.patch.object(NewtonBatch, "objective", objective), mock.patch.object(NewtonBatch, "gradient", gradient):
         sol = projected_newton(model, alloc, warm_start=warm)
     assert len(path) == sol.iterations + 1
     assert all(later < earlier for earlier, later in zip(path, path[1:]))

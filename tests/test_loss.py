@@ -1,10 +1,13 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import sliceforge
 from sliceforge import (
     InversionError,
     LossDomainError,
@@ -18,7 +21,7 @@ from sliceforge import (
     utilization_measure,
     utilization_terms,
 )
-from sliceforge.inner import Y_CAP
+from sliceforge.fixedpoint import Y_CAP
 from sliceforge.loss import LossFamily, _erlang_headroom, get_family
 
 from conftest import erlang_recursion
@@ -479,3 +482,72 @@ def test_default_blocking_slope_is_a_forward_difference(cap, ratio):
     fd = (loss(spec, rho + h, cap) - loss(spec, rho - h, cap)) / (2 * h)
     assert slope >= 0.0
     assert slope == pytest.approx(fd, rel=1e-4, abs=1e-300)
+
+
+SHIPPED = ("erlang_b", "linear_clip", "exp_overflow")
+
+
+@st.composite
+def _family_points(draw):
+    """A shipped family, two capacities (0, subnormal to tiny, below 1 or up
+    to 200) in order, two loads from 1e-3 to 1e6 times max(1, cap) in
+    order, and a level from 0 to the box end at the lesser capacity."""
+    kind = draw(st.sampled_from(SHIPPED))
+    caps = st.just(0.0) | st.sampled_from([1e-310, 1e-20, 1e-17]) | st.floats(0.01, 0.99) | st.floats(1.0, 200.0)
+    c1, c2 = sorted((draw(caps), draw(caps)))
+    r1, r2 = sorted(max(1.0, c1) * 10.0 ** draw(st.floats(-3.0, 6.0)) for _ in range(2))
+    y = draw(st.floats(0.0, 1.0)) * min(Y_CAP, log_loss_ceiling(LossSpec(kind), c1))
+    return kind, (c1, c2), (r1, r2), y
+
+
+@given(_family_points())
+def test_shipped_families_keep_the_axioms_and_the_capacity_bound(point):
+    # The module axioms: 0 <= F <= 1, nondecreasing in load, nonincreasing
+    # in capacity (to the 1e-12 of test_axiom_grid), and saturation.  At
+    # rho = rho(y, cap) the hook keeps 0 <= H <= cap y, since carried load
+    # is at most cap: the bound the zero-capacity slope g = y rests on.
+    # The default hook forms H as rho B - Int_0^rho B, so it is held to
+    # that only up to the rounding of rho B (at cap = 1e-20 and y = 46,
+    # rho is ~0.4 and H keeps none of its ~5e-19), and to 1e-290 where
+    # rho(y) lies below the Erlang inversion's 1e-300 load floor, which
+    # it returns in place of rho(y) (H ~ -1e-10 rho there).
+    kind, (c1, c2), (r1, r2), y = point
+    family = get_family(kind)
+    f = family.blocking(np.array([r1, r2, r1]), np.array([c1, c1, c2]))
+    assert np.all((f >= 0.0) & (f <= 1.0))
+    assert f[1] >= f[0] - 1e-12 and f[2] <= f[0] + 1e-12
+    assert family.survival(np.array([1e10 * (1.0 + c1)]), np.array([c1]))[0] <= 1e-9
+    rho = family.offered_at(np.array([y]), np.array([c1]))
+    if y > 0.0 and rho[0] > 0.0:
+        h = family.integral_at_load(np.array([y]), np.array([c1]), rho)[0]
+        slack = 8.0 * np.finfo(float).eps * rho[0] + 1e-290
+        assert -slack <= h <= c1 * y + slack
+
+
+def _names_loss_family(node):
+    return (isinstance(node, ast.Name) and node.id == "LossFamily") or (
+        isinstance(node, ast.Attribute) and node.attr == "LossFamily"
+    )
+
+
+def test_only_the_loss_module_reaches_into_families():
+    # Each family's H has one owner, its integral_at_load hook: outside
+    # loss.py no code touches a LossFamily private or asks which methods a
+    # family overrides, and no shipped family restates its H through
+    # utilization_terms.
+    classes = {LossFamily, *(type(get_family(kind)) for kind in SHIPPED)}
+    private = {name for cls in classes for name in vars(cls) if name.startswith("_") and not name.startswith("__")}
+    assert "_blocking_head" in private
+    found = []
+    for path in sorted(Path(sliceforge.__file__).parent.glob("*.py")):
+        if path.name == "loss.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+            if isinstance(node, ast.Compare) and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops):
+                sides = (node.left, *node.comparators)
+                if any(isinstance(side, ast.Attribute) and _names_loss_family(side.value) for side in sides):
+                    found.append(f"{path.name}:{node.lineno} compares a method with LossFamily's")
+    assert found == []
+    assert [kind for kind in SHIPPED if "utilization_terms" in vars(type(get_family(kind)))] == []

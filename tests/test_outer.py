@@ -29,7 +29,7 @@ from sliceforge import (
     surrogate,
 )
 from sliceforge.fixedpoint import TOL as FIXED_POINT_TOL
-from sliceforge.inner import Y_CAP as INNER_Y_CAP
+from sliceforge.fixedpoint import Y_CAP as INNER_Y_CAP
 from sliceforge.loss import (
     _FD_STEP_FLOOR,
     _FD_STEP_REL,
@@ -246,7 +246,7 @@ def test_capacity_slope_beats_the_inverting_difference_at_small_capacity(cap, y)
     rho = family.offered_at(ys, cs)
 
     def at_load(step):
-        ends = family._integral(np.repeat(ys, 2), np.array([cap + step, cap - step]), np.repeat(rho, 2))
+        ends = family.integral_at_load(np.repeat(ys, 2), np.array([cap + step, cap - step]), np.repeat(rho, 2))
         return (ends[0] - ends[1]) / (2.0 * step)
 
     step = _FD_STEP_FLOOR
