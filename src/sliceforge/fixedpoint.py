@@ -77,10 +77,10 @@ class _Point(NamedTuple):
 class Diagnostics:
     """Carried-load totals and the correction-term bound check inputs.
 
-    modified_objective = carried_total + correction, where correction is
-    the sum of `measures`, the per-entity H_j at y_j = -log(1 - B_j) that
-    phi at the state reuses (`_utilization_measures`); correction_bound is
-    the summed per-entity blocked load, which the correction never exceeds.
+    modified_objective = carried_total + correction, where correction sums
+    `measures`, the H_j at y_j = -log(1 - B_j) clipped to the box end that
+    phi reuses (`_utilization_measures`); correction_bound sums the blocked
+    load per entity, which the correction never exceeds.
     """
 
     carried_total: float
@@ -327,23 +327,22 @@ def carried_total(model: NetworkModel, state: LoadState) -> float:
 
 
 def _utilization_measures(model: NetworkModel, caps: np.ndarray, state: LoadState) -> np.ndarray:
-    """H_j at y_j = -log(1 - B_j), read off the state's load rho_j by each
-    family's ``integral_at_load``, with no inversion; 0 at zero capacity
-    and where rho_j or B_j is 0.  Where B_j rounds to 1 at a positive
-    capacity, y_j is infinite and so is H_j (U tends to C_j): there H_j
-    is taken at the box end (`_box_upper`), by inverting, as phi takes it
-    (`inner._surrogate_at`)."""
+    """H_j at y_j = -log(1 - B_j) clipped to the box end (`_box_upper`),
+    where phi takes it (`inner._surrogate_at`).  Where y_j is its level,
+    each family's ``integral_at_load`` reads H_j off the state's load rho_j
+    with no inversion (0 at zero capacity and where rho_j or B_j is 0);
+    past the box end (B_j may round to 1) H_j is taken there, by inverting."""
     h = np.zeros(model.m)
     with np.errstate(divide="ignore"):
         level = -np.log1p(-state.blocking)
-    saturated = np.isinf(level) & (caps > 0.0)
-    hi = _box_upper(model, caps) if saturated.any() else None
+    hi = _box_upper(model, caps)
+    clipped = level > hi
     for spec, idx in loss_groups(model):
         family = get_family(spec.kind)
-        ends = idx[saturated[idx]]
+        ends = idx[clipped[idx] & (caps[idx] > 0.0)]
         if ends.size:
             h[ends] = family.utilization_terms(hi[ends], caps[ends])[0]
-        idx = idx[(caps[idx] > 0.0) & (state.offered[idx] > 0.0) & (level[idx] > 0.0) & ~saturated[idx]]
+        idx = idx[(caps[idx] > 0.0) & (state.offered[idx] > 0.0) & (level[idx] > 0.0) & ~clipped[idx]]
         h[idx] = family.integral_at_load(level[idx], caps[idx], state.offered[idx])
     return h
 

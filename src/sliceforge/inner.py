@@ -24,7 +24,7 @@ import numpy as np
 
 from .fixedpoint import LoadState, _box_upper, _load_map, _solve, _utilization_measures
 from .loss import log_loss_ceiling  # noqa: F401  (perfbench/tracer.py wraps it under this module)
-from .loss import utilization, utilization_integral, utilization_terms
+from .loss import utilization, utilization_integral
 from .model import CapacityAllocation, NetworkModel, demand_matrix, loss_groups, no_blocking_loads, offered_vector
 
 __all__ = [
@@ -49,10 +49,9 @@ class InnerSolution:
     grad_norm: float
     iterations: int
     converged: bool
-    # rho_j(y_j, C_j), the offered load at which entity j's log-loss is
-    # y_j: the fixed point's rho*_j where y_j is its level, else U_j e^(y_j)
-    # from the inversion that gives H_j there (0 at zero capacity).
-    # `outer.supergradient` reads dH_j/dC off it without inverting.
+    # rho_j(y_j, C_j), the offered load at which entity j's log-loss is y_j:
+    # the fixed point's rho*_j where y_j is its level, else U_j e^(y_j), 0 at
+    # zero capacity.  `outer.supergradient` reads dH_j/dC off it.
     load: np.ndarray = field(repr=False)
 
 
@@ -155,11 +154,10 @@ def _surrogate_at(
     -log(1 - B_j) (`fixedpoint._utilization_measures`), with no G: 0
     iterations, and `converged` as the state is.
 
-    y is clipped to the search box `hi` (`fixedpoint._box_upper`); B = 1
-    (zero capacity under load) lands at the box end.  Where y_j is its
-    level, H_j comes from `measures` and U_j = rho*_j e^(-y_j); only
-    clipped entities invert, for H and U at the box end.  phi and the
-    projected gradient are then evaluated once.
+    y is clipped to the search box `hi` (`fixedpoint._box_upper`), as in
+    `measures`; B = 1 (zero capacity under load) lands at the box end.
+    U_j = rho*_j e^(-y_j) where y_j is its level; only clipped entities
+    invert, for U_j.  phi and the projected gradient are evaluated once.
 
     A zero-capacity entity under load has B = 1 and y* at the box end,
     but phi moves by less than TOL * (1 + |phi|) once the load it would
@@ -176,22 +174,22 @@ def _surrogate_at(
     with np.errstate(divide="ignore"):
         level = -np.log1p(-state.blocking)
     y = np.minimum(level, hi)
-    h, u = measures.copy(), state.offered * np.exp(-y)
+    clipped, u = level > hi, state.offered * np.exp(-y)
     for spec, idx in loss_groups(model):
-        idx = idx[y[idx] < level[idx]]
+        idx = idx[clipped[idx]]
         if idx.size:
-            h[idx], u[idx] = utilization_terms(spec, y[idx], caps[idx])
-    load = np.where(y == level, state.offered, u * np.exp(y))
+            u[idx] = utilization(spec, y[idx], caps[idx])
+    load = np.where(clipped, u * np.exp(y), state.offered)
     # H_j and U_j vanish at zero capacity, so lowering such a y_j below
     # the box end moves only the flow term.
     if y0 is not None:
-        loose = (caps == 0.0) & (level > hi) & (demands @ (nu * np.exp(-(demands.T @ y0))) <= TOL)
+        loose = (caps == 0.0) & clipped & (demands @ (nu * np.exp(-(demands.T @ y0))) <= TOL)
         if loose.any():
-            tol = TOL * (1.0 + float(nu @ np.exp(-(demands.T @ y))) + float(h.sum()))
+            tol = TOL * (1.0 + float(nu @ np.exp(-(demands.T @ y))) + float(measures.sum()))
             levels = _least_levels(demands, nu, np.where(loose, y0, y), loose, tol)
             y[loose] = np.minimum(np.maximum(y0, levels), hi)[loose]
     flow = np.exp(-(demands.T @ y))
-    value = float(nu @ flow) + float(h.sum())
+    value = float(nu @ flow) + float(measures.sum())
     grad_norm = float(np.linalg.norm(_projected_gradient(u - demands @ (nu * flow), y, hi)))
     return InnerSolution(
         log_loss=y, value=value, grad_norm=grad_norm, iterations=0, converged=state.converged, load=load

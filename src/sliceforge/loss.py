@@ -535,34 +535,35 @@ def _erlang_invert(y, cap):
     frozen.  Elements never interact, so one element's result does not
     depend on the rest of the batch.
     """
+    # rho S <= cap gives rho <= cap e^y; where that is below the floor,
+    # rho(y) = 0 and no other bound is formed (at a subnormal cap they overflow).
+    out = np.full(y.size, -np.inf)  # log rho, -inf where no Newton runs
+    log_cap = np.log(cap)
+    idx = np.flatnonzero(log_cap + y > _LOG_RHO_MIN)
+    y, cap, log_cap = y[idx], cap[idx], log_cap[idx]
     log_b = _log1mexp(y)  # log(1 - e^-y) = log B at the root
     lgam = gammaln(cap + 1.0)
-    log_cap = np.log(cap)
-    # At a subnormal cap the low-load bounds overflow to -inf, and a padded
-    # hi of -inf is NaN: such an element is not live, so rho(y) = 0.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        low = (lgam + log_b) / cap
-        lo = np.maximum(low, _LOG_RHO_MIN)
-        big = cap >= 1.0
-        lo[big] = np.maximum(lo[big], log_cap[big] + np.log(np.expm1(y[big])))
-        hi = log_cap + y
-        k = lgam + log_b + 1.0
-        small = k < 0.0
-        hi[small] = np.minimum(hi[small], k[small] / cap[small])
+    low = (lgam + log_b) / cap
+    lo = np.maximum(low, _LOG_RHO_MIN)
+    big = cap >= 1.0
+    lo[big] = np.maximum(lo[big], log_cap[big] + np.log(np.expm1(y[big])))
+    hi = log_cap + y
+    k = lgam + log_b + 1.0
+    small = k < 0.0
+    hi[small] = np.minimum(hi[small], k[small] / cap[small])
+    with np.errstate(over="ignore", divide="ignore"):
         saturated = np.log(np.maximum(cap * np.exp(y) - 1.0, 0.0))
-        # The bounds are exact in limits (cap = 1, rho -> 0), where rounding
-        # can put the root a hair outside; a relative pad keeps Newton steps
-        # that land there from being mistaken for escapes.
-        pad = 1e-9 * (1.0 + np.abs(lo) + np.abs(hi))
-        lo, hi = lo - pad, hi + pad
-        u = np.clip(np.maximum(low, saturated), lo, hi)
+    # The bounds are exact in limits (cap = 1, rho -> 0), where rounding
+    # can put the root a hair outside; a relative pad keeps Newton steps
+    # that land there from being mistaken for escapes.
+    pad = 1e-9 * (1.0 + np.abs(lo) + np.abs(hi))
+    lo, hi = lo - pad, hi + pad
+    u = np.clip(np.maximum(low, saturated), lo, hi)
 
     # Working arrays hold the unconverged elements only; a converged
     # element's u is written out and it leaves them.
     live = hi > _LOG_RHO_MIN
-    out = np.zeros(y.size)
-    idx = np.flatnonzero(live)
-    u, cap, lo, hi, log_y = u[idx], cap[idx], lo[idx], hi[idx], np.log(y[idx])
+    idx, u, cap, lo, hi, log_y = idx[live], u[live], cap[live], lo[live], hi[live], np.log(y[live])
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_NEWTON_MAX_ITERS):
             if idx.size == 0:
@@ -604,7 +605,7 @@ def _erlang_invert(y, cap):
                 idx, u, cap, lo, hi, log_y = idx[keep], u[keep], cap[keep], lo[keep], hi[keep], log_y[keep]
         else:
             raise InversionError("loss: erlang_b log-loss inversion did not converge")
-    rho = np.where(live, np.exp(out), 0.0)
+    rho = np.exp(out)
     if (rho > RHO_BRACKET_CAP).any():
         raise InversionError(f"loss: erlang_b offered load above {RHO_BRACKET_CAP:g} at this log-loss level")
     return rho
@@ -628,7 +629,11 @@ class _LinearClip(LossFamily):
         return out
 
     def offered_at(self, y, cap):
-        return cap * np.exp(y)
+        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf at zero capacity
+            rho = np.where(cap > 0.0, cap * np.exp(y), 0.0)
+        if np.isinf(rho).any():
+            raise InversionError("loss: linear_clip offered load overflows at this log-loss level")
+        return rho
 
     def utilization(self, y, cap):
         return cap.copy()
@@ -782,8 +787,7 @@ def utilization_measure(spec: LossSpec, blocking_prob, cap):
     bs = np.asarray(blocking_prob, dtype=float)
     if not np.all((bs >= 0.0) & (bs < 1.0)):
         raise LossDomainError(f"loss: {spec.kind} blocking must lie in [0, 1)")
-    ys, cs, shape = _levels(-np.log1p(-bs), cap, spec.kind)
-    return _finish(get_family(spec.kind).utilization_terms(ys, cs)[0], shape)
+    return utilization_integral(spec, -np.log1p(-bs), cap)
 
 
 def log_loss_ceiling(spec: LossSpec, cap):

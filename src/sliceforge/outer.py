@@ -190,7 +190,7 @@ def supergradient(
     the inner solution carries (`InnerSolution.load`).  That is the fixed
     point's rho*_j except at entities clipped below their level at
     positive capacity (B rounding to 1, or past the log-loss ceiling),
-    where it is the load `surrogate` already inverted for their H_j.
+    where it is the load `surrogate` inverted for their U_j.
     Nothing is inverted here.  Each family group takes one
     `LossFamily.capacity_slope` call: E1(C / rho) for exp_overflow, else a
     central difference of the family's `integral_at_load` at fixed rho with

@@ -130,6 +130,18 @@ def test_utilization_closed_forms():
         )
 
 
+def test_linear_clip_rejects_a_level_whose_load_overflows():
+    # H = C y and U = C hold exactly while rho = C e^y is a float; past
+    # that the level has no load, and the terms raise rather than return
+    # U = inf * 0.  Zero capacity keeps rho = 0 at every level.
+    assert utilization_terms(LINEAR, 700.0, 1.0) == (700.0, 1.0)
+    assert utilization_terms(LINEAR, 800.0, 0.0) == (0.0, 0.0)
+    with pytest.raises(InversionError, match="overflows"):
+        utilization_terms(LINEAR, 800.0, 1.0)
+    with pytest.raises(InversionError, match="overflows"):
+        utilization_integral(LINEAR, np.array([1.0, 800.0]), 2.0)
+
+
 def test_erlang_inversion_at_subnormal_log_loss():
     # y = 4.3e-322 came out of the inner solver's cusp arc.  There
     # rest = S/B ~ 1/y overflows exp(), so the Newton slope must not form
