@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .loss import get_family, log_loss_ceiling, loss
-from .loss import utilization_measure  # noqa: F401  (perfbench/tracer.py wraps it under this module)
+from .loss import get_family, log_loss_ceiling
+from .loss import loss, utilization_measure  # noqa: F401  (perfbench/tracer.py wraps them under this module)
 from .model import CapacityAllocation, NetworkModel, _compiled, demand_matrix, loss_groups, offered_vector
 
 __all__ = [
@@ -92,11 +92,12 @@ class Diagnostics:
     measures: np.ndarray = field(repr=False)
 
 
-def _blocking_vector(groups, rho: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    # one loss() call per family; elementwise the same values as per entity
+def _blocking_vector(families, rho: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    # one kernel call per family on the solver's own flat arrays, which hold
+    # finite loads >= 0: `loss` would only check and broadcast them again
     out = np.empty(rho.size)
-    for spec, idx in groups:
-        out[idx] = loss(spec, rho[idx], caps[idx])
+    for family, idx in families:
+        out[idx] = family.blocking(rho[idx], caps[idx])
     return out
 
 
@@ -226,16 +227,15 @@ def solve_fixed_point(
 def _solve(model: NetworkModel, caps: np.ndarray, max_iters: int, start: np.ndarray | None = None) -> LoadState:
     """`solve_fixed_point` without its argument checks."""
     m = caps.size
-    groups = loss_groups(model)
     pair_row, pair_col, pair_demand, pair_flow = _model_flows(model)[1]
     rho0 = demand_matrix(model) @ offered_vector(model)
-    families = [(get_family(spec.kind), idx) for spec, idx in groups]
+    families = [(get_family(spec.kind), idx) for spec, idx in loss_groups(model)]
     if start is None:
         start = rho0
 
     def evaluate(rho):
         # G(rho) at rho, its residual and merit, and what the Jacobian needs
-        blocking = _blocking_vector(groups, rho, caps)
+        blocking = _blocking_vector(families, rho, caps)
         target, weights, pinned = _load_map(model, 1.0 - blocking, rho0)
         scaled = (rho - target) / (1.0 + rho)
         return _Point(rho, target, float(np.max(np.abs(scaled))), float(scaled @ scaled), blocking, weights, pinned)

@@ -367,8 +367,8 @@ class LossFamily:
         return np.full(cap.size, np.inf)
 
 
-# Log-load floor of the Erlang inversion: levels whose rho(y) provably
-# lies below it (tiny capacities at small y) resolve to rho = 0.
+# Log-load floor of the Erlang inversion: levels whose rho(y) lies below
+# it (tiny capacities at small y) resolve to rho = 0.
 _LOG_RHO_MIN = math.log(1e-300)
 _NEWTON_MAX_ITERS = 100
 
@@ -605,6 +605,8 @@ def _erlang_invert(y, cap):
                 idx, u, cap, lo, hi, log_y = idx[keep], u[keep], cap[keep], lo[keep], hi[keep], log_y[keep]
         else:
             raise InversionError("loss: erlang_b log-loss inversion did not converge")
+    # a root below the floor ends on the bracket end just under it: rho = 0
+    out[out < _LOG_RHO_MIN] = -np.inf
     rho = np.exp(out)
     if (rho > RHO_BRACKET_CAP).any():
         raise InversionError(f"loss: erlang_b offered load above {RHO_BRACKET_CAP:g} at this log-loss level")
@@ -675,7 +677,11 @@ class _ExpOverflow(LossFamily):
         # solve exp(-cap/rho) = 1 - e^(-y)
         rho = np.zeros(y.size)
         live = (y > 0.0) & (cap > 0.0)
-        rho[live] = -cap[live] / _log1mexp(y[live])
+        # rho ~ cap e^y is no float past y ~ 709; past y ~ 745 the log is -0.0
+        with np.errstate(divide="ignore", over="ignore"):
+            rho[live] = -cap[live] / _log1mexp(y[live])
+        if np.isinf(rho).any():
+            raise InversionError("loss: exp_overflow offered load overflows at this log-loss level")
         return rho
 
     def integral_at_load(self, y, cap, rho):

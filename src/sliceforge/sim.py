@@ -5,9 +5,17 @@ atomic all-or-nothing admission: an arrival takes its full demand on
 every entity of its route or is blocked outright.  Entities hold
 integer capacities and blocked work is lost (no retries, no queueing),
 which is exactly the regime the erlang_b loss family describes, so
-only erlang_b models are accepted.  The event loop packs every entity's
-free units into one integer, a fixed-width field per entity with a guard
-bit at its top, so that an arrival is one subtraction and one mask.
+only erlang_b models are accepted.
+
+The event loop packs the occupancy of every entity into one integer, a
+field of fixed width per entity with a guard bit (base) at its top.
+Entity j's field holds (base - 1 - cap_j) + used_j, so a call fits
+exactly when adding its packed demand sets no guard bit: an arrival is
+one addition and one mask test, and a release one subtraction.  Fields
+are wide enough that a trial addition never carries into the next one.
+``SimConfig.debug`` runs a second copy of the loop that checks, after
+every release and arrival, that 0 <= used_j <= cap_j and that nothing
+lies past the last field.
 
 Determinism: each flow owns a counter-based Philox stream keyed by
 (seed, flow index), so results are bit-identical for a given seed and
@@ -17,15 +25,20 @@ into times ``last + cumsum(gaps)`` (``last``: the previous chunk's final
 time, first 0), until a chunk ends past the horizon; then one unit-mean
 holding draw per arrival <= horizon, in order, admitted or not.
 
-Memory is O(_CHUNK + max(_WINDOW, _PER_FLOW flows) + calls in service),
-whatever the horizon.  A first pass per flow counts its arrivals, one gap
-chunk at a time, and keeps the generator where the holding draws start.
-The event pass replays each flow's arrival times from its key in pieces
-of about its share of a window, draws the holding times piecewise, and
-merges the flows by time windows of about max(_WINDOW, _PER_FLOW flows)
-arrivals, so that the fixed cost every active flow pays per window is
-spread over at least _PER_FLOW arrivals.  Piecewise draws equal one big
-draw, and piecewise sequential sums equal one whole cumsum.
+Memory is O(_CHUNK + _PIECE max(_WINDOW, _PER_FLOW flows) + calls in
+service), whatever the horizon.  A first pass per flow counts its
+arrivals, one gap chunk at a time, and keeps the generator where the
+holding draws start.  The event pass replays each flow's arrival times
+from its key in pieces of about its share of _PIECE windows, draws its
+holding times in blocks of the same size, and merges the flows by time
+windows of about max(_WINDOW, _PER_FLOW flows) arrivals, so that the
+fixed cost every active flow pays per window is spread over at least
+_PER_FLOW arrivals.  A window is a slice of a piece and of a block, and
+is copied only where it crosses into the next one.  Piecewise draws
+equal one big draw, and piecewise sequential sums equal one whole cumsum.
+With the shipped constants each flow keeps a piece and a block of about
+4 windows' share each: 1 MB of floats over all flows at 16,384-arrival
+windows.
 
 Each window becomes one merged event list, built in numpy: every call's
 departure is placed at a release slot, the first later arrival of the
@@ -39,6 +52,7 @@ next window's slots.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -53,6 +67,7 @@ __all__ = ["SimConfig", "SimResult", "simulate"]
 _CHUNK = 65536  # gap draws per chunk: part of the stream layout
 _WINDOW = 16384  # expected arrivals merged per window: bounds memory only
 _PER_FLOW = 512  # ... or this many per active flow, if that is more
+_PIECE = 4  # windows' worth of arrival times and holding times drawn at once
 
 RNG_DESCRIPTION = "philox4x64 per-flow streams, key=(seed, flow_index)"
 
@@ -116,35 +131,44 @@ def _flow(seed: int, index: int, rate: float, config: SimConfig, delta: float):
     """One flow's stream, in two passes.  The first counts the arrivals in
     (warmup, horizon] and yields that count; it leaves `gen` where the
     holding draws start.  The second replays the arrival times from the key,
-    about one window's worth at a time, and yields them window by window,
+    about _PIECE windows' worth at a time, and yields them window by window,
     (.., min(k delta, horizon)] for k = 1, 2, ..., each with its holding
-    times drawn on from `gen`."""
+    times, which are drawn on from `gen` in blocks of the same size."""
     key = np.array([seed, index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
-    post_warmup = 0
+    undrawn = post_warmup = 0  # holding times still to draw, one per arrival <= horizon
     for times in _arrival_times(gen, rate, _CHUNK):
-        post_warmup += int(np.searchsorted(times, config.horizon, side="right"))
-        post_warmup -= int(np.searchsorted(times, config.warmup, side="right"))
+        inside = int(np.searchsorted(times, config.horizon, side="right"))
+        undrawn += inside
+        post_warmup += inside - int(np.searchsorted(times, config.warmup, side="right"))
         if times[-1] > config.horizon:
             break
-    times, pos = np.empty(0), 0  # let the last chunk go while the other flows count
+    times = holds = np.empty(0)  # let the last chunk go while the other flows count
+    pos = held = 0  # next arrival time and next holding time to hand out
     yield post_warmup
 
-    piece = 1 + int(rate * delta)  # the flow's share of a window
+    piece = 1 + int(rate * delta * _PIECE)  # the flow's share of _PIECE windows
     pieces = _arrival_times(np.random.Generator(np.random.Philox(key=key)), rate, piece)
     for k in itertools.count(1):
         edge = min(k * delta, config.horizon)
-        parts = []
-        while True:
-            if pos == times.size:
-                times, pos = next(pieces), 0
-            stop = int(np.searchsorted(times, edge, side="right"))
-            parts.append(times[pos:stop])
-            pos = stop
-            if pos < times.size:  # an arrival past the edge; the stream has no end
-                break
-        window = np.concatenate(parts)
-        yield window, gen.exponential(1.0, size=window.size)
+        # `window` and `hold` are the last names on a spent piece or block,
+        # so rebinding them lets it go
+        stop = int(times.searchsorted(edge, side="right"))
+        window = times[pos:stop]
+        while stop == times.size:  # no arrival past the edge yet; the stream has no end
+            times = next(pieces)
+            stop = int(times.searchsorted(edge, side="right"))
+            window = np.concatenate((window, times[:stop]))
+        pos = stop
+        if held + window.size <= holds.size:
+            hold = holds[held : held + window.size]
+            held += window.size
+        else:  # the block runs out: draw the next, but none past the last arrival
+            short = held + window.size - holds.size
+            hold, holds = holds[held:], gen.exponential(1.0, size=min(max(piece, short), undrawn))
+            undrawn -= holds.size
+            hold, held = np.concatenate((hold, holds[:short])), short
+        yield window, hold
         if edge == config.horizon:
             return
 
@@ -164,27 +188,38 @@ def _release_slots(times, departures):
     return np.maximum(release, np.arange(1, n + 1), out=release)
 
 
-def _serve(pending, demands, release, flags, free, guard, check) -> int:
-    """Walk one window's arrivals in time order; returns `free`.
+def _serve(pending, demands, release, flags, used, guard) -> int:
+    """Walk one window's arrivals in time order; returns `used`.
 
     Arrival k first frees pending[k], the packed demands of the admitted
-    calls released at slot k.  Its own call fits when `free - demands[k]`
-    keeps every guard bit; then it arms its release slot, release[k] > k,
-    with its demand and sets flags[k].  So the iterator over `pending`
-    reads each entry after its last write."""
+    calls released at slot k.  Its own call fits when `used + demands[k]`
+    sets no guard bit; then it arms its release slot, release[k] > k, with
+    its demand and sets flags[k].  So the iterator over `pending` reads
+    each entry after its last write."""
     for k, released, demand, slot in zip(itertools.count(), pending, demands, release):
         if released:
-            free += released
-            if check:
-                check(free)
-        trial = free - demand
-        if (trial & guard) == guard:
-            free = trial
+            used -= released
+        trial = used + demand
+        if not trial & guard:
+            used = trial
             pending[slot] += demand
             flags[k] = 1
-        if check:
-            check(free)
-    return free
+    return used
+
+
+def _serve_checked(pending, demands, release, flags, used, guard, check) -> int:
+    """`_serve`, with `check(used)` after every release and every arrival."""
+    for k, released, demand, slot in zip(itertools.count(), pending, demands, release):
+        if released:
+            used -= released
+            check(used)
+        trial = used + demand
+        if not trial & guard:
+            used = trial
+            pending[slot] += demand
+            flags[k] = 1
+        check(used)
+    return used
 
 
 def simulate(model: NetworkModel, alloc: CapacityAllocation, config: SimConfig) -> SimResult:
@@ -212,33 +247,44 @@ def simulate(model: NetworkModel, alloc: CapacityAllocation, config: SimConfig) 
     # A cell is (flow, slot): slot 0 takes arrivals <= warmup, slot b + 1 batch b.
     slots = config.batches + 1
     edges = np.linspace(config.warmup, config.horizon, slots)
-    # Entity j's field, bits [j width, (j + 1) width), holds base + its free
-    # units: taking a demand leaves it >= 0, and a full field stays < 2 base.
+    # Entity j's field, bits [j width, (j + 1) width), holds base - 1 - cap_j
+    # + its units in use, so a call fits exactly when adding its demand sets
+    # no guard bit (base); a field never exceeds base - 1 + max demand < 2 base.
     width = max(caps + [int(demands.max(initial=0))]).bit_length() + 1
     base, shifts = 1 << (width - 1), [j * width for j in range(model.m)]
-    guard, free = sum(base << s for s in shifts), sum((base + cap) << s for s, cap in zip(shifts, caps))
+    guard = sum(base << s for s in shifts)
+    used = sum((base - 1 - cap) << s for s, cap in zip(shifts, caps))
     packed = [sum(int(d) << s for s, d in zip(shifts, demands[:, r].tolist())) for r in range(num_flows)]
     demand_of = np.array(packed, dtype=object)
     arrived, admitted_in = (np.zeros(num_flows * slots, dtype=np.int64) for _ in range(2))
     # admitted calls that depart after the last arrival of their window, in no order
     carried_times, carried_flows = np.empty(0), np.empty(0, dtype=np.int64)
 
-    def invariant(free: int) -> None:
-        units = [(free >> s & (2 * base - 1)) - base for s in shifts]
-        assert free >> (model.m * width) == 0, "occupancy carried past the last field"
+    def invariant(used: int) -> None:
+        assert used >> (model.m * width) == 0, "occupancy carried past the last field"
+        units = [(used >> s & (2 * base - 1)) - (base - 1 - c) for s, c in zip(shifts, caps)]
         assert all(0 <= u <= c for u, c in zip(units, caps)), "occupancy out of range"
 
-    check = invariant if config.debug else None
+    serve = functools.partial(_serve_checked, check=invariant) if config.debug else _serve
     active_ids = np.array(active, dtype=np.int64)
     for window in zip(*readers):
         times = np.concatenate([w[0] for w in window])
+        holds = np.concatenate([w[1] for w in window])
+        sizes = [w[0].size for w in window]
+        # zip refills its tuple only if nothing else holds it; else the
+        # tuple it keeps pins the first window's pieces for the whole run
+        del window
+        n = times.size
+        if n == 0:
+            continue
         order = np.argsort(times, kind="stable")
         times = times[order]
-        departures = times + np.concatenate([w[1] for w in window])[order]
-        flows = np.repeat(active_ids, [w[0].size for w in window])[order]
-        cells = flows * slots + np.searchsorted(edges, times, side="left")
+        departures = times + holds[order]
+        flows = np.repeat(active_ids, sizes)[order]
+        first, last = edges.searchsorted(times[[0, -1]], side="left").tolist()
+        # a window inside one batch has a single slot
+        cells = flows * slots + (first if first == last else np.searchsorted(edges, times, side="left"))
         arrived += np.bincount(cells, minlength=arrived.size)
-        n = times.size
         release = _release_slots(times, departures)
         pending = [0] * (n + 1)  # pending[n] collects the demands carried on
         # a carried call is freed at the first arrival at or after its
@@ -248,7 +294,7 @@ def simulate(model: NetworkModel, alloc: CapacityAllocation, config: SimConfig) 
         for slot, flow in zip(waiting[due].tolist(), carried_flows[due].tolist()):
             pending[slot] += packed[flow]
         flags = bytearray(n)
-        free = _serve(pending, demand_of[flows].tolist(), release.tolist(), flags, free, guard, check)
+        used = serve(pending, demand_of[flows].tolist(), release.tolist(), flags, used, guard)
         admitted = np.frombuffer(flags, dtype=bool)
         admitted_in += np.bincount(cells[admitted], minlength=admitted_in.size)
         leaving = admitted & (release == n)

@@ -108,16 +108,15 @@ def test_exp_overflow_tiny_levels_stay_finite():
 
 
 def test_fixed_point_calls_loss_once_per_family(monkeypatch):
-    from sliceforge import fixedpoint
-
     calls = []
-    real = fixedpoint.loss
+    for kind in ("erlang_b", "linear_clip", "exp_overflow"):
+        family = type(get_family(kind))
 
-    def counted(spec, rho, cap):
-        calls.append(spec.kind)
-        return real(spec, rho, cap)
+        def counted(self, rho, cap, real=family.blocking, kind=kind):
+            calls.append(kind)
+            return real(self, rho, cap)
 
-    monkeypatch.setattr(fixedpoint, "loss", counted)
+        monkeypatch.setattr(family, "blocking", counted)
     model = sf.NetworkModel(
         physicals=(sf.PhysicalEntity("p", "unit", 20.0),),
         logicals=tuple(
@@ -128,8 +127,8 @@ def test_fixed_point_calls_loss_once_per_family(monkeypatch):
     )
     state = sf.solve_fixed_point(model, CapacityAllocation(np.array([3.0, 4.0, 5.0, 6.0])))
     assert state.converged
-    # one call per family for every evaluation of G, the last of which
-    # also gives the state's blocking
+    # one blocking-kernel call per family for every evaluation of G, the
+    # last of which also gives the state's blocking
     assert len(calls) == 3 * state.iterations
     assert calls[:3] == ["erlang_b", "linear_clip", "exp_overflow"]
 

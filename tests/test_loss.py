@@ -142,6 +142,22 @@ def test_linear_clip_rejects_a_level_whose_load_overflows():
         utilization_integral(LINEAR, np.array([1.0, 800.0]), 2.0)
 
 
+def test_exp_overflow_rejects_a_level_whose_load_overflows():
+    # rho = -C / log(1 - e^-y) ~ C e^y is no float past y ~ 709.8, and past
+    # y ~ 745 e^-y rounds to 0, so the division would be by -0.0.  There the
+    # terms raise instead of warning and returning (inf, nan).
+    # H = E1(e^-y) = y - Euler's gamma to rounding at C = 1
+    h, u = utilization_terms(EXP, 700.0, 1.0)
+    assert h == pytest.approx(700.0 - 0.5772156649015329, rel=1e-12)
+    assert u == pytest.approx(1.0, rel=1e-12)
+    assert utilization_terms(EXP, 800.0, 0.0) == (0.0, 0.0)
+    for y in (710.0, 745.0, 800.0):
+        with pytest.raises(InversionError, match="^loss: exp_overflow offered load overflows"):
+            utilization_terms(EXP, y, 1.0)
+    with pytest.raises(InversionError, match="overflows"):
+        utilization_integral(EXP, np.array([1.0, 800.0]), 2.0)
+
+
 def test_erlang_inversion_at_subnormal_log_loss():
     # y = 4.3e-322 came out of the inner solver's cusp arc.  There
     # rest = S/B ~ 1/y overflows exp(), so the Newton slope must not form
@@ -151,6 +167,18 @@ def test_erlang_inversion_at_subnormal_log_loss():
         for cap in (2.0, 10.0):
             low_load = math.exp((math.log(4.3e-322) + math.lgamma(cap + 1.0)) / cap)
             assert utilization(ERLANG, 4.3e-322, cap) == pytest.approx(low_load, rel=2e-3)
+
+
+def test_erlang_inversion_resolves_loads_below_its_floor_to_zero():
+    # At these (y, cap) rho(y) lies far below the 1e-300 load floor (about
+    # 5e-406 at cap = 1e-3), though the bound rho <= cap e^y does not show
+    # it.  The floor itself is no load of level y, and gave H = -1.1e-301.
+    family = get_family("erlang_b")
+    rho = family.offered_at(np.array([0.5, 1.0, 0.5]), np.array([1e-3, 1e-20, 1.0]))
+    assert rho[:2].tolist() == [0.0, 0.0]
+    assert rho[2] == pytest.approx(math.expm1(0.5), rel=1e-12)  # B = rho / (1 + rho) at cap = 1
+    for y, cap in ((0.5, 1e-3), (1.0, 1e-20)):
+        assert utilization_terms(ERLANG, y, cap) == (0.0, 0.0)
 
 
 def test_erlang_inversion_keeps_digits_at_subnormal_y():
@@ -520,9 +548,7 @@ def test_shipped_families_keep_the_axioms_and_the_capacity_bound(point):
     # is at most cap: the bound the zero-capacity slope g = y rests on.
     # The default hook forms H as rho B - Int_0^rho B, so it is held to
     # that only up to the rounding of rho B (at cap = 1e-20 and y = 46,
-    # rho is ~0.4 and H keeps none of its ~5e-19), and to 1e-290 where
-    # rho(y) lies below the Erlang inversion's 1e-300 load floor, which
-    # it returns in place of rho(y) (H ~ -1e-10 rho there).
+    # rho is ~0.4 and H keeps none of its ~5e-19).
     kind, (c1, c2), (r1, r2), y = point
     family = get_family(kind)
     f = family.blocking(np.array([r1, r2, r1]), np.array([c1, c1, c2]))
@@ -532,7 +558,7 @@ def test_shipped_families_keep_the_axioms_and_the_capacity_bound(point):
     rho = family.offered_at(np.array([y]), np.array([c1]))
     if y > 0.0 and rho[0] > 0.0:
         h = family.integral_at_load(np.array([y]), np.array([c1]), rho)[0]
-        slack = 8.0 * np.finfo(float).eps * rho[0] + 1e-290
+        slack = 8.0 * np.finfo(float).eps * rho[0]
         assert -slack <= h <= c1 * y + slack
 
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -126,6 +127,42 @@ def test_debug_capacity_sweep():
     assert res.events > 0
 
 
+def test_checked_loop_checks_after_every_release_and_arrival():
+    # One entity of capacity 1 and calls of demand 1: width 2, base 2, so
+    # the field holds units in use and the guard is 2.  Arrival 0's call is
+    # released at slot 1; arrival 1 refills the server and arrival 2 is
+    # blocked.
+    states, flags = [], bytearray(3)
+    used = sim_module._serve_checked([0, 0, 0, 0], [1, 1, 1], [1, 3, 3], flags, 0, 2, states.append)
+    assert (used, list(flags), states) == (1, [1, 1, 0], [1, 0, 1, 1])
+    plain = bytearray(3)
+    assert sim_module._serve([0, 0, 0, 0], [1, 1, 1], [1, 3, 3], plain, 0, 2) == 1 and plain == flags
+
+
+@pytest.mark.parametrize(
+    "corruption, message",
+    [
+        # capacities 8 and 6 give fields of width 5 (base 16): one unit past
+        # the second field, and 7 more units in use on a 6-unit entity
+        (1 << 10, "occupancy carried past the last field"),
+        (7 << 5, "occupancy out of range"),
+    ],
+)
+def test_debug_invariant_rejects_a_corrupt_occupancy(corruption, message):
+    model = load_model(REFERENCE.read_text())
+    real = sim_module._serve_checked
+
+    def corrupted(pending, demands, release, flags, used, guard, check):
+        return real(pending, demands, release, flags, used + corruption, guard, check)
+
+    config = SimConfig(seed=17, horizon=200.0, debug=True)
+    with mock.patch.object(sim_module, "_serve_checked", corrupted):
+        with pytest.raises(AssertionError, match=message):
+            simulate(model, CapacityAllocation([8.0, 6.0]), config)
+        # without debug the unchecked loop runs, and the corruption never enters
+        simulate(model, CapacityAllocation([8.0, 6.0]), SimConfig(seed=17, horizon=200.0))
+
+
 def test_oversized_demand_never_admitted():
     model = single_entity(1.0, demand=2)
     res = simulate(model, CapacityAllocation([1.0]), SimConfig(seed=4, horizon=2e3, warmup=100.0))
@@ -209,14 +246,25 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_golden_output(case):
+def _assert_golden(case, debug):
     which, caps, config, counts, estimates = GOLDEN[case]
     model = load_model(REFERENCE.read_text()) if which == "reference" else _mixed_model()
-    res = simulate(model, CapacityAllocation(caps), SimConfig(**config))
+    res = simulate(model, CapacityAllocation(caps), SimConfig(**config, debug=debug))
     assert (res.arrivals.tolist(), res.admitted.tolist(), res.blocked.tolist(), res.events) == counts
     for name, expected in estimates.items():
         assert [repr(float(x)) for x in getattr(res, name)] == expected, name
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_output(case):
+    _assert_golden(case, debug=False)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_checked_event_loop_gives_golden_output(case):
+    # debug runs a second event loop, which checks every field after every
+    # release and arrival; it must walk the same events as the first
+    _assert_golden(case, debug=True)
 
 
 @pytest.mark.parametrize(
@@ -226,8 +274,8 @@ def test_golden_output(case):
 def test_replayed_stream_is_the_whole_run_stream(rate, horizon, delta):
     # Arrival times reach the results only through comparisons, so a slip of
     # one ulp would pass every output check: compare the streams themselves.
-    # Pieces of 1 + rate * delta draws (7281, 21, 3, 1) cross the 65,536-draw
-    # chunk boundary in the first two cases.
+    # Pieces and holding blocks of 1 + 4 rate delta draws (29121, 81, 10, 1)
+    # cross the 65,536-draw chunk boundary in the first two cases.
     reader = sim_module._flow(12, 3, rate, SimConfig(seed=12, horizon=horizon), delta)
     next(reader)
     windows = list(reader)
@@ -332,6 +380,81 @@ def test_ties_zero_holds_and_long_calls_match_whole_run_oracle():
     assert (holds == 0.0).any()
     assert (holds > 3.0).any()
     _assert_bit_identical(res, expected)
+
+
+class _RecordingGenerator(np.random.Generator):
+    """Philox draws as they are, with the (scale, size) of each logged."""
+
+    made = []
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.draws = []
+        _RecordingGenerator.made.append(self)
+
+    def exponential(self, scale=1.0, size=None):
+        self.draws.append((scale, size))
+        return super().exponential(scale, size)
+
+
+@pytest.mark.parametrize(
+    "window, piece_windows, chunk, config, skipped",
+    [
+        (2, 1, 50, SimConfig(seed=1, horizon=40.0, warmup=6.3, batches=4), set()),
+        # the shipped piece of 4 windows, cut short by 23-draw gap chunks
+        (5, 4, 23, SimConfig(seed=3, horizon=60.0, warmup=2.9, batches=3), {"hold block larger than a piece"}),
+    ],
+)
+def test_window_pieces_and_blocks_match_whole_run_oracle(window, piece_windows, chunk, config, skipped):
+    # One flow at rate 3, so a window is (k - 1) delta .. k delta with
+    # delta = window / 3.  Which of the streaming paths a run takes follows
+    # from the whole-run arrival times and the logged draw sizes: pieces of
+    # arrival times from the replaying generator, blocks of holding times
+    # (scale 1) from the counting one.  Each case takes every path it does
+    # not list as skipped.
+    rate = 3.0
+    model, alloc = single_entity(rate), CapacityAllocation([2.0])
+    _RecordingGenerator.made = []
+    with (
+        mock.patch.object(sim_module, "_WINDOW", window),
+        mock.patch.object(sim_module, "_PER_FLOW", 0),
+        mock.patch.object(sim_module, "_PIECE", piece_windows),
+        mock.patch.object(sim_module, "_CHUNK", chunk),
+        mock.patch.object(np.random, "Generator", _RecordingGenerator),
+    ):
+        res = simulate(model, alloc, config)
+        counting, replaying = _RecordingGenerator.made
+        expected = oracle_simulate(model, alloc, config, chunk=chunk)
+    _assert_bit_identical(res, expected)
+
+    times, _ = flow_stream(config.seed, 0, rate, config.horizon, chunk)
+    delta = window / rate
+    k = np.arange(1, math.ceil(config.horizon / delta) + 1)
+    ends = np.searchsorted(times, np.minimum(k * delta, config.horizon), side="right")
+    starts = np.concatenate(([0], ends[:-1]))
+    ends, starts = ends[ends > starts], starts[ends > starts]
+    piece = 1 + int(rate * delta * piece_windows)
+    piece_ends = np.cumsum([size for _, size in replaying.draws])
+    blocks = [size for scale, size in counting.draws if scale == 1.0]
+    assert sum(blocks) == times.size  # no holding time drawn past the last arrival
+    edges = np.linspace(config.warmup, config.horizon, config.batches + 1)
+    first = np.searchsorted(edges, times[starts], side="left")
+    last = np.searchsorted(edges, times[ends - 1], side="left")
+
+    def inside(bounds):
+        return bool(np.any((starts[:, None] < bounds) & (bounds < ends[:, None])))
+
+    taken = {
+        "hold block runs out inside a window": inside(np.cumsum(blocks)),
+        "hold block larger than a piece": max(blocks) > piece,
+        "piece ends inside a window": inside(piece_ends),
+        "window ends at a piece end": bool(np.isin(ends, piece_ends).any()),
+        "window inside one batch": bool(np.any(first == last)),
+        "window across a batch edge": bool(np.any((first > 0) & (first != last))),
+        "window across the warmup edge": bool(np.any((first == 0) & (last > 0))),
+    }
+    missed = {name for name, hit in taken.items() if not hit}
+    assert missed == skipped, missed
 
 
 def test_empty_flow_set():
