@@ -184,9 +184,10 @@ def _evaluation_sections(model: NetworkModel, alloc: CapacityAllocation, want_ph
         }
     if want_phi:
         # The fixed point minimizes the inner problem (U_j = rho_j S_j equals
-        # the flow term there), so phi is read off it and the H_j of its
-        # diagnostics; an unconverged state leaves phi to a cold surrogate.
-        sol = _surrogate_at(model, alloc, state, diag.measures) if state.converged else surrogate(model, alloc)
+        # the flow term there), so phi is read off it and the per-entity
+        # point of its diagnostics; an unconverged state leaves phi to a
+        # cold surrogate.
+        sol = _surrogate_at(model, alloc, state, diag.point) if state.converged else surrogate(model, alloc)
         implied = [float(-math.expm1(-y)) for y in sol.log_loss]
         gap = max((abs(b - i) for b, i in zip(state.blocking, implied)), default=0.0) if state.converged else 0.0
         sections["surrogate"] = {

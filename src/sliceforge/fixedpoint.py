@@ -73,14 +73,24 @@ class _Point(NamedTuple):
     pinned: np.ndarray
 
 
+class _EntityPoint(NamedTuple):
+    """phi's per-entity point at a fixed point (`_utilization_measures`)."""
+
+    log_loss: np.ndarray  # y_j = -log(1 - B_j), clipped to the box end
+    box: np.ndarray  # the box end (`_box_upper`)
+    load: np.ndarray  # rho_j(y_j, C_j), the offered load at which the log-loss is y_j
+    measures: np.ndarray  # H_j(y_j, C_j)
+
+
 @dataclass(frozen=True)
 class Diagnostics:
     """Carried-load totals and the correction-term bound check inputs.
 
     modified_objective = carried_total + correction, where correction sums
-    `measures`, the H_j at y_j = -log(1 - B_j) clipped to the box end that
-    phi reuses (`_utilization_measures`); correction_bound sums the blocked
-    load per entity, which the correction never exceeds.
+    `measures`, the H_j at y_j = -log(1 - B_j) clipped to the box end, read
+    off the per-entity `point` that phi reuses (`_utilization_measures`);
+    correction_bound sums the blocked load per entity, which the correction
+    never exceeds.
     """
 
     carried_total: float
@@ -89,7 +99,12 @@ class Diagnostics:
     max_route_length: float
     correction: float
     correction_bound: float
-    measures: np.ndarray = field(repr=False)
+    point: _EntityPoint = field(repr=False)
+
+    @property
+    def measures(self) -> np.ndarray:
+        """H_j per entity."""
+        return self.point.measures
 
 
 def _blocking_vector(families, rho: np.ndarray, caps: np.ndarray) -> np.ndarray:
@@ -326,25 +341,29 @@ def carried_total(model: NetworkModel, state: LoadState) -> float:
     return float(np.sum(state.carried_per_flow))
 
 
-def _utilization_measures(model: NetworkModel, caps: np.ndarray, state: LoadState) -> np.ndarray:
-    """H_j at y_j = -log(1 - B_j) clipped to the box end (`_box_upper`),
-    where phi takes it (`inner._surrogate_at`).  Where y_j is its level,
-    each family's ``integral_at_load`` reads H_j off the state's load rho_j
-    with no inversion (0 at zero capacity and where rho_j or B_j is 0);
-    past the box end (B_j may round to 1) H_j is taken there, by inverting."""
-    h = np.zeros(model.m)
+def _utilization_measures(model: NetworkModel, caps: np.ndarray, state: LoadState) -> _EntityPoint:
+    """phi's per-entity point at a fixed point `state` of C, where phi and
+    the correction take it (`inner._surrogate_at`, `diagnostics`): y_j =
+    -log(1 - B_j) clipped to the box end (`_box_upper`), the load rho_j at
+    which the log-loss is y_j, and H_j there.  Where y_j is its level,
+    rho_j is the state's load; past the box end (B_j may round to 1) one
+    ``offered_at`` per family inverts for it, and it is 0 at zero capacity.
+    Each family's ``integral_at_load`` reads H_j off rho_j (0 at zero
+    capacity and where rho_j or y_j is 0)."""
     with np.errstate(divide="ignore"):
         level = -np.log1p(-state.blocking)
-    hi = _box_upper(model, caps)
-    clipped = level > hi
+    box = _box_upper(model, caps)
+    y = np.minimum(level, box)
+    clipped = level > box
+    load, h = np.where(clipped, 0.0, state.offered), np.zeros(model.m)
     for spec, idx in loss_groups(model):
         family = get_family(spec.kind)
         ends = idx[clipped[idx] & (caps[idx] > 0.0)]
         if ends.size:
-            h[ends] = family.utilization_terms(hi[ends], caps[ends])[0]
-        idx = idx[(caps[idx] > 0.0) & (state.offered[idx] > 0.0) & (level[idx] > 0.0) & ~clipped[idx]]
-        h[idx] = family.integral_at_load(level[idx], caps[idx], state.offered[idx])
-    return h
+            load[ends] = family.offered_at(y[ends], caps[ends])
+        idx = idx[(caps[idx] > 0.0) & (load[idx] > 0.0) & (y[idx] > 0.0)]
+        h[idx] = family.integral_at_load(y[idx], caps[idx], load[idx])
+    return _EntityPoint(y, box, load, h)
 
 
 def diagnostics(model: NetworkModel, alloc: CapacityAllocation, state: LoadState) -> Diagnostics:
@@ -355,8 +374,8 @@ def diagnostics(model: NetworkModel, alloc: CapacityAllocation, state: LoadState
     lengths = demand_matrix(model).sum(axis=0)
     total = carried_total(model, state)
     weighted = float(np.sum(lengths * state.carried_per_flow))
-    measures = _utilization_measures(model, caps, state)
-    correction = float(measures.sum())
+    point = _utilization_measures(model, caps, state)
+    correction = float(point.measures.sum())
     bound = float(np.sum(state.offered * state.blocking))
     return Diagnostics(
         carried_total=total,
@@ -365,5 +384,5 @@ def diagnostics(model: NetworkModel, alloc: CapacityAllocation, state: LoadState
         max_route_length=float(lengths.max()) if lengths.size else 0.0,
         correction=correction,
         correction_bound=bound,
-        measures=measures,
+        point=point,
     )

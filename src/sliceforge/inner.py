@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fixedpoint import LoadState, _box_upper, _load_map, _solve, _utilization_measures
+from .fixedpoint import LoadState, _box_upper, _EntityPoint, _load_map, _solve, _utilization_measures
 from .loss import log_loss_ceiling  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .loss import utilization, utilization_integral
 from .model import CapacityAllocation, NetworkModel, demand_matrix, loss_groups, no_blocking_loads, offered_vector
@@ -49,9 +49,10 @@ class InnerSolution:
     grad_norm: float
     iterations: int
     converged: bool
-    # rho_j(y_j, C_j), the offered load at which entity j's log-loss is y_j:
-    # the fixed point's rho*_j where y_j is its level, else U_j e^(y_j), 0 at
-    # zero capacity.  `outer.supergradient` reads dH_j/dC off it.
+    # rho_j(y_j, C_j), the offered load at which entity j's log-loss is y_j,
+    # from the fixed point's per-entity point: its rho*_j where y_j is its
+    # level, else inverted at the box end, 0 at zero capacity.
+    # `outer.supergradient` reads dH_j/dC off it.
     load: np.ndarray = field(repr=False)
 
 
@@ -135,29 +136,29 @@ def surrogate(
     caps = np.asarray(alloc.values, dtype=float)
     if caps.size != model.m:
         raise ValueError(f"inner: allocation length {caps.size} != m={model.m}")
-    hi = _box_upper(model, caps)
     start, y0 = None, np.zeros(model.m)
     if warm_start is not None:
+        hi = _box_upper(model, caps)
         y0 = np.clip(np.asarray(warm_start, dtype=float), 0.0, hi)
         survival = np.exp(-y0)
         survival[(caps == 0.0) & (y0 >= hi)] = 0.0
         start = _load_map(model, survival, no_blocking_loads(model))[0]
     state = _solve(model, caps, max_iters, start)
-    sol = _surrogate_at(model, alloc, state, _utilization_measures(model, caps, state), y0, hi)
+    sol = _surrogate_at(model, alloc, state, _utilization_measures(model, caps, state), y0)
     return dataclasses.replace(sol, iterations=state.iterations)
 
 
 def _surrogate_at(
-    model: NetworkModel, alloc: CapacityAllocation, state: LoadState, measures: np.ndarray, y0=None, hi=None
+    model: NetworkModel, alloc: CapacityAllocation, state: LoadState, point: _EntityPoint, y0=None
 ) -> InnerSolution:
-    """phi(C) at a fixed point `state` of C and its H_j at y_j =
-    -log(1 - B_j) (`fixedpoint._utilization_measures`), with no G: 0
-    iterations, and `converged` as the state is.
+    """phi(C) at a fixed point `state` of C and its per-entity point
+    (`fixedpoint._utilization_measures`), with no G: 0 iterations, and
+    `converged` as the state is.
 
-    y is clipped to the search box `hi` (`fixedpoint._box_upper`), as in
-    `measures`; B = 1 (zero capacity under load) lands at the box end.
-    U_j = rho*_j e^(-y_j) where y_j is its level; only clipped entities
-    invert, for U_j.  phi and the projected gradient are evaluated once.
+    The point gives y, clipped to the search box (B = 1, zero capacity
+    under load, lands at the box end), the load rho_j(y_j, C_j) and H_j.
+    U_j = rho_j e^(-y_j), and `load` is rho_j.  phi and the projected
+    gradient are evaluated once.
 
     A zero-capacity entity under load has B = 1 and y* at the box end,
     but phi moves by less than TOL * (1 + |phi|) once the load it would
@@ -169,28 +170,20 @@ def _surrogate_at(
     the box end, as y0 = y gives.
     """
     caps = np.asarray(alloc.values, dtype=float)
-    hi = _box_upper(model, caps) if hi is None else hi
     demands, nu = demand_matrix(model), offered_vector(model)
-    with np.errstate(divide="ignore"):
-        level = -np.log1p(-state.blocking)
-    y = np.minimum(level, hi)
-    clipped, u = level > hi, state.offered * np.exp(-y)
-    for spec, idx in loss_groups(model):
-        idx = idx[clipped[idx]]
-        if idx.size:
-            u[idx] = utilization(spec, y[idx], caps[idx])
-    load = np.where(clipped, u * np.exp(y), state.offered)
+    y, hi = point.log_loss.copy(), point.box
+    u = point.load * np.exp(-y)
     # H_j and U_j vanish at zero capacity, so lowering such a y_j below
     # the box end moves only the flow term.
     if y0 is not None:
-        loose = (caps == 0.0) & clipped & (demands @ (nu * np.exp(-(demands.T @ y0))) <= TOL)
+        loose = (caps == 0.0) & (y >= hi) & (demands @ (nu * np.exp(-(demands.T @ y0))) <= TOL)
         if loose.any():
-            tol = TOL * (1.0 + float(nu @ np.exp(-(demands.T @ y))) + float(measures.sum()))
+            tol = TOL * (1.0 + float(nu @ np.exp(-(demands.T @ y))) + float(point.measures.sum()))
             levels = _least_levels(demands, nu, np.where(loose, y0, y), loose, tol)
             y[loose] = np.minimum(np.maximum(y0, levels), hi)[loose]
     flow = np.exp(-(demands.T @ y))
-    value = float(nu @ flow) + float(measures.sum())
+    value = float(nu @ flow) + float(point.measures.sum())
     grad_norm = float(np.linalg.norm(_projected_gradient(u - demands @ (nu * flow), y, hi)))
     return InnerSolution(
-        log_loss=y, value=value, grad_norm=grad_norm, iterations=0, converged=state.converged, load=load
+        log_loss=y, value=value, grad_norm=grad_norm, iterations=0, converged=state.converged, load=point.load
     )

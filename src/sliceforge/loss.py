@@ -18,18 +18,20 @@ Derived quantities:
   (upper) inverse of the log-loss curve.  U is the mean capacity in use
   on an entity whose loss probability is 1 - e^(-y).
 * ``utilization_integral(spec, y, cap)``: H(y, cap), the integral of
-  U(z, cap) for z in [0, y].  ``utilization_terms`` returns H and U
-  together from one inversion; all three accept arrays, one entity per
-  element, and run as one batched call per family.
+  U(z, cap) for z in [0, y].  ``utilization_terms(spec, y, cap)``, a
+  public function like the others, returns H and U together from one
+  inversion; all three accept arrays, one entity per element, and run as
+  one batched call per family.
 * ``utilization_measure(spec, B, cap)``: H at the level y = -log(1-B);
   the capacity-cost correction attached to a blocking level B.
 
 Every family's H has one numerical route, its hook
 ``LossFamily.integral_at_load``: H at a level given the offered load
 there, by its own closed form or else the default change of variables to
-offered load.  ``utilization_terms`` inverts for that load and calls it;
-the fixed point, which knows its load, calls it directly.  The adaptive
-quadrature of U in z that checks it lives in the tests.
+offered load.  ``utilization_terms`` inverts for that load
+(``LossFamily.offered_at``) and calls it; the fixed point, which knows
+its load, calls it directly and inverts only past the box end.  The
+adaptive quadrature of U in z that checks it lives in the tests.
 
 Three families ship here; more can be added with ``register_family``.
 """
@@ -250,18 +252,6 @@ class LossFamily:
     def utilization(self, y, cap):
         """U(y, cap) = rho(y) e^(-y)."""
         return self.offered_at(y, cap) * np.exp(-y)
-
-    def utilization_terms(self, y, cap):
-        """H(y, cap) and U(y, cap) from one inversion: rho = rho(y, cap),
-        then ``integral_at_load`` there.  H(0, cap) = 0 even where
-        rho(0) > 0 (a plateau, or a log-loss that rounds to 0)."""
-        rho = self.offered_at(y, cap)
-        u = rho * np.exp(-y)
-        h = np.zeros(y.size)
-        live = (rho > 0.0) & (y > 0.0)
-        if live.any():
-            h[live] = self.integral_at_load(y[live], cap[live], rho[live])
-        return h, u
 
     def blocking_slope(self, rho, cap, b):
         """dB/drho for checked 1-D arrays, given B there: a forward
@@ -775,10 +765,18 @@ def utilization(spec: LossSpec, y, cap):
 
 def utilization_terms(spec: LossSpec, y, cap):
     """(H, U): the integral of U(z, cap) over [0, y] and U(y, cap), from
-    one inversion per element.  Accepts scalars or broadcastable arrays."""
+    one inversion per element: rho = rho(y, cap), then the family's
+    ``integral_at_load`` there.  H(0, cap) = 0 even where rho(0) > 0 (a
+    plateau, or a log-loss that rounds to 0).  Accepts scalars or
+    broadcastable arrays."""
     ys, cs, shape = _levels(y, cap, spec.kind)
-    h, u = get_family(spec.kind).utilization_terms(ys, cs)
-    return _finish(h, shape), _finish(np.asarray(u, dtype=float), shape)
+    family = get_family(spec.kind)
+    rho = family.offered_at(ys, cs)
+    h = np.zeros(ys.size)
+    live = (rho > 0.0) & (ys > 0.0)
+    if live.any():
+        h[live] = family.integral_at_load(ys[live], cs[live], rho[live])
+    return _finish(h, shape), _finish(rho * np.exp(-ys), shape)
 
 
 def utilization_integral(spec: LossSpec, y, cap):

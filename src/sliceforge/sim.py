@@ -13,9 +13,6 @@ Entity j's field holds (base - 1 - cap_j) + used_j, so a call fits
 exactly when adding its packed demand sets no guard bit: an arrival is
 one addition and one mask test, and a release one subtraction.  Fields
 are wide enough that a trial addition never carries into the next one.
-``SimConfig.debug`` runs a second copy of the loop that checks, after
-every release and arrival, that 0 <= used_j <= cap_j and that nothing
-lies past the last field.
 
 Determinism: each flow owns a counter-based Philox stream keyed by
 (seed, flow index), so results are bit-identical for a given seed and
@@ -52,7 +49,6 @@ next window's slots.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
@@ -78,7 +74,6 @@ class SimConfig:
     horizon: float
     warmup: float = 0.0
     batches: int = 20
-    debug: bool = False  # verify occupancy invariants after every arrival and every release
 
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
@@ -207,21 +202,6 @@ def _serve(pending, demands, release, flags, used, guard) -> int:
     return used
 
 
-def _serve_checked(pending, demands, release, flags, used, guard, check) -> int:
-    """`_serve`, with `check(used)` after every release and every arrival."""
-    for k, released, demand, slot in zip(itertools.count(), pending, demands, release):
-        if released:
-            used -= released
-            check(used)
-        trial = used + demand
-        if not trial & guard:
-            used = trial
-            pending[slot] += demand
-            flags[k] = 1
-        check(used)
-    return used
-
-
 def simulate(model: NetworkModel, alloc: CapacityAllocation, config: SimConfig) -> SimResult:
     for lg in model.logicals:
         if lg.loss.kind != "erlang_b":
@@ -260,19 +240,14 @@ def simulate(model: NetworkModel, alloc: CapacityAllocation, config: SimConfig) 
     # admitted calls that depart after the last arrival of their window, in no order
     carried_times, carried_flows = np.empty(0), np.empty(0, dtype=np.int64)
 
-    def invariant(used: int) -> None:
-        assert used >> (model.m * width) == 0, "occupancy carried past the last field"
-        units = [(used >> s & (2 * base - 1)) - (base - 1 - c) for s, c in zip(shifts, caps)]
-        assert all(0 <= u <= c for u, c in zip(units, caps)), "occupancy out of range"
-
-    serve = functools.partial(_serve_checked, check=invariant) if config.debug else _serve
     active_ids = np.array(active, dtype=np.int64)
     for window in zip(*readers):
         times = np.concatenate([w[0] for w in window])
         holds = np.concatenate([w[1] for w in window])
         sizes = [w[0].size for w in window]
-        # zip refills its tuple only if nothing else holds it; else the
-        # tuple it keeps pins the first window's pieces for the whole run
+        # zip refills its tuple only if nothing else holds it; else it
+        # builds a new one, and every other window outlives the next,
+        # holding a spent piece and block of every flow
         del window
         n = times.size
         if n == 0:
@@ -294,7 +269,7 @@ def simulate(model: NetworkModel, alloc: CapacityAllocation, config: SimConfig) 
         for slot, flow in zip(waiting[due].tolist(), carried_flows[due].tolist()):
             pending[slot] += packed[flow]
         flags = bytearray(n)
-        used = serve(pending, demand_of[flows].tolist(), release.tolist(), flags, used, guard)
+        used = _serve(pending, demand_of[flows].tolist(), release.tolist(), flags, used, guard)
         admitted = np.frombuffer(flags, dtype=bool)
         admitted_in += np.bincount(cells[admitted], minlength=admitted_in.size)
         leaving = admitted & (release == n)

@@ -5,9 +5,14 @@ arrivals are drawn up front, concatenated, ordered by one global stable
 argsort and replayed against a departure heap.  Its memory grows with
 rate x horizon, so it lives here as the oracle that `sliceforge.simulate`
 must match bit for bit, not in the library.
+
+`checked_serve` is the simulator's own event loop with its occupancy
+invariant checked after every release and every arrival; tests put it
+in place of `sim._serve`.
 """
 
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -128,3 +133,48 @@ def oracle_simulate(model, alloc, config, chunk=CHUNK):
         blocked=arrivals - admitted,
         events=events,
     )
+
+
+def serve_checked(pending, demands, release, flags, used, guard, check):
+    """`sim._serve`, with `check(used)` after every release and every arrival."""
+    for k, released, demand, slot in zip(itertools.count(), pending, demands, release):
+        if released:
+            used -= released
+            check(used)
+        trial = used + demand
+        if not trial & guard:
+            used = trial
+            pending[slot] += demand
+            flags[k] = 1
+        check(used)
+    return used
+
+
+def occupancy_invariant(caps, guard):
+    """The check that the packed occupancy `used` holds 0 <= used_j <=
+    cap_j units on every entity j and nothing past the last field.  The
+    layout is read off `guard`: fields of `width` bits, entity j's at bits
+    [j width, (j + 1) width), each with its guard bit base = 2^(width - 1)
+    at the top, holding base - 1 - cap_j + used_j."""
+    base = guard & -guard
+    width = base.bit_length()
+    shifts = [j * width for j in range(len(caps))]
+    assert guard == sum(base << s for s in shifts), "guard bits off the field layout"
+
+    def invariant(used):
+        assert used >> (len(caps) * width) == 0, "occupancy carried past the last field"
+        units = [(used >> s & (2 * base - 1)) - (base - 1 - c) for s, c in zip(shifts, caps)]
+        assert all(0 <= u <= c for u, c in zip(units, caps)), "occupancy out of range"
+
+    return invariant
+
+
+def checked_serve(alloc):
+    """A stand-in for `sim._serve` at integer capacities `alloc` that
+    checks the occupancy invariant after every release and every arrival."""
+    caps = [int(c) for c in np.rint(np.asarray(alloc.values, dtype=float))]
+
+    def serve(pending, demands, release, flags, used, guard):
+        return serve_checked(pending, demands, release, flags, used, guard, occupancy_invariant(caps, guard))
+
+    return serve

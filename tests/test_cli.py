@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 import sliceforge.cli
-from sliceforge import diagnostics, load_model, maximize_surrogate, serialize_model, solve_fixed_point, surrogate
+from sliceforge import (
+    CapacityAllocation,
+    diagnostics,
+    load_model,
+    maximize_surrogate,
+    serialize_model,
+    solve_fixed_point,
+    surrogate,
+)
 from sliceforge.cli import _resolve_alloc, run
 from sliceforge.loss import get_family
 from sliceforge.outer import SolveTrace
@@ -166,22 +174,28 @@ def test_evaluate_phi_at_a_tiny_positive_capacity(tmp_path, capsys, kind):
     assert abs(phi - rep["totals"]["modified_objective"]) <= 1e-9 * (1.0 + abs(phi))
 
 
-def test_phi_inverts_only_clipped_entities(tmp_path, capsys, monkeypatch, ladder_model):
-    # surrogate and evaluate --phi take H_j from the fixed point's measures
-    # and U_j = rho*_j e^(-y_j) wherever y_j is its level; on closed_m50_x3
-    # every y_j is, so no family's utilization_terms runs at all.
-    model = ladder_model("closed_m50_x3")
-    alloc = _resolve_alloc("proportional", model)[0]
-    level = -np.log1p(-solve_fixed_point(model, alloc).blocking)
+def _count_inversions(monkeypatch):
+    """The number of elements of each call to a shipped family's `offered_at`."""
     elements = []
     for kind in ("erlang_b", "exp_overflow", "linear_clip"):
         family = get_family(kind)
 
-        def counting(y, cap, real=family.utilization_terms):
+        def counting(y, cap, real=family.offered_at):
             elements.append(y.size)
             return real(y, cap)
 
-        monkeypatch.setattr(family, "utilization_terms", counting)
+        monkeypatch.setattr(family, "offered_at", counting)
+    return elements
+
+
+def test_phi_inverts_only_clipped_entities(tmp_path, capsys, monkeypatch, ladder_model):
+    # surrogate and evaluate --phi take H_j from the fixed point's measures
+    # and U_j = rho*_j e^(-y_j) wherever y_j is its level; on closed_m50_x3
+    # every y_j is, so no family's offered_at runs at all.
+    model = ladder_model("closed_m50_x3")
+    alloc = _resolve_alloc("proportional", model)[0]
+    level = -np.log1p(-solve_fixed_point(model, alloc).blocking)
+    elements = _count_inversions(monkeypatch)
     sol = surrogate(model, alloc)
     assert sol.converged and sol.log_loss.tolist() == level.tolist()
     model_path = tmp_path / "m.json"
@@ -189,6 +203,25 @@ def test_phi_inverts_only_clipped_entities(tmp_path, capsys, monkeypatch, ladder
     code, _, _ = invoke(capsys, "evaluate", model_path, "--alloc", "proportional", "--phi")
     assert code == 0
     assert elements == []
+
+
+@pytest.mark.parametrize("capacity, inverted", [(1e9, [1]), (0.0, [])])
+def test_phi_inverts_a_clipped_entity_once(tmp_path, capsys, monkeypatch, capacity, inverted):
+    # Under 1e11 offered load an Erlang entity of capacity 1e9 lies past its
+    # box end, so H_j and rho_j are taken there: one inversion of its one
+    # element serves both phi's U_j and the correction's H_j.  At zero
+    # capacity under load rho_j is 0 and nothing is inverted.
+    model, alloc = single_entity(1e11, phys_cap=1e9), CapacityAllocation([capacity])
+    elements = _count_inversions(monkeypatch)
+    assert surrogate(model, alloc).converged
+    assert elements == inverted
+    model_path, alloc_path = tmp_path / "m.json", tmp_path / "a.json"
+    model_path.write_text(serialize_model(model))
+    alloc_path.write_text(json.dumps([capacity]))
+    elements.clear()
+    code, out, _ = invoke(capsys, "evaluate", model_path, "--alloc", alloc_path, "--phi")
+    assert code == 0 and report_of(out)["surrogate"]["converged"] is True
+    assert elements == inverted
 
 
 def test_unconverged_fixed_point_falls_back_to_the_cold_start(tmp_path, capsys, monkeypatch):
@@ -569,4 +602,4 @@ def test_perfbench_tracer_patches_names_that_exist(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["code"] == 0
-    assert {"inner.surrogate", "loss.offered_at"} <= set(result["spans"])
+    assert {"inner.surrogate", "loss.kernel"} <= set(result["spans"])

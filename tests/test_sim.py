@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -23,7 +24,7 @@ from sliceforge import (
 from sliceforge import sim as sim_module
 
 from conftest import erlang_recursion, single_entity
-from sim_oracle import CHUNK, flow_stream, oracle_simulate
+from sim_oracle import CHUNK, checked_serve, flow_stream, occupancy_invariant, oracle_simulate, serve_checked
 
 REFERENCE = Path(__file__).resolve().parent.parent / "demos" / "models" / "reference_2x3.json"
 
@@ -118,12 +119,17 @@ def test_conservation_and_ranges():
     assert np.all(res.carried >= 0.0) and np.all(res.carried <= nu + 1e-12)
 
 
+def _event_loop(alloc, checked):
+    """`sim._serve` as it is, or with the tests' checked copy in its place."""
+    return mock.patch.object(sim_module, "_serve", checked_serve(alloc) if checked else sim_module._serve)
+
+
 def test_debug_capacity_sweep():
-    # occupancy invariant asserted at every event
-    model = load_model(REFERENCE.read_text())
-    res = simulate(
-        model, CapacityAllocation([8.0, 6.0]), SimConfig(seed=17, horizon=2e3, warmup=200.0, debug=True)
-    )
+    # occupancy invariant asserted at every event, by the tests' checked
+    # copy of the event loop
+    model, alloc = load_model(REFERENCE.read_text()), CapacityAllocation([8.0, 6.0])
+    with _event_loop(alloc, checked=True):
+        res = simulate(model, alloc, SimConfig(seed=17, horizon=2e3, warmup=200.0))
     assert res.events > 0
 
 
@@ -133,7 +139,7 @@ def test_checked_loop_checks_after_every_release_and_arrival():
     # released at slot 1; arrival 1 refills the server and arrival 2 is
     # blocked.
     states, flags = [], bytearray(3)
-    used = sim_module._serve_checked([0, 0, 0, 0], [1, 1, 1], [1, 3, 3], flags, 0, 2, states.append)
+    used = serve_checked([0, 0, 0, 0], [1, 1, 1], [1, 3, 3], flags, 0, 2, states.append)
     assert (used, list(flags), states) == (1, [1, 1, 0], [1, 0, 1, 1])
     plain = bytearray(3)
     assert sim_module._serve([0, 0, 0, 0], [1, 1, 1], [1, 3, 3], plain, 0, 2) == 1 and plain == flags
@@ -149,18 +155,16 @@ def test_checked_loop_checks_after_every_release_and_arrival():
     ],
 )
 def test_debug_invariant_rejects_a_corrupt_occupancy(corruption, message):
-    model = load_model(REFERENCE.read_text())
-    real = sim_module._serve_checked
+    model, alloc = load_model(REFERENCE.read_text()), CapacityAllocation([8.0, 6.0])
+    caps = [8, 6]
 
-    def corrupted(pending, demands, release, flags, used, guard, check):
-        return real(pending, demands, release, flags, used + corruption, guard, check)
+    def corrupted(pending, demands, release, flags, used, guard):
+        check = occupancy_invariant(caps, guard)
+        return serve_checked(pending, demands, release, flags, used + corruption, guard, check)
 
-    config = SimConfig(seed=17, horizon=200.0, debug=True)
-    with mock.patch.object(sim_module, "_serve_checked", corrupted):
+    with mock.patch.object(sim_module, "_serve", corrupted):
         with pytest.raises(AssertionError, match=message):
-            simulate(model, CapacityAllocation([8.0, 6.0]), config)
-        # without debug the unchecked loop runs, and the corruption never enters
-        simulate(model, CapacityAllocation([8.0, 6.0]), SimConfig(seed=17, horizon=200.0))
+            simulate(model, alloc, SimConfig(seed=17, horizon=200.0))
 
 
 def test_oversized_demand_never_admitted():
@@ -246,10 +250,12 @@ GOLDEN = {
 }
 
 
-def _assert_golden(case, debug):
+def _assert_golden(case, checked):
     which, caps, config, counts, estimates = GOLDEN[case]
     model = load_model(REFERENCE.read_text()) if which == "reference" else _mixed_model()
-    res = simulate(model, CapacityAllocation(caps), SimConfig(**config, debug=debug))
+    alloc = CapacityAllocation(caps)
+    with _event_loop(alloc, checked):
+        res = simulate(model, alloc, SimConfig(**config))
     assert (res.arrivals.tolist(), res.admitted.tolist(), res.blocked.tolist(), res.events) == counts
     for name, expected in estimates.items():
         assert [repr(float(x)) for x in getattr(res, name)] == expected, name
@@ -257,14 +263,14 @@ def _assert_golden(case, debug):
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_golden_output(case):
-    _assert_golden(case, debug=False)
+    _assert_golden(case, checked=False)
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_checked_event_loop_gives_golden_output(case):
-    # debug runs a second event loop, which checks every field after every
-    # release and arrival; it must walk the same events as the first
-    _assert_golden(case, debug=True)
+    # the tests' checked copy of the event loop checks every field after
+    # every release and arrival; it must walk the same events as the real one
+    _assert_golden(case, checked=True)
 
 
 @pytest.mark.parametrize(
@@ -311,9 +317,10 @@ def _small_erlang_cases(draw):
         horizon=horizon,
         warmup=horizon * draw(st.sampled_from([0.0, 0.1, 0.5])),
         batches=draw(st.integers(2, 5)),
-        debug=draw(st.booleans()),
     )
-    return model, CapacityAllocation([float(c) for c in caps]), config
+    # whether the tests' checked copy of the event loop runs in place of the real one
+    checked = draw(st.booleans())
+    return model, CapacityAllocation([float(c) for c in caps]), config, checked
 
 
 class _GridGenerator(np.random.Generator):
@@ -335,9 +342,10 @@ class _GridGenerator(np.random.Generator):
 def test_streaming_matches_whole_run_oracle(case, window, per_flow, chunk, grid):
     # Small windows and gap chunks put many window edges and chunk
     # boundaries inside a short run; the oracle draws with the same chunk.
-    model, alloc, config = case
+    model, alloc, config, checked = case
     generator = _GridGenerator if grid else np.random.Generator
     with (
+        _event_loop(alloc, checked),
         mock.patch.object(sim_module, "_WINDOW", window),
         mock.patch.object(sim_module, "_PER_FLOW", per_flow),
         mock.patch.object(sim_module, "_CHUNK", chunk),
@@ -512,13 +520,14 @@ _PACKED_CASES = {
 }
 
 
-@pytest.mark.parametrize("debug", [False, True])
+@pytest.mark.parametrize("checked", [False, True])
 @pytest.mark.parametrize("case", sorted(_PACKED_CASES))
-def test_packed_occupancy_edges_match_whole_run_oracle(case, debug):
+def test_packed_occupancy_edges_match_whole_run_oracle(case, checked):
     caps, flows, never = _PACKED_CASES[case]
     model, alloc = _packed_case(caps, flows)
-    config = SimConfig(seed=5, horizon=400.0, warmup=20.0, batches=5, debug=debug)
-    res = simulate(model, alloc, config)
+    config = SimConfig(seed=5, horizon=400.0, warmup=20.0, batches=5)
+    with _event_loop(alloc, checked):
+        res = simulate(model, alloc, config)
     _assert_bit_identical(res, oracle_simulate(model, alloc, config))
     assert res.admitted[never].sum() == 0
     assert np.all(np.delete(res.admitted, never) > 0)
@@ -540,3 +549,28 @@ def test_memory_does_not_grow_with_horizon():
 
     short = peak(2e3)
     assert peak(2e4) <= 1.5 * short
+
+
+def test_spent_windows_are_released():
+    # Each flow's window is a slice of its piece and block, or a copy where
+    # it crosses into the next, and keeps them alive while it lives.  A
+    # window that outlives the next one (as when simulate keeps a name on
+    # zip's tuple past the next call) holds a piece and a block of every
+    # flow beside the current ones; the horizon-ratio bound above does not
+    # see that extra piece.  So the arrays of window k must be dead by the
+    # time any flow hands out window k + 2.
+    model = load_model(REFERENCE.read_text())
+    real, handed, late = sim_module._flow, [], []
+
+    def watched(*args):
+        reader = real(*args)
+        yield next(reader)
+        for k, window in enumerate(reader):
+            late.extend(j for j, ref in handed if j <= k - 2 and ref() is not None)
+            handed.extend((k, weakref.ref(array)) for array in window)
+            yield window
+
+    with mock.patch.object(sim_module, "_flow", watched):
+        simulate(model, CapacityAllocation([8.0, 6.0]), SimConfig(seed=7, horizon=2e4, warmup=100.0))
+    assert max(k for k, _ in handed) >= 8  # windows span more than two pieces per flow
+    assert late == []
