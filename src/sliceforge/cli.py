@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import sys
@@ -137,9 +138,7 @@ def _trace_section(trace: SolveTrace) -> dict:
 
 
 def _allocation_section(model: NetworkModel, alloc: CapacityAllocation) -> list:
-    return [
-        {"id": lg.id, "capacity": float(alloc.values[i])} for i, lg in enumerate(model.logicals)
-    ]
+    return [{"id": lg.id, "capacity": c} for lg, c in zip(model.logicals, alloc.values.tolist())]
 
 
 def _evaluation_sections(model: NetworkModel, alloc: CapacityAllocation, want_phi: bool):
@@ -150,24 +149,25 @@ def _evaluation_sections(model: NetworkModel, alloc: CapacityAllocation, want_ph
         "feasibility": {
             "ok": feas.ok,
             "tol": feas.tol,
-            "slack": [float(s) for s in feas.slack],
+            "slack": feas.slack.tolist(),
         },
         "fixed_point": {
             "converged": state.converged,
             "iterations": state.iterations,
             "residual": float(state.residual),
             "entities": [
-                dict(zip(_ENTITY_FIELDS, (lg.id, float(cap), float(rho), float(b))))
-                for lg, cap, rho, b in zip(model.logicals, alloc.values, state.offered, state.blocking)
+                dict(zip(_ENTITY_FIELDS, row))
+                for row in zip(
+                    [lg.id for lg in model.logicals],
+                    alloc.values.tolist(),
+                    state.offered.tolist(),
+                    state.blocking.tolist(),
+                )
             ],
         },
         "flows": [
-            {
-                "id": fl.id,
-                "offered": float(fl.offered),
-                "carried": float(state.carried_per_flow[r]),
-            }
-            for r, fl in enumerate(model.flows)
+            {"id": fl.id, "offered": float(fl.offered), "carried": carried}
+            for fl, carried in zip(model.flows, state.carried_per_flow.tolist())
         ],
     }
     code = EXIT_OK if state.converged else EXIT_UNCONVERGED
@@ -188,16 +188,17 @@ def _evaluation_sections(model: NetworkModel, alloc: CapacityAllocation, want_ph
         # point of its diagnostics; an unconverged state leaves phi to a
         # cold surrogate.
         sol = _surrogate_at(model, alloc, state, diag.point) if state.converged else surrogate(model, alloc)
-        implied = [float(-math.expm1(-y)) for y in sol.log_loss]
-        gap = max((abs(b - i) for b, i in zip(state.blocking, implied)), default=0.0) if state.converged else 0.0
+        log_loss = sol.log_loss.tolist()
+        implied = [-math.expm1(-y) for y in log_loss]
+        gap = max((abs(b - i) for b, i in zip(state.blocking.tolist(), implied)), default=0.0) if state.converged else 0.0
         sections["surrogate"] = {
             "value": sol.value,
             "converged": sol.converged,
             "iterations": sol.iterations,
             "grad_norm": sol.grad_norm,
-            "log_loss": [float(y) for y in sol.log_loss],
+            "log_loss": log_loss,
             "implied_blocking": implied,
-            "implied_blocking_gap": float(gap),
+            "implied_blocking_gap": gap,
         }
         if not sol.converged:
             code = max(code, EXIT_UNCONVERGED)
@@ -323,12 +324,8 @@ def _cmd_simulate(args) -> int:
     report["events"] = result.events
     counts = (result.arrivals, result.admitted, result.blocked)
     estimates = (result.blocking, result.blocking_se, result.carried, result.carried_se)
-    report["flows"] = [
-        dict(
-            zip(_SIM_FLOW_FIELDS, (fl.id, float(fl.offered), *(int(a[r]) for a in counts), *(float(a[r]) for a in estimates)))
-        )
-        for r, fl in enumerate(model.flows)
-    ]
+    columns = ([fl.id for fl in model.flows], [float(fl.offered) for fl in model.flows], *(a.tolist() for a in counts + estimates))
+    report["flows"] = [dict(zip(_SIM_FLOW_FIELDS, row)) for row in zip(*columns)]
     report["totals"] = {
         "arrivals": int(result.arrivals.sum()),
         "admitted": int(result.admitted.sum()),
@@ -339,7 +336,10 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later `run` in the process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="sliceforge",
         description="Capacity allocation for logical network slices over shared physical resources.",

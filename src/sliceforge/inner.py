@@ -1,4 +1,4 @@
-"""Inner minimization defining the concave capacity surrogate.
+"""Inner minimization defining the capacity surrogate.
 
 For a fixed allocation C the surrogate value is
 
@@ -11,8 +11,13 @@ vanishes at y = -log(1 - B) of the reduced-load fixed point rho = G(rho),
 where U_j = rho_j (1 - B_j) is the load entity j carries.  So `surrogate`
 solves that fixed point (`fixedpoint`) and reads phi off it, with H_j
 taken from the fixed point's load, not from an inversion; the objective
-and gradient at any y stay public for checks.  phi itself is concave in
-C, which the outer loop exploits.
+and gradient at any y stay public for checks.
+
+Where every family's H_j(y, C) is linear in C at fixed y (`linear_clip`,
+`exp_overflow`), phi is a minimum of affine functions of C and so concave
+by structure, which the outer loop's certificate rests on.  With
+`erlang_b` it is not guaranteed concave: on `random_small_instance(19)` it
+turns convex along a segment (the strict xfail in tests/test_outer.py).
 """
 
 from __future__ import annotations

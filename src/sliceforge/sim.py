@@ -26,16 +26,16 @@ Memory is O(_CHUNK + _PIECE max(_WINDOW, _PER_FLOW flows) + calls in
 service), whatever the horizon.  A first pass per flow counts its
 arrivals, one gap chunk at a time, and keeps the generator where the
 holding draws start.  The event pass replays each flow's arrival times
-from its key in pieces of about its share of _PIECE windows, draws its
-holding times in blocks of the same size, and merges the flows by time
-windows of about max(_WINDOW, _PER_FLOW flows) arrivals, so that the
-fixed cost every active flow pays per window is spread over at least
-_PER_FLOW arrivals.  A window is a slice of a piece and of a block, and
-is copied only where it crosses into the next one.  Piecewise draws
-equal one big draw, and piecewise sequential sums equal one whole cumsum.
-With the shipped constants each flow keeps a piece and a block of about
-4 windows' share each: 1 MB of floats over all flows at 16,384-arrival
-windows.
+from its key, up to the first past the horizon, in pieces of about its
+share of _PIECE windows, draws its holding times in blocks of the same
+size, and merges the flows by time windows of about max(_WINDOW,
+_PER_FLOW flows) arrivals, so that the fixed cost every active flow pays
+per window is spread over at least _PER_FLOW arrivals.  A window is a
+slice of a piece and of a block, and is copied only where it crosses into
+the next one.  Piecewise draws equal one big draw, and piecewise
+sequential sums equal one whole cumsum.  With the shipped constants each
+flow keeps a piece and a block of about 4 windows' share each: 1 MB of
+floats over all flows at 16,384-arrival windows.
 
 Each window becomes one merged event list, built in numpy: every call's
 departure is placed at a release slot, the first later arrival of the
@@ -103,8 +103,9 @@ class SimResult:
     rng: str = RNG_DESCRIPTION
 
 
-def _arrival_times(gen: np.random.Generator, rate: float, piece: int):
-    """One flow's arrival times without end, at most `piece` at a time.
+def _arrival_times(gen: np.random.Generator, rate: float, piece: int, total=math.inf):
+    """One flow's first `total` arrival times (without end by default), at
+    most `piece` at a time.
 
     A piece never straddles two gap chunks, and its times are bit for bit
     those of the whole chunk: the draws and the sequential cumulative sum
@@ -113,7 +114,10 @@ def _arrival_times(gen: np.random.Generator, rate: float, piece: int):
     while True:
         partial = 0.0
         for start in range(0, _CHUNK, piece):
-            times = gen.exponential(1.0 / rate, size=min(piece, _CHUNK - start))
+            if total <= 0:
+                return
+            times = gen.exponential(1.0 / rate, size=min(piece, _CHUNK - start, total))
+            total -= times.size
             times[0] += partial
             np.cumsum(times, out=times)
             partial = float(times[-1])
@@ -126,9 +130,10 @@ def _flow(seed: int, index: int, rate: float, config: SimConfig, delta: float):
     """One flow's stream, in two passes.  The first counts the arrivals in
     (warmup, horizon] and yields that count; it leaves `gen` where the
     holding draws start.  The second replays the arrival times from the key,
-    about _PIECE windows' worth at a time, and yields them window by window,
-    (.., min(k delta, horizon)] for k = 1, 2, ..., each with its holding
-    times, which are drawn on from `gen` in blocks of the same size."""
+    up to the first past the horizon and about _PIECE windows' worth at a
+    time, and yields them window by window, (.., min(k delta, horizon)] for
+    k = 1, 2, ..., each with its holding times, which are drawn on from
+    `gen` in blocks of the same size."""
     key = np.array([seed, index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     undrawn = post_warmup = 0  # holding times still to draw, one per arrival <= horizon
@@ -143,14 +148,15 @@ def _flow(seed: int, index: int, rate: float, config: SimConfig, delta: float):
     yield post_warmup
 
     piece = 1 + int(rate * delta * _PIECE)  # the flow's share of _PIECE windows
-    pieces = _arrival_times(np.random.Generator(np.random.Philox(key=key)), rate, piece)
+    # the first arrival past the horizon ends the last window: no later one is drawn
+    pieces = _arrival_times(np.random.Generator(np.random.Philox(key=key)), rate, piece, undrawn + 1)
     for k in itertools.count(1):
         edge = min(k * delta, config.horizon)
         # `window` and `hold` are the last names on a spent piece or block,
         # so rebinding them lets it go
         stop = int(times.searchsorted(edge, side="right"))
         window = times[pos:stop]
-        while stop == times.size:  # no arrival past the edge yet; the stream has no end
+        while stop == times.size:  # no arrival past the edge yet
             times = next(pieces)
             stop = int(times.searchsorted(edge, side="right"))
             window = np.concatenate((window, times[:stop]))

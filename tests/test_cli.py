@@ -537,6 +537,66 @@ def test_cli_import_loads_no_dense_or_sparse_linear_algebra():
     assert proc.stdout.strip() == "[]"
 
 
+def _python(cwd, *args):
+    """A fresh interpreter with only this checkout's src/ added to the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, env=env, cwd=cwd)
+
+
+def test_parser_is_built_once_per_process():
+    assert sliceforge.cli.build_parser() is sliceforge.cli.build_parser()
+
+
+def test_importing_the_cli_builds_no_parser(tmp_path):
+    # the parser is built by the first run, so an import costs no more
+    proc = _python(tmp_path, "-c", "import sliceforge.cli as cli; print(cli.build_parser.cache_info().currsize)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def test_one_process_runs_as_separate_processes_do(tmp_path):
+    # Commands run in turn through one reused parser, a usage error (exit 2)
+    # among them, write what one process per command writes: reports up to
+    # generated_at, CSV tables, exit codes and stderr.
+    def commands(out):
+        return [
+            ["validate", str(REFERENCE), "--out", f"{out}/validate.json"],
+            ["evaluate", str(REFERENCE), "--alloc", "proportional", "--out", f"{out}/e1.json", "--csv", f"{out}/e1.csv"],
+            ["solve", str(SYMMETRIC), "--out", f"{out}/solve.json", "--csv", f"{out}/solve.csv"],
+            ["evaluate", str(REFERENCE), "--out", f"{out}/missing.json"],
+            ["evaluate", str(POTENTIALS), "--alloc", "proportional", "--phi", "--out", f"{out}/e2.json"],
+        ]
+
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from sliceforge import cli\n"
+        "results = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        code = cli.run(argv)\n"
+        "    results.append([code, err.getvalue()])\n"
+        "print(json.dumps(results))\n"
+    )
+    one, separate = tmp_path / "one", tmp_path / "separate"
+    one.mkdir()
+    separate.mkdir()
+    proc = _python(tmp_path, "-c", script, json.dumps(commands(one)))
+    assert proc.returncode == 0, proc.stderr
+    together = json.loads(proc.stdout)
+    apart = [[p.returncode, p.stderr] for p in (_python(tmp_path, "-m", "sliceforge", *argv) for argv in commands(separate))]
+    assert together == apart
+    assert [code for code, _ in together] == [0, 0, 0, 2, 0]
+
+    def written(directory):
+        strip = lambda text: [ln for ln in text.splitlines() if '"generated_at"' not in ln]
+        return {p.name: strip(p.read_text()) for p in sorted(directory.iterdir())}
+
+    assert sorted(written(one)) == ["e1.csv", "e1.json", "e2.json", "solve.csv", "solve.json", "validate.json"]
+    assert written(one) == written(separate)
+
+
 def test_console_script_installed(tmp_path):
     # Build the launcher an installer would generate from the checkout's own
     # [project.scripts] entry, so the command under test is this checkout's

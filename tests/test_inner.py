@@ -27,6 +27,7 @@ from sliceforge import (
 )
 
 import sliceforge.outer
+from sliceforge import fixedpoint
 from sliceforge.cli import _resolve_alloc
 from sliceforge.inner import TOL
 from sliceforge.loss import log_loss_ceiling, utilization_integral, utilization_measure
@@ -190,6 +191,50 @@ def test_phi_nondecreasing_in_capacity():
         val = surrogate(model, CapacityAllocation([c0, 2.0])).value
         assert val >= prev - 1e-9
         prev = val
+
+
+# phi as evaluated is the inner objective at the fixed point's log-loss, so
+# it lies above the minimum by at most what the fixed point's residual
+# (fixedpoint.TOL) and the lift of a zero-capacity entity (inner.TOL) leave,
+# each relative to 1 + |phi|: the slack of the two properties below.
+_PHI_SLACK = fixedpoint.TOL + TOL
+# Seeds of random_small_instance whose families all have H linear in C at
+# fixed y, where phi is concave by structure; erlang_b's is not.
+_CLOSED_SEEDS = [
+    seed
+    for seed in range(200)
+    if {lg.loss.kind for lg in random_small_instance(seed)[0].logicals} <= {"linear_clip", "exp_overflow"}
+]
+
+
+def _phi(model, caps):
+    sol = surrogate(model, CapacityAllocation(caps))
+    assert sol.converged
+    return sol.value
+
+
+def _scalings(data, m, hi):
+    return np.array(data.draw(st.lists(st.floats(0.0, hi), min_size=m, max_size=m)))
+
+
+@given(seed=st.integers(0, 199), data=st.data())
+def test_phi_nondecreasing_in_capacity_on_random_models(seed, data):
+    # H_j(y, C) grows with C at fixed y on every family, so does phi = min_y L;
+    # zero capacities included
+    model, alloc = random_small_instance(seed)
+    low = alloc.values * _scalings(data, model.m, 3.0)
+    high = low + alloc.values * _scalings(data, model.m, 2.0)
+    phi_low = _phi(model, low)
+    assert _phi(model, high) >= phi_low - _PHI_SLACK * (1.0 + abs(phi_low))
+
+
+@given(seed=st.sampled_from(_CLOSED_SEEDS), data=st.data())
+def test_phi_midpoint_concave_on_closed_family_models(seed, data):
+    model, alloc = random_small_instance(seed)
+    ends = [alloc.values * _scalings(data, model.m, 3.0) for _ in range(2)]
+    phis = [_phi(model, caps) for caps in ends]
+    slack = _PHI_SLACK * (1.0 + max(abs(phi) for phi in phis))
+    assert _phi(model, 0.5 * (ends[0] + ends[1])) >= 0.5 * sum(phis) - slack
 
 
 def test_phi_equals_modified_objective_linear_clip():

@@ -465,6 +465,20 @@ def test_window_pieces_and_blocks_match_whole_run_oracle(window, piece_windows, 
     assert missed == skipped, missed
 
 
+@pytest.mark.parametrize("horizon", [2e3, 2e4])
+def test_replay_draws_arrivals_up_to_the_first_past_the_horizon(horizon):
+    # The replay's last piece stops at the arrival that ends the last
+    # window, as the holding blocks stop at the last arrival: 2e3 is far
+    # shorter than a piece of 4 windows, 2e4 ends a few pieces in.
+    # Generators are made counting pass first, flow by flow, then replays.
+    model = load_model(REFERENCE.read_text())
+    _RecordingGenerator.made = []
+    with mock.patch.object(np.random, "Generator", _RecordingGenerator):
+        res = simulate(model, CapacityAllocation([8.0, 6.0]), SimConfig(seed=7, horizon=horizon, warmup=100.0))
+    replays = _RecordingGenerator.made[model.num_flows :]
+    assert [sum(size for _, size in gen.draws) for gen in replays] == (res.arrivals + 1).tolist()
+
+
 def test_empty_flow_set():
     model = NetworkModel(
         physicals=(PhysicalEntity("p", "unit", 1.0),),
