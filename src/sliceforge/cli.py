@@ -336,10 +336,7 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by every
-    later `run` in the process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="sliceforge",
         description="Capacity allocation for logical network slices over shared physical resources.",
@@ -380,6 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser `run` uses: built by the first `run` in a process (never at
+# import) and shared by every later one, since parsing does not change it.
+# `build_parser` still returns a fresh parser that a caller may change.
+_parser = functools.cache(build_parser)
+
 _HANDLERS = {
     "validate": _cmd_validate,
     "evaluate": _cmd_evaluate,
@@ -390,9 +392,8 @@ _HANDLERS = {
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -545,14 +545,23 @@ def _python(cwd, *args):
 
 
 def test_parser_is_built_once_per_process():
-    assert sliceforge.cli.build_parser() is sliceforge.cli.build_parser()
+    # run shares one parser; build_parser hands each caller its own
+    assert sliceforge.cli._parser() is sliceforge.cli._parser()
+    assert sliceforge.cli.build_parser() is not sliceforge.cli.build_parser()
 
 
 def test_importing_the_cli_builds_no_parser(tmp_path):
     # the parser is built by the first run, so an import costs no more
-    proc = _python(tmp_path, "-c", "import sliceforge.cli as cli; print(cli.build_parser.cache_info().currsize)")
+    script = (
+        "import sliceforge.cli as cli\n"
+        "before = cli._parser.cache_info()\n"
+        "cli.run(['--version']); cli.run(['--version'])\n"
+        "after = cli._parser.cache_info()\n"
+        "print(before.currsize, after.currsize, after.misses)\n"
+    )
+    proc = _python(tmp_path, "-c", script)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "0"
+    assert proc.stdout.splitlines()[-1] == "0 1 1"
 
 
 def test_one_process_runs_as_separate_processes_do(tmp_path):
