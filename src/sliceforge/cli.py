@@ -18,8 +18,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .fixedpoint import diagnostics, solve_fixed_point
-from .inner import _surrogate_at, surrogate
+from .fixedpoint import _utilization_measures, diagnostics, solve_fixed_point
+from .inner import _surrogate_at
+from .inner import surrogate  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .model import (
     CapacityAllocation,
     ModelError,
@@ -184,10 +185,11 @@ def _evaluation_sections(model: NetworkModel, alloc: CapacityAllocation, want_ph
         }
     if want_phi:
         # The fixed point minimizes the inner problem (U_j = rho_j S_j equals
-        # the flow term there), so phi is read off it and the per-entity
-        # point of its diagnostics; an unconverged state leaves phi to a
-        # cold surrogate.
-        sol = _surrogate_at(model, alloc, state, diag.point) if state.converged else surrogate(model, alloc)
+        # the flow term there), so phi is read off it and its per-entity
+        # point, the diagnostics' where it converged.  Unconverged, phi is
+        # the objective at its y, above the minimum.
+        point = diag.point if state.converged else _utilization_measures(model, alloc.values, state)
+        sol = _surrogate_at(model, alloc, state, point)
         log_loss = sol.log_loss.tolist()
         implied = [-math.expm1(-y) for y in log_loss]
         gap = max((abs(b - i) for b, i in zip(state.blocking.tolist(), implied)), default=0.0) if state.converged else 0.0
@@ -200,8 +202,6 @@ def _evaluation_sections(model: NetworkModel, alloc: CapacityAllocation, want_ph
             "implied_blocking": implied,
             "implied_blocking_gap": gap,
         }
-        if not sol.converged:
-            code = max(code, EXIT_UNCONVERGED)
     return sections, code
 
 

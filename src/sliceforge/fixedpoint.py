@@ -8,15 +8,14 @@ divides back out):
 
 Writing G(rho) for the right-hand side, the solver runs safeguarded Newton
 on F(rho) = rho - G(rho) with G's exact Jacobian, from the no-blocking
-start rho0_i = sum_r A_ir nu_r or a caller's starting load, and falls
-back to the damped synchronous substitution rho <- rho + d (G(rho) - rho)
-where a Newton step fails its line search.  G is smooth wherever the loss
-families are, and has a unique root for Erlang blocking (Kelly, Adv.
-Appl. Prob. 1986).  Where a family's blocking has a kink (linear_clip at
-rho = cap, ``LossFamily.kink_load``), a Newton step that crosses it was
-computed from the near side's Jacobian; a failed step may then land on
-the first kink it crosses instead, so that the next Jacobian is the far
-side's.  The per-flow products, and the flow-pair sums that
+start rho0_i = sum_r A_ir nu_r, and falls back to the damped synchronous
+substitution rho <- rho + d (G(rho) - rho) where a Newton step fails its
+line search.  G is smooth wherever the loss families are, and has a
+unique root for Erlang blocking (Kelly, Adv. Appl. Prob. 1986).  Where a
+family's blocking has a kink (linear_clip at rho = cap,
+``LossFamily.kink_load``), a Newton step that crosses it was computed
+from the near side's Jacobian; a failed step may then land on the first
+kink it crosses instead, so that the next Jacobian is the far side's.  The per-flow products, and the flow-pair sums that
 assemble the Jacobian, run over the demand matrix's non-zeros only,
 compiled once per model.  Feasibility of the allocation is not required;
 the system is defined for any C >= 0.
@@ -31,7 +30,7 @@ import numpy as np
 
 from .loss import get_family, log_loss_ceiling
 from .loss import loss, utilization_measure  # noqa: F401  (perfbench/tracer.py wraps them under this module)
-from .model import CapacityAllocation, NetworkModel, _compiled, demand_matrix, loss_groups, offered_vector
+from .model import CapacityAllocation, NetworkModel, _compiled, demand_matrix, loss_groups, no_blocking_loads, offered_vector
 
 __all__ = [
     "LoadState",
@@ -178,15 +177,11 @@ def _box_upper(model: NetworkModel, caps: np.ndarray) -> np.ndarray:
     return np.minimum(hi, Y_CAP)
 
 
-def solve_fixed_point(
-    model: NetworkModel, alloc: CapacityAllocation, max_iters: int = 10000, start: np.ndarray | None = None
-) -> LoadState:
+def solve_fixed_point(model: NetworkModel, alloc: CapacityAllocation, max_iters: int = 10000) -> LoadState:
     """Solve rho = G(rho) to residual max_i |rho_i - G_i| / (1 + rho_i) <= TOL.
 
-    Safeguarded Newton on F(rho) = rho - G(rho) from `start`, a load
-    vector (e.g. the solution at a nearby allocation), or by default from
-    the no-blocking start.
-    G's Jacobian is exact:
+    Safeguarded Newton on F(rho) = rho - G(rho) from the no-blocking
+    start.  G's Jacobian is exact:
 
         dG_i/drho_k = M_ik S'_k / (S_i S_k) - [i = k] raw_i S'_i / S_i^2
 
@@ -223,27 +218,17 @@ def solve_fixed_point(
     if max_iters < 1:
         raise ValueError(f"fixedpoint: max_iters must be at least 1, got {max_iters!r}")
     caps = np.asarray(alloc.values, dtype=float)
-    m = model.m
-    if caps.size != m:
-        raise ValueError(f"fixedpoint: allocation length {caps.size} != m={m}")
-    if start is not None:
-        start = np.asarray(start, dtype=float)
-        if start.shape != (m,):
-            raise ValueError(f"fixedpoint: start must be {m} finite non-negative loads")
-        bad = np.flatnonzero(~(np.isfinite(start) & (start >= 0.0)))
-        if bad.size:
-            j = int(bad[0])
-            raise ValueError(
-                f"fixedpoint: start load at entity '{model.logicals[j].id}' is {start[j]}, not finite and non-negative"
-            )
-    return _solve(model, caps, max_iters, start)
+    if caps.size != model.m:
+        raise ValueError(f"fixedpoint: allocation length {caps.size} != m={model.m}")
+    return _solve(model, caps, max_iters)
 
 
 def _solve(model: NetworkModel, caps: np.ndarray, max_iters: int, start: np.ndarray | None = None) -> LoadState:
-    """`solve_fixed_point` without its argument checks."""
+    """`solve_fixed_point` without its argument checks, from `start`, a
+    load vector, where given: `surrogate`'s warm start."""
     m = caps.size
     pair_row, pair_col, pair_demand, pair_flow = _model_flows(model)[1]
-    rho0 = demand_matrix(model) @ offered_vector(model)
+    rho0 = no_blocking_loads(model)
     families = [(get_family(spec.kind), idx) for spec, idx in loss_groups(model)]
     if start is None:
         start = rho0
@@ -369,7 +354,7 @@ def _utilization_measures(model: NetworkModel, caps: np.ndarray, state: LoadStat
 def diagnostics(model: NetworkModel, alloc: CapacityAllocation, state: LoadState) -> Diagnostics:
     """Totals, the modified objective, and the correction bound at a state."""
     if not state.converged:
-        raise ValueError("diagnostics requires a converged state")
+        raise ValueError("fixedpoint: diagnostics requires a converged state")
     caps = np.asarray(alloc.values, dtype=float)
     lengths = demand_matrix(model).sum(axis=0)
     total = carried_total(model, state)

@@ -62,13 +62,13 @@ class Polytope:
         a = np.asarray(self.A_ub, dtype=float)
         b = np.asarray(self.b_ub, dtype=float)
         if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.size:
-            raise ValueError("A_ub must be 2-D with one b_ub entry per row")
+            raise ValueError("outer: A_ub must be 2-D with one b_ub entry per row")
         if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
-            raise ValueError("polytope data must be finite")
+            raise ValueError("outer: polytope data must be finite")
         if np.any(b < 0.0):
-            raise ValueError("b_ub must be non-negative (origin must be feasible)")
+            raise ValueError("outer: b_ub must be non-negative (origin must be feasible)")
         if a.shape[1] == 0 or not np.all((a > 0.0).any(axis=0)):
-            raise ValueError("every variable needs a positive coefficient in some row")
+            raise ValueError("outer: every variable needs a positive coefficient in some row")
         object.__setattr__(self, "A_ub", a)
         object.__setattr__(self, "b_ub", b)
 
@@ -106,9 +106,9 @@ def lp_solve(objective: np.ndarray, polytope: Polytope) -> tuple[np.ndarray, flo
     """
     c = np.asarray(objective, dtype=float)
     if c.shape != (polytope.dimension,):
-        raise ValueError(f"objective must have shape ({polytope.dimension},)")
+        raise ValueError(f"outer: objective must have shape ({polytope.dimension},)")
     if not np.all(np.isfinite(c)):
-        raise ValueError("objective must be finite")
+        raise ValueError("outer: objective must be finite")
     rows, dim = polytope.A_ub.shape
     tableau = np.zeros((rows + 1, dim + rows + 1))
     tableau[:rows, :dim] = polytope.A_ub
@@ -137,7 +137,7 @@ def lp_solve(objective: np.ndarray, polytope: Polytope) -> tuple[np.ndarray, flo
                 ):
                     leave, best = i, ratio
         if leave < 0:
-            raise SimplexError("unbounded direction; polytope invariant violated")
+            raise SimplexError("outer: unbounded direction; polytope invariant violated")
         pivot = tableau[leave, entering]
         tableau[leave] /= pivot
         for i in range(rows + 1):
@@ -145,7 +145,7 @@ def lp_solve(objective: np.ndarray, polytope: Polytope) -> tuple[np.ndarray, flo
                 tableau[i] -= tableau[i, entering] * tableau[leave]
         basis[leave] = entering
     else:
-        raise SimplexError("simplex iteration cap exceeded")
+        raise SimplexError("outer: simplex iteration cap exceeded")
 
     x = np.zeros(dim + rows)
     for i, var in enumerate(basis):
@@ -358,9 +358,9 @@ class ReconfigProblem:
     def __post_init__(self) -> None:
         caps = self.model.physical_capacities()
         if not np.all(np.abs(caps - 1.0) <= 1e-12):
-            raise ValueError("reconfigurable substrate requires unit physical capacities")
+            raise ValueError("outer: reconfigurable substrate requires unit physical capacities")
         if not (0.0 < self.budget <= self.model.n):
-            raise ValueError(f"budget must lie in (0, {self.model.n}]")
+            raise ValueError(f"outer: budget must lie in (0, {self.model.n}]")
 
 
 @dataclass(frozen=True)

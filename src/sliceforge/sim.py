@@ -27,15 +27,16 @@ service), whatever the horizon.  A first pass per flow counts its
 arrivals, one gap chunk at a time, and keeps the generator where the
 holding draws start.  The event pass replays each flow's arrival times
 from its key, up to the first past the horizon, in pieces of about its
-share of _PIECE windows, draws its holding times in blocks of the same
-size, and merges the flows by time windows of about max(_WINDOW,
-_PER_FLOW flows) arrivals, so that the fixed cost every active flow pays
-per window is spread over at least _PER_FLOW arrivals.  A window is a
-slice of a piece and of a block, and is copied only where it crosses into
-the next one.  Piecewise draws equal one big draw, and piecewise
-sequential sums equal one whole cumsum.  With the shipped constants each
-flow keeps a piece and a block of about 4 windows' share each: 1 MB of
-floats over all flows at 16,384-arrival windows.
+share of _PIECE windows, draws the holding times of each piece right
+after it (the arrival past the horizon gets none), and merges the flows
+by time windows of about max(_WINDOW, _PER_FLOW flows) arrivals, so that
+the fixed cost every active flow pays per window is spread over at least
+_PER_FLOW arrivals.  A window is a slice of a piece and of its holding
+times, taken by one cursor, and is copied only where it crosses into the
+next piece.  Piecewise draws equal one big draw, and piecewise sequential
+sums equal one whole cumsum.  With the shipped constants each flow keeps
+a piece of about 4 windows' share of arrival times and as many holding
+times: 1 MB of floats over all flows at 16,384-arrival windows.
 
 Each window becomes one merged event list, built in numpy: every call's
 departure is placed at a release slot, the first later arrival of the
@@ -77,15 +78,15 @@ class SimConfig:
 
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an integer in [0, 2^64)")
+            raise ValueError("simulate: seed must be an integer in [0, 2^64)")
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError("horizon must be finite and > 0")
+            raise ValueError("simulate: horizon must be finite and > 0")
         if not (0.0 <= self.warmup < self.horizon):
-            raise ValueError("warmup must lie in [0, horizon)")
+            raise ValueError("simulate: warmup must lie in [0, horizon)")
         if isinstance(self.batches, bool) or not isinstance(self.batches, numbers.Integral):
-            raise ValueError(f"batches must be an integer, got {self.batches!r}")
+            raise ValueError(f"simulate: batches must be an integer, got {self.batches!r}")
         if self.batches < 2:
-            raise ValueError("need at least 2 batches for standard errors")
+            raise ValueError("simulate: need at least 2 batches for standard errors")
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,10 @@ def _flow(seed: int, index: int, rate: float, config: SimConfig, delta: float):
     holding draws start.  The second replays the arrival times from the key,
     up to the first past the horizon and about _PIECE windows' worth at a
     time, and yields them window by window, (.., min(k delta, horizon)] for
-    k = 1, 2, ..., each with its holding times, which are drawn on from
-    `gen` in blocks of the same size."""
+    k = 1, 2, ..., each with its holding times.  Those are drawn on from
+    `gen` right after each piece, as many as its arrivals but none for the
+    one past the horizon, so one cursor slices a piece and its holding
+    times alike."""
     key = np.array([seed, index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     undrawn = post_warmup = 0  # holding times still to draw, one per arrival <= horizon
@@ -144,31 +147,26 @@ def _flow(seed: int, index: int, rate: float, config: SimConfig, delta: float):
         if times[-1] > config.horizon:
             break
     times = holds = np.empty(0)  # let the last chunk go while the other flows count
-    pos = held = 0  # next arrival time and next holding time to hand out
+    pos = 0  # next arrival time, and its holding time, to hand out
     yield post_warmup
 
     piece = 1 + int(rate * delta * _PIECE)  # the flow's share of _PIECE windows
-    # the first arrival past the horizon ends the last window: no later one is drawn
+    # the first arrival past the horizon ends the last window: no later one
+    # is drawn, and it needs no holding time
     pieces = _arrival_times(np.random.Generator(np.random.Philox(key=key)), rate, piece, undrawn + 1)
     for k in itertools.count(1):
         edge = min(k * delta, config.horizon)
-        # `window` and `hold` are the last names on a spent piece or block,
-        # so rebinding them lets it go
+        # `window` and `hold` are the last names on a spent piece, so
+        # rebinding them lets it go
         stop = int(times.searchsorted(edge, side="right"))
-        window = times[pos:stop]
+        window, hold = times[pos:stop], holds[pos:stop]
         while stop == times.size:  # no arrival past the edge yet
             times = next(pieces)
-            stop = int(times.searchsorted(edge, side="right"))
-            window = np.concatenate((window, times[:stop]))
-        pos = stop
-        if held + window.size <= holds.size:
-            hold = holds[held : held + window.size]
-            held += window.size
-        else:  # the block runs out: draw the next, but none past the last arrival
-            short = held + window.size - holds.size
-            hold, holds = holds[held:], gen.exponential(1.0, size=min(max(piece, short), undrawn))
+            holds = gen.exponential(1.0, size=min(times.size, undrawn))
             undrawn -= holds.size
-            hold, held = np.concatenate((hold, holds[:short])), short
+            stop = int(times.searchsorted(edge, side="right"))
+            window, hold = np.concatenate((window, times[:stop])), np.concatenate((hold, holds[:stop]))
+        pos = stop
         yield window, hold
         if edge == config.horizon:
             return
@@ -284,27 +282,22 @@ def simulate(model: NetworkModel, alloc: CapacityAllocation, config: SimConfig) 
 
     arrived = arrived.reshape(num_flows, slots)
     admitted_cells = admitted_in.reshape(num_flows, slots)
-    blocking, blocking_se, carried, carried_se = (np.zeros(num_flows) for _ in range(4))
     arrivals, admitted = arrived.sum(axis=1), admitted_cells.sum(axis=1)
+    # flows x batches; an empty batch has no arrivals to block, so its
+    # blocking sample is 0
+    arr_b, adm_b = arrived[:, 1:].astype(float), admitted_cells[:, 1:].astype(float)
+    block_b = np.where(arr_b > 0, (arr_b - adm_b) / np.maximum(arr_b, 1.0), 0.0)
+    carried_b = nu[:, None] * (1.0 - block_b)
     root_batches = math.sqrt(config.batches)
-    for r in range(num_flows):
-        arr_b, adm_b = arrived[r, 1:].astype(float), admitted_cells[r, 1:].astype(float)
-        # empty batch: no arrivals to block, so its blocking sample is 0
-        block_b = np.where(arr_b > 0, (arr_b - adm_b) / np.maximum(arr_b, 1.0), 0.0)
-        blocking[r] = float(block_b.mean())
-        blocking_se[r] = float(block_b.std(ddof=1) / root_batches)
-        carried_b = nu[r] * (1.0 - block_b)
-        carried[r] = float(carried_b.mean())
-        carried_se[r] = float(carried_b.std(ddof=1) / root_batches)
 
     # every arrival is one event, and so is every departure: all admitted calls
     # but those still in service at the horizon
     events = int(arrivals.sum() + admitted.sum()) - int(np.count_nonzero(carried_times > config.horizon))
     return SimResult(
-        blocking=blocking,
-        blocking_se=blocking_se,
-        carried=carried,
-        carried_se=carried_se,
+        blocking=block_b.mean(axis=1),
+        blocking_se=block_b.std(axis=1, ddof=1) / root_batches,
+        carried=carried_b.mean(axis=1),
+        carried_se=carried_b.std(axis=1, ddof=1) / root_batches,
         arrivals=arrivals,
         admitted=admitted,
         blocked=arrivals - admitted,

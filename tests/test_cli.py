@@ -12,7 +12,7 @@ import pytest
 import sliceforge.cli
 from sliceforge import (
     CapacityAllocation,
-    diagnostics,
+    inner_objective,
     load_model,
     maximize_surrogate,
     serialize_model,
@@ -20,6 +20,7 @@ from sliceforge import (
     surrogate,
 )
 from sliceforge.cli import _resolve_alloc, run
+from sliceforge.fixedpoint import _solve
 from sliceforge.loss import get_family
 from sliceforge.outer import SolveTrace
 
@@ -105,6 +106,24 @@ def test_unwritable_out_is_io_error(tmp_path, capsys):
     )
     assert code == 3
     assert "i/o error" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ("simulate", REFERENCE, "--alloc", "proportional", "--seed", "7", "--horizon", "0"),
+            "error: simulate: horizon must be finite and > 0\n",
+        ),
+        (("solve-reconfig", POTENTIALS, "--budget", "0"), "error: outer: budget must lie in (0, 3]\n"),
+    ],
+    ids=["simulate", "solve-reconfig"],
+)
+def test_invalid_settings_name_the_layer(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == message
 
 
 def test_evaluate_closed_form_totals(tmp_path, capsys):
@@ -224,28 +243,36 @@ def test_phi_inverts_a_clipped_entity_once(tmp_path, capsys, monkeypatch, capaci
     assert elements == inverted
 
 
-def test_unconverged_fixed_point_falls_back_to_the_cold_start(tmp_path, capsys, monkeypatch):
-    starts = []
+def test_unconverged_fixed_point_reports_phi_at_its_own_state(tmp_path, capsys, monkeypatch):
+    # One fixed-point solve per report: an unconverged one is not solved
+    # again from the same start, and phi is the inner objective at its y.
+    solves = []
 
-    def recording_surrogate(model, alloc, warm_start=None, **kwargs):
-        starts.append(warm_start)
-        return surrogate(model, alloc, warm_start=warm_start, **kwargs)
+    def counting_solve(*args, **kwargs):
+        solves.append(args[2])
+        return _solve(*args, **kwargs)
 
     monkeypatch.setattr(sliceforge.cli, "solve_fixed_point", functools.partial(solve_fixed_point, max_iters=1))
-    monkeypatch.setattr(sliceforge.cli, "surrogate", recording_surrogate)
+    monkeypatch.setattr(sliceforge.fixedpoint, "_solve", counting_solve)
+    monkeypatch.setattr(sliceforge.inner, "_solve", counting_solve)
     out_path = tmp_path / "report.json"
     code, _, _ = invoke(capsys, "evaluate", REFERENCE, "--alloc", "proportional", "--phi", "--out", out_path)
     assert code == 2
-    assert starts == [None]
+    assert solves == [1]
     rep = json.loads(out_path.read_text())
     assert rep["fixed_point"]["converged"] is False
     assert rep["totals"] is None
-    # the surrogate's own fixed point, from the no-blocking load, converges
+    phi = rep["surrogate"]
+    assert phi["converged"] is False
+    assert phi["iterations"] == 0
+    assert phi["implied_blocking_gap"] == 0.0
+    y = [-math.log1p(-entity["blocking"]) for entity in rep["fixed_point"]["entities"]]
+    assert phi["log_loss"] == y
     model = load_model(REFERENCE.read_text())
     alloc = _resolve_alloc("proportional", model)[0]
-    expected = diagnostics(model, alloc, solve_fixed_point(model, alloc)).modified_objective
-    assert rep["surrogate"]["converged"] is True
-    assert rep["surrogate"]["value"] == pytest.approx(expected, rel=1e-12)
+    assert phi["value"] == pytest.approx(inner_objective(model, alloc, np.array(y)), rel=1e-12)
+    # above the minimum, which the converged fixed point gives
+    assert phi["value"] > surrogate(model, alloc).value
 
 
 @pytest.mark.parametrize(

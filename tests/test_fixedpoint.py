@@ -17,6 +17,7 @@ from sliceforge import (
     loss,
     no_blocking_loads,
     solve_fixed_point,
+    surrogate,
 )
 from sliceforge.cli import _resolve_alloc
 from sliceforge.fixedpoint import TOL, _flow_entries, _flow_pairs, _flow_survival
@@ -190,20 +191,25 @@ def test_rejects_an_empty_budget_and_a_wrong_allocation():
         solve_fixed_point(model, CapacityAllocation([1.0, 1.0]))
 
 
+def test_diagnostics_error_names_the_layer():
+    model, alloc = random_small_instance(0)
+    state = solve_fixed_point(model, alloc, max_iters=1)
+    assert not state.converged
+    with pytest.raises(ValueError, match=r"^fixedpoint: diagnostics requires a converged state$"):
+        diagnostics(model, alloc, state)
+
+
 def test_start_at_the_solution_converges_at_once(small_instances):
-    # A caller's starting load: at the solution one evaluation of G confirms it
+    # A start at the solution: `surrogate` warm-started at its own cold
+    # optimum starts the fixed point at G's load there, and one evaluation
+    # of G confirms it.  That load is within the fixed point's TOL of the
+    # cold one, and so is the blocking it gives.
     for model, alloc in small_instances[:20]:
-        cold = solve_fixed_point(model, alloc)
-        warm = solve_fixed_point(model, alloc, start=cold.offered)
+        cold = surrogate(model, alloc)
+        warm = surrogate(model, alloc, warm_start=cold.log_loss)
         assert warm.converged and warm.iterations == 1
-        assert warm.blocking == pytest.approx(cold.blocking, abs=1e-12)
-    model = single_entity(1.0)
-    with pytest.raises(ValueError, match=r"^fixedpoint: start must be 1 finite non-negative loads$"):
-        solve_fixed_point(model, CapacityAllocation([1.0]), start=np.array([1.0, 1.0]))
-    for start in (-1.0, math.inf):
-        message = rf"^fixedpoint: start load at entity 'l' is {start}, not finite and non-negative$"
-        with pytest.raises(ValueError, match=message):
-            solve_fixed_point(model, CapacityAllocation([1.0]), start=np.array([start]))
+        assert -np.expm1(-warm.log_loss) == pytest.approx(-np.expm1(-cold.log_loss), abs=TOL)
+        assert warm.value == pytest.approx(cold.value, rel=1e-12)
 
 
 def _scaled(model, factor):

@@ -19,6 +19,7 @@ from sliceforge import (
     PhysicalEntity,
     Polytope,
     ReconfigProblem,
+    SimplexError,
     capacity_polytope,
     incidence,
     load_model,
@@ -605,6 +606,37 @@ def test_errors_name_the_layer():
         maximize_surrogate(model, polytope=Polytope(np.ones((1, 1)), np.ones(1)))
     with pytest.raises(ValueError, match=r"^outer: allocation length 1 != m=2$"):
         supergradient(model, CapacityAllocation([1.0]))
+
+
+def test_polytope_lp_and_reconfig_errors_name_the_layer(monkeypatch):
+    cases = [
+        ((np.ones(2), np.ones(2)), r"^outer: A_ub must be 2-D with one b_ub entry per row$"),
+        ((np.full((1, 1), math.nan), np.ones(1)), r"^outer: polytope data must be finite$"),
+        ((np.ones((1, 1)), -np.ones(1)), r"^outer: b_ub must be non-negative \(origin must be feasible\)$"),
+        ((-np.ones((1, 1)), np.ones(1)), r"^outer: every variable needs a positive coefficient in some row$"),
+    ]
+    for data, message in cases:
+        with pytest.raises(ValueError, match=message):
+            Polytope(*data)
+    square = Polytope(np.ones((1, 1)), np.ones(1))
+    with pytest.raises(ValueError, match=r"^outer: objective must have shape \(1,\)$"):
+        lp_solve(np.ones(2), square)
+    with pytest.raises(ValueError, match=r"^outer: objective must be finite$"):
+        lp_solve(np.array([math.inf]), square)
+    # an unbounded polytope, past the checks that rule it out
+    unbounded = Polytope(np.ones((1, 1)), np.ones(1))
+    object.__setattr__(unbounded, "A_ub", -np.ones((1, 1)))
+    with pytest.raises(SimplexError, match=r"^outer: unbounded direction; polytope invariant violated$"):
+        lp_solve(np.ones(1), unbounded)
+    # a cap of no pivot at all: `range` is the cap's loop
+    with monkeypatch.context() as patched, pytest.raises(SimplexError, match=r"^outer: simplex iteration cap exceeded$"):
+        patched.setattr(sliceforge.outer, "range", lambda *args: (), raising=False)
+        lp_solve(np.ones(1), square)
+    with pytest.raises(ValueError, match=r"^outer: reconfigurable substrate requires unit physical capacities$"):
+        ReconfigProblem(load_model((MODELS / "reference_2x3.json").read_text()), 1.0)
+    for budget in (0.0, 4.0):
+        with pytest.raises(ValueError, match=r"^outer: budget must lie in \(0, 3\]$"):
+            ReconfigProblem(three_potentials(), budget)
 
 
 # --- reconfigurable substrate -----------------------------------------------

@@ -46,6 +46,19 @@ def test_config_validation():
             SimConfig(seed=bad, horizon=10.0)
 
 
+def test_config_errors_name_the_layer():
+    cases = [
+        (dict(seed=-1, horizon=10.0), r"^simulate: seed must be an integer in \[0, 2\^64\)$"),
+        (dict(seed=1, horizon=math.inf), r"^simulate: horizon must be finite and > 0$"),
+        (dict(seed=1, horizon=10.0, warmup=-1.0), r"^simulate: warmup must lie in \[0, horizon\)$"),
+        (dict(seed=1, horizon=10.0, batches=2.5), r"^simulate: batches must be an integer, got 2.5$"),
+        (dict(seed=1, horizon=10.0, batches=1), r"^simulate: need at least 2 batches for standard errors$"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            SimConfig(**kwargs)
+
+
 def test_numpy_seed_matches_int_seed():
     model = load_model(REFERENCE.read_text())
     alloc = CapacityAllocation([8.0, 6.0])
@@ -410,7 +423,7 @@ class _RecordingGenerator(np.random.Generator):
     [
         (2, 1, 50, SimConfig(seed=1, horizon=40.0, warmup=6.3, batches=4), set()),
         # the shipped piece of 4 windows, cut short by 23-draw gap chunks
-        (5, 4, 23, SimConfig(seed=3, horizon=60.0, warmup=2.9, batches=3), {"hold block larger than a piece"}),
+        (5, 4, 23, SimConfig(seed=3, horizon=60.0, warmup=2.9, batches=3), set()),
     ],
 )
 def test_window_pieces_and_blocks_match_whole_run_oracle(window, piece_windows, chunk, config, skipped):
@@ -418,8 +431,9 @@ def test_window_pieces_and_blocks_match_whole_run_oracle(window, piece_windows, 
     # delta = window / 3.  Which of the streaming paths a run takes follows
     # from the whole-run arrival times and the logged draw sizes: pieces of
     # arrival times from the replaying generator, blocks of holding times
-    # (scale 1) from the counting one.  Each case takes every path it does
-    # not list as skipped.
+    # (scale 1) from the counting one, one block per piece and of its size
+    # but for the arrival past the horizon.  Each case takes every path it
+    # does not list as skipped.
     rate = 3.0
     model, alloc = single_entity(rate), CapacityAllocation([2.0])
     _RecordingGenerator.made = []
@@ -441,9 +455,10 @@ def test_window_pieces_and_blocks_match_whole_run_oracle(window, piece_windows, 
     ends = np.searchsorted(times, np.minimum(k * delta, config.horizon), side="right")
     starts = np.concatenate(([0], ends[:-1]))
     ends, starts = ends[ends > starts], starts[ends > starts]
-    piece = 1 + int(rate * delta * piece_windows)
-    piece_ends = np.cumsum([size for _, size in replaying.draws])
+    pieces = [size for _, size in replaying.draws]
+    piece_ends = np.cumsum(pieces)
     blocks = [size for scale, size in counting.draws if scale == 1.0]
+    assert blocks == pieces[:-1] + [pieces[-1] - 1]
     assert sum(blocks) == times.size  # no holding time drawn past the last arrival
     edges = np.linspace(config.warmup, config.horizon, config.batches + 1)
     first = np.searchsorted(edges, times[starts], side="left")
@@ -454,7 +469,6 @@ def test_window_pieces_and_blocks_match_whole_run_oracle(window, piece_windows, 
 
     taken = {
         "hold block runs out inside a window": inside(np.cumsum(blocks)),
-        "hold block larger than a piece": max(blocks) > piece,
         "piece ends inside a window": inside(piece_ends),
         "window ends at a piece end": bool(np.isin(ends, piece_ends).any()),
         "window inside one batch": bool(np.any(first == last)),
