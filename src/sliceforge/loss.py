@@ -189,21 +189,23 @@ def _log1mexp(y):
 # families
 
 
-# Gauss-Legendre rules on [0, 1]: _TAIL for the smooth stretches, _PANEL
-# for each dyadic panel of a graded head.  (numpy's leggauss rather than
-# scipy's roots_legendre, whose first call imports scipy.linalg: +7 MB.)
+# The Gauss-Legendre rule on [0, 1] for every quadrature of H, head and
+# tail.  (numpy's leggauss rather than scipy's roots_legendre, whose first
+# call imports scipy.linalg: +7 MB.)
 def _legendre01(n):
     t, w = leggauss(n)
     return 0.5 * (t + 1.0), 0.5 * w
 
 
 _TAIL_T, _TAIL_W = _legendre01(64)
-_PANEL_T, _PANEL_W = _legendre01(12)
-# Dyadic panels toward s = 0 on a graded head: the dropped piece
-# [0, x 2^-K] is ~2^(-K(1 + cap)) of the head and is added back from its
-# leading term, whose own error is a further factor x 2^-K smaller.
-_HEAD_PANELS = 24
-_PANEL_LO = np.exp2(-np.arange(1, _HEAD_PANELS + 1, dtype=float))
+# The head's rule under s = x t^p, one row per power p = 1..5: nodes t^p
+# and weights p t^(p-1) W.  Rows p >= 2 are renormalized to sum to 1, since
+# the head is subtracted from rho B and small caps amplify a weight sum's
+# error by ~1/cap; row 1 is the rule itself.  Tabulated once, because
+# numpy's vectorised power is not bit-stable across batch positions.
+_HEAD_T = np.vstack([_TAIL_T**p for p in range(1, 6)])
+_HEAD_W = np.vstack([p * _TAIL_T ** (p - 1) * _TAIL_W for p in range(1, 6)])
+_HEAD_W[1:] /= _HEAD_W[1:].sum(axis=1, keepdims=True)
 
 
 class LossFamily:
@@ -223,9 +225,10 @@ class LossFamily:
     has a kink.  Register with ``register_family``.
 
     The default ``integral_at_load`` integrates the blocking curve with
-    fixed rules, which holds a family to this contract: near s = 0,
-    B(s, cap) behaves like s^cap (or is flatter), and B has no kink inside
-    [0, rho(y)].  A family whose blocking has a kink there overrides
+    one fixed 64-node Gauss-Legendre rule, the head under s = x t^p and
+    the tail in log space, which holds a family to this contract: near
+    s = 0, B(s, cap) behaves like s^cap (or is flatter), and B has no kink
+    inside [0, rho(y)].  A family whose blocking has a kink there overrides
     ``integral_at_load``, as linear_clip does (its kink at rho = cap
     would put the default H off by ~1e-3 relative at cap = 0.4).
     """
@@ -315,36 +318,13 @@ class LossFamily:
 
     def _blocking_head(self, x, cap):
         # Int_0^x B(s, cap) ds in one blocking() call.  Near s = 0 the
-        # curve behaves like s^cap: analytic for integer cap and flat
-        # enough for cap >= 4 that one Gauss-Legendre rule resolves it.
-        # Otherwise (cap < 1 is a root cusp) the head is graded: dyadic
-        # panels toward 0 each see a smooth rescaled curve, and the
-        # dropped piece [0, eps] is added back as B(eps) eps / (1 + cap).
-        graded = (cap < 4.0) & (cap != np.floor(cap))
-        smooth = ~graded
-        xs, cs = x[smooth], cap[smooth]
-        xg, cg = x[graded], cap[graded]
-        hi = xg[:, None] * np.concatenate(([1.0], _PANEL_LO[:-1]))
-        width = hi - xg[:, None] * _PANEL_LO
-        eps = xg * _PANEL_LO[-1]
-        nodes = [
-            (xs[:, None] * _TAIL_T).reshape(-1),
-            (hi[:, :, None] - width[:, :, None] * _PANEL_T).reshape(-1),
-            eps,
-        ]
-        caps = [
-            np.repeat(cs, _TAIL_T.size),
-            np.repeat(cg, _HEAD_PANELS * _PANEL_T.size),
-            cg,
-        ]
-        b = np.asarray(self.blocking(np.concatenate(nodes), np.concatenate(caps)))
-        n_smooth = nodes[0].size
-        n_graded = nodes[1].size
-        out = np.empty(x.size)
-        out[smooth] = xs * (b[:n_smooth].reshape(-1, _TAIL_T.size) * _TAIL_W).sum(axis=1)
-        panels = b[n_smooth : n_smooth + n_graded].reshape(-1, _HEAD_PANELS, _PANEL_T.size)
-        out[graded] = (width * (panels * _PANEL_W).sum(axis=2)).sum(axis=1) + b[n_smooth + n_graded :] * eps / (1.0 + cg)
-        return out
+        # curve behaves like s^cap: analytic at integer cap and flat
+        # enough at cap >= 4 for the rule as it stands (p = 1).  Otherwise
+        # s = x t^p with p = ceil(5 / (1 + cap)) turns the s^cap cusp into
+        # t^(p (1 + cap) - 1), which the same rule resolves.
+        p = np.where(cap == np.floor(cap), 1, np.ceil(5.0 / (1.0 + cap)).astype(int))
+        b = np.asarray(self.blocking((x[:, None] * _HEAD_T[p - 1]).reshape(-1), np.repeat(cap, _TAIL_T.size)))
+        return x * (b.reshape(-1, _TAIL_T.size) * _HEAD_W[p - 1]).sum(axis=1)
 
     def log_loss_ceiling(self, cap):
         """Largest y this family can be evaluated at before the inversion
@@ -369,7 +349,7 @@ class _ErlangB(LossFamily):
     1/B = rho * Int_0^inf e^(-rho t) (1+t)^cap dt, which equals
     e^rho * rho^(-cap) * Gamma(cap+1, rho); see _erlang_log_rest for how B
     and 1 - B are evaluated.  offered_at is a batched Newton inversion
-    (_erlang_invert); H then comes from the default fixed rules.
+    (_erlang_invert); H then comes from the default fixed rule.
     """
 
     name = "erlang_b"

@@ -201,10 +201,15 @@ def supergradient(
     There g_j = y*_j for every family but exp_overflow, whose E1(C / rho)
     is exact and finite since its H is linear in C: y*_j is the slope of
     the bound H_j(y, C) <= C y, which holds wherever carried load is at
-    most capacity.  It is a rule, not a supergradient, so the
-    Frank-Wolfe gap bounds phi* - phi only at iterates with every C_j > 0,
-    and only where phi is concave there (it need not be where an erlang_b
-    capacity on a shared flow is below 1; see README).
+    most capacity.  It is a rule, not a supergradient, for erlang_b and
+    custom families, so with those the Frank-Wolfe gap bounds phi* - phi
+    only at iterates with every C_j > 0, and only where phi is concave
+    there (it need not be where an erlang_b capacity on a shared flow is
+    below 1; see README).  Where every entity uses linear_clip or
+    exp_overflow, H_j is linear in C at fixed y, so the inner objective is
+    affine in C at the reported y and g is an exact supergradient at every
+    iterate, zero capacities included: the gap bounds phi* minus the
+    reported value.
     """
     caps = np.asarray(alloc.values, dtype=float)
     if caps.size != model.m:

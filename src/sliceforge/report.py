@@ -23,7 +23,7 @@ def format_float(value: float) -> str:
     """Shortest-ish fixed rendering that still round-trips: %.17g."""
     x = float(value)
     if not math.isfinite(x):
-        raise ValueError(f"non-finite value in report: {value!r}")
+        raise ValueError(f"report: non-finite value {x!r}")
     return format(x, ".17g")
 
 
@@ -56,7 +56,7 @@ def _render(obj, out, level, indent):
     elif isinstance(obj, (list, tuple, np.ndarray)):
         _render_list(list(obj), out, level, indent)
     else:
-        raise TypeError(f"cannot render {type(obj).__name__} in a report")
+        raise TypeError(f"report: cannot render {type(obj).__name__}")
 
 
 def _render_dict(obj: dict, out, level, indent):
@@ -67,7 +67,7 @@ def _render_dict(obj: dict, out, level, indent):
     out.append("{\n")
     for k, (key, value) in enumerate(obj.items()):
         if not isinstance(key, str):
-            raise TypeError(f"report keys must be strings, got {type(key).__name__}")
+            raise TypeError(f"report: keys must be strings, got {type(key).__name__}")
         out.append(",\n" + pad if k else pad)
         out.append(encode_basestring_ascii(key))
         out.append(": ")

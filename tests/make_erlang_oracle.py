@@ -30,7 +30,7 @@ import os
 
 import mpmath as mp
 
-CAPS = ("1e-3", "0.05", "0.3", "0.7", "1", "1.05", "1.5", "3", "10", "50", "150")
+CAPS = ("1e-3", "0.05", "0.2", "0.3", "0.7", "1", "1.05", "1.5", "2.5", "3", "3.7", "10", "50", "150")
 LEVELS = ("1e-6", "0.01", "0.5", "3")
 CEILING_FRACTION = "0.99"
 OUT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "erlang_oracle.json")

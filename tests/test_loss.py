@@ -22,7 +22,7 @@ from sliceforge import (
     utilization_terms,
 )
 from sliceforge.fixedpoint import Y_CAP
-from sliceforge.loss import LossFamily, _erlang_headroom, get_family
+from sliceforge.loss import _HEAD_T, _HEAD_W, _TAIL_T, _TAIL_W, LossFamily, _erlang_headroom, get_family
 
 from conftest import erlang_recursion
 from inner_oracle import utilization_slope
@@ -425,6 +425,57 @@ def test_default_inversion_batches_survival_calls():
         assert calls[0] <= batch + 1
         assert (h[-1], u[-1]) == (0.0, 0.0)
         assert h[:-1].tolist() == h_alone and u[:-1].tolist() == u_alone
+
+
+# Capacities on every branch of the head's power p = ceil(5 / (1 + cap)):
+# p = 5, 4, 3, 2 below cap = 4, and p = 1 at integer cap and at cap >= 4.
+HEAD_CAPS = np.array([1e-4, 0.2, 0.3, 0.7, 1.0, 1.5, 2.0, 2.5, 3.0, 3.7, 4.0, 4.5, 10.0, 150.0])
+
+
+def test_blocking_head_is_one_rule_of_64_nodes_per_entity():
+    # Every head is the one 64-node rule under s = x t^p: a single
+    # blocking() call of 64 n nodes for n entities, at any mix of
+    # capacities.
+    sizes = []
+
+    class Spied(_GenericErlang):
+        name = "spied_erlang_b_test_only"
+
+        def blocking(self, rho, cap):
+            sizes.append(rho.size)
+            return super().blocking(rho, cap)
+
+    family = Spied()
+    for cap in (HEAD_CAPS[:1], HEAD_CAPS[1:2], HEAD_CAPS[4:6], HEAD_CAPS, HEAD_CAPS[::-1]):
+        sizes.clear()
+        family._blocking_head(np.maximum(1.0, cap), cap)
+        assert sizes == [_TAIL_T.size * cap.size]
+
+
+def test_blocking_head_at_integer_and_large_caps_is_the_plain_rule():
+    # At integer cap and at cap >= 4 the head's power is 1, and its table
+    # row is the rule itself, not renormalized: each head there is
+    # x (B(x T) W).sum() bit for bit, alone or batched with the other
+    # branches.
+    assert _HEAD_T[0].tolist() == _TAIL_T.tolist() and _HEAD_W[0].tolist() == _TAIL_W.tolist()
+    family = get_family("erlang_b")
+    x = np.maximum(1.0, HEAD_CAPS)
+    head = family._blocking_head(x, HEAD_CAPS)
+    plain = (HEAD_CAPS == np.floor(HEAD_CAPS)) | (HEAD_CAPS >= 4.0)
+    assert plain.sum() == 7
+    for j in np.flatnonzero(plain):
+        b = family.blocking(x[j] * _TAIL_T, np.full(_TAIL_T.size, HEAD_CAPS[j]))
+        assert head[j] == x[j] * (b * _TAIL_W).sum()
+
+
+def test_head_weight_rows_sum_to_one():
+    # Rows p >= 2 are renormalized: the head is subtracted from rho B, and
+    # at small cap that cancellation magnifies a weight sum's error by
+    # ~1/cap (unnormalized rows sum to 1 +- 1.3e-15).  Nodes are t^p.
+    assert _HEAD_T.shape == _HEAD_W.shape == (5, _TAIL_T.size)
+    for p, (nodes, weights) in enumerate(zip(_HEAD_T, _HEAD_W), start=1):
+        assert abs(math.fsum(weights) - 1.0) <= np.spacing(1.0)
+        assert nodes.tolist() == (_TAIL_T**p).tolist()
 
 
 def test_default_utilization_slope_matches_shipped_families():

@@ -60,6 +60,18 @@ def test_unrenderable_types_rejected():
         render_json({1: "non-string key"})
 
 
+def test_errors_name_the_layer():
+    # Every layer's messages start with its name, as the CLI prints them.
+    with pytest.raises(ValueError, match=r"^report: non-finite value inf$"):
+        format_float(math.inf)
+    with pytest.raises(ValueError, match=r"^report: non-finite value nan$"):
+        render_json({"x": [np.float64(math.nan)]})
+    with pytest.raises(TypeError, match=r"^report: cannot render object$"):
+        render_json({"x": object()})
+    with pytest.raises(TypeError, match=r"^report: keys must be strings, got int$"):
+        render_json({1: "non-string key"})
+
+
 def test_render_csv():
     text = render_csv(["id", "value"], [["a", 0.1], ["b", 2.0]])
     lines = text.splitlines()
