@@ -21,116 +21,15 @@ The pieces, bottom to top:
   JSON/CSV reports.
 """
 
-from .fixedpoint import (
-    Diagnostics,
-    LoadState,
-    carried_total,
-    diagnostics,
-    solve_fixed_point,
-)
-from .inner import InnerSolution, inner_gradient, inner_objective, surrogate
-from .loss import (
-    InversionError,
-    LossDomainError,
-    LossFamily,
-    LossSpec,
-    log_loss_ceiling,
-    loss,
-    loss_kinds,
-    register_family,
-    utilization,
-    utilization_integral,
-    utilization_measure,
-    utilization_terms,
-)
-from .model import (
-    CapacityAllocation,
-    FeasibilityReport,
-    Flow,
-    LogicalEntity,
-    ModelError,
-    NetworkModel,
-    PhysicalEntity,
-    check_feasible,
-    demand_matrix,
-    incidence,
-    load_model,
-    loss_groups,
-    no_blocking_loads,
-    offered_vector,
-    serialize_model,
-)
-from .outer import (
-    Polytope,
-    ReconfigProblem,
-    ReconfigResult,
-    SimplexError,
-    SolveTrace,
-    capacity_polytope,
-    lp_solve,
-    maximize_surrogate,
-    solve_reconfig,
-    supergradient,
-)
-from .sim import SimConfig, SimResult, simulate
+from . import fixedpoint, inner, model, outer, sim
+from . import loss as _loss  # the star import below rebinds `loss` to the function
+from .model import *  # noqa: F401,F403
+from .loss import *  # noqa: F401,F403
+from .fixedpoint import *  # noqa: F401,F403
+from .inner import *  # noqa: F401,F403
+from .outer import *  # noqa: F401,F403
+from .sim import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # model
-    "ModelError",
-    "PhysicalEntity",
-    "LogicalEntity",
-    "Flow",
-    "NetworkModel",
-    "CapacityAllocation",
-    "FeasibilityReport",
-    "load_model",
-    "serialize_model",
-    "incidence",
-    "demand_matrix",
-    "offered_vector",
-    "loss_groups",
-    "no_blocking_loads",
-    "check_feasible",
-    # loss
-    "LossSpec",
-    "LossFamily",
-    "LossDomainError",
-    "InversionError",
-    "loss",
-    "utilization",
-    "utilization_measure",
-    "utilization_integral",
-    "utilization_terms",
-    "log_loss_ceiling",
-    "register_family",
-    "loss_kinds",
-    # fixed point
-    "LoadState",
-    "Diagnostics",
-    "solve_fixed_point",
-    "carried_total",
-    "diagnostics",
-    # inner
-    "InnerSolution",
-    "inner_objective",
-    "inner_gradient",
-    "surrogate",
-    # outer
-    "Polytope",
-    "capacity_polytope",
-    "SimplexError",
-    "lp_solve",
-    "SolveTrace",
-    "supergradient",
-    "maximize_surrogate",
-    "ReconfigProblem",
-    "ReconfigResult",
-    "solve_reconfig",
-    # sim
-    "SimConfig",
-    "SimResult",
-    "simulate",
-]
+__all__ = ["__version__", *model.__all__, *_loss.__all__, *fixedpoint.__all__, *inner.__all__, *outer.__all__, *sim.__all__]

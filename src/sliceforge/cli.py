@@ -21,6 +21,7 @@ from . import __version__
 from .fixedpoint import _utilization_measures, diagnostics, solve_fixed_point
 from .inner import _surrogate_at
 from .inner import surrogate  # noqa: F401  (perfbench/tracer.py wraps it under this module)
+from .loss import InversionError
 from .model import (
     CapacityAllocation,
     ModelError,
@@ -398,7 +399,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except ValueError as exc:  # ModelError and LossDomainError included
+    except (ValueError, InversionError) as exc:  # ModelError and LossDomainError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except OSError as exc:

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .loss import get_family, log_loss_ceiling
+from .loss import get_family
 from .loss import loss, utilization_measure  # noqa: F401  (perfbench/tracer.py wraps them under this module)
 from .model import CapacityAllocation, NetworkModel, _compiled, demand_matrix, loss_groups, no_blocking_loads, offered_vector
 
@@ -173,7 +173,7 @@ def _box_upper(model: NetworkModel, caps: np.ndarray) -> np.ndarray:
     the ceiling keeps Erlang inversions off their non-saturating regime."""
     hi = np.empty(caps.size)
     for spec, idx in loss_groups(model):
-        hi[idx] = log_loss_ceiling(spec, caps[idx])
+        hi[idx] = get_family(spec.kind).log_loss_ceiling(caps[idx])
     return np.minimum(hi, Y_CAP)
 
 

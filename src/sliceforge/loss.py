@@ -57,7 +57,6 @@ __all__ = [
     "utilization_terms",
     "log_loss_ceiling",
     "register_family",
-    "get_family",
     "loss_kinds",
 ]
 
@@ -776,6 +775,6 @@ def utilization_measure(spec: LossSpec, blocking_prob, cap):
 
 def log_loss_ceiling(spec: LossSpec, cap):
     """Safe upper bound on y for this family and capacity (inf if analytic).
-    Accepts a scalar or a numpy array of capacities."""
-    cs = np.asarray(cap, dtype=float)
-    return _finish(get_family(spec.kind).log_loss_ceiling(cs.reshape(-1)), cs.shape)
+    Accepts a scalar or a numpy array of capacities, finite and >= 0."""
+    _, cs, shape = _levels(0.0, cap, spec.kind)
+    return _finish(get_family(spec.kind).log_loss_ceiling(cs), shape)

@@ -1,4 +1,5 @@
 import functools
+import importlib
 import json
 import math
 import os
@@ -124,6 +125,18 @@ def test_invalid_settings_name_the_layer(capsys, argv, message):
     assert code == 1
     assert out == ""
     assert err == message
+
+
+@pytest.mark.parametrize("argv", [("evaluate", "--alloc", "proportional"), ("solve",)], ids=["evaluate", "solve"])
+def test_an_inversion_error_is_reported_without_a_traceback(tmp_path, capsys, argv):
+    # From C ~ 1e10 the Erlang box end is 1e-3; at C = 1e12 the inversion
+    # there passes the 1e12 bracket cap.
+    model_path = tmp_path / "m.json"
+    model_path.write_text(serialize_model(single_entity(2e12, phys_cap=1e12)))
+    code, out, err = invoke(capsys, argv[0], model_path, *argv[1:])
+    assert code == 1
+    assert out == ""
+    assert err == "error: loss: erlang_b offered load above 1e+12 at this log-loss level\n"
 
 
 def test_evaluate_closed_form_totals(tmp_path, capsys):
@@ -638,8 +651,8 @@ def test_console_script_installed(tmp_path):
     # [project.scripts] entry, so the command under test is this checkout's
     # declaration rather than whatever `sliceforge` happens to be on PATH.
     tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    module, _, function = project["scripts"]["sliceforge"].partition(":")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text())
+    module, _, function = pyproject["project"]["scripts"]["sliceforge"].partition(":")
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     launcher = bin_dir / "sliceforge"
@@ -662,7 +675,10 @@ def test_console_script_installed(tmp_path):
         cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == f"sliceforge {project['version']}"
+    # The version is declared once, as the attribute pyproject.toml names.
+    assert "version" not in pyproject["project"]
+    owner, _, attr = pyproject["tool"]["setuptools"]["dynamic"]["version"]["attr"].rpartition(".")
+    assert proc.stdout.strip() == f"sliceforge {getattr(importlib.import_module(owner), attr)}"
 
 
 def test_module_entry_point_runs_without_install(tmp_path):

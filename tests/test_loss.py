@@ -263,6 +263,13 @@ def test_ceiling_of_a_capacity_array_is_the_scalar_formula_bit_for_bit():
 
 
 @pytest.mark.parametrize("spec", ALL, ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("cap", [-1.0, math.nan, math.inf, np.array([5.0, -1e-300])], ids=["neg", "nan", "inf", "array"])
+def test_ceiling_rejects_a_capacity_outside_its_domain(spec, cap):
+    with pytest.raises(LossDomainError, match=rf"^loss: {spec.kind} capacity must be finite and >= 0$"):
+        log_loss_ceiling(spec, cap)
+
+
+@pytest.mark.parametrize("spec", ALL, ids=lambda spec: spec.kind)
 def test_utilization_slope_matches_central_differences(spec):
     eps = np.finfo(float).eps
     for cap in (0.0, 0.4, 2.5, 11.0):
