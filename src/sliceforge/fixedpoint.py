@@ -28,9 +28,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .loss import get_family
 from .loss import loss, utilization_measure  # noqa: F401  (perfbench/tracer.py wraps them under this module)
-from .model import CapacityAllocation, NetworkModel, _compiled, demand_matrix, loss_groups, no_blocking_loads, offered_vector
+from .model import CapacityAllocation, NetworkModel, _by_family, _capacities, _compiled, demand_matrix
+from .model import no_blocking_loads, offered_vector
 
 __all__ = [
     "LoadState",
@@ -106,15 +106,6 @@ class Diagnostics:
         return self.point.measures
 
 
-def _blocking_vector(families, rho: np.ndarray, caps: np.ndarray) -> np.ndarray:
-    # one kernel call per family on the solver's own flat arrays, which hold
-    # finite loads >= 0: `loss` would only check and broadcast them again
-    out = np.empty(rho.size)
-    for family, idx in families:
-        out[idx] = family.blocking(rho[idx], caps[idx])
-    return out
-
-
 def _flow_entries(demands: np.ndarray):
     """The demand matrix's non-zeros ordered by flow, then by entity: their
     entity indices, their demands and the index of each flow's first one.
@@ -171,10 +162,7 @@ def _load_map(model: NetworkModel, survival: np.ndarray, rho0: np.ndarray):
 def _box_upper(model: NetworkModel, caps: np.ndarray) -> np.ndarray:
     """The surrogate's log-loss box ends min(Y_CAP, ``log_loss_ceiling``):
     the ceiling keeps Erlang inversions off their non-saturating regime."""
-    hi = np.empty(caps.size)
-    for spec, idx in loss_groups(model):
-        hi[idx] = get_family(spec.kind).log_loss_ceiling(caps[idx])
-    return np.minimum(hi, Y_CAP)
+    return np.minimum(_by_family(model, "log_loss_ceiling", caps), Y_CAP)
 
 
 def solve_fixed_point(model: NetworkModel, alloc: CapacityAllocation, max_iters: int = 10000) -> LoadState:
@@ -217,10 +205,7 @@ def solve_fixed_point(model: NetworkModel, alloc: CapacityAllocation, max_iters:
     """
     if max_iters < 1:
         raise ValueError(f"fixedpoint: max_iters must be at least 1, got {max_iters!r}")
-    caps = np.asarray(alloc.values, dtype=float)
-    if caps.size != model.m:
-        raise ValueError(f"fixedpoint: allocation length {caps.size} != m={model.m}")
-    return _solve(model, caps, max_iters)
+    return _solve(model, _capacities(model, alloc, "fixedpoint"), max_iters)
 
 
 def _solve(model: NetworkModel, caps: np.ndarray, max_iters: int, start: np.ndarray | None = None) -> LoadState:
@@ -229,13 +214,13 @@ def _solve(model: NetworkModel, caps: np.ndarray, max_iters: int, start: np.ndar
     m = caps.size
     pair_row, pair_col, pair_demand, pair_flow = _model_flows(model)[1]
     rho0 = no_blocking_loads(model)
-    families = [(get_family(spec.kind), idx) for spec, idx in loss_groups(model)]
     if start is None:
         start = rho0
 
     def evaluate(rho):
-        # G(rho) at rho, its residual and merit, and what the Jacobian needs
-        blocking = _blocking_vector(families, rho, caps)
+        # G(rho) at rho, its residual and merit, and what the Jacobian needs;
+        # the family kernels take the solver's own loads (finite, >= 0) unchecked
+        blocking = _by_family(model, "blocking", rho, caps)
         target, weights, pinned = _load_map(model, 1.0 - blocking, rho0)
         scaled = (rho - target) / (1.0 + rho)
         return _Point(rho, target, float(np.max(np.abs(scaled))), float(scaled @ scaled), blocking, weights, pinned)
@@ -246,9 +231,7 @@ def _solve(model: NetworkModel, caps: np.ndarray, max_iters: int, start: np.ndar
         # with slope = dB/drho = -S'; zeroing 1 / S on pinned entities
         # leaves their rows and columns those of the identity.
         free = ~point.pinned
-        slope = np.empty(m)
-        for family, idx in families:
-            slope[idx] = family.blocking_slope(point.rho[idx], caps[idx], point.blocking[idx])
+        slope = _by_family(model, "blocking_slope", point.rho, caps, point.blocking)
         inverse = np.zeros(m)
         # a survival near the pinning floor can overflow these; the
         # finiteness check below then rejects the step
@@ -264,9 +247,7 @@ def _solve(model: NetworkModel, caps: np.ndarray, max_iters: int, start: np.ndar
                 return None
         return delta if np.isfinite(delta).all() else None
 
-    kinks = np.full(m, np.inf)
-    for family, idx in families:
-        kinks[idx] = family.kink_load(caps[idx])
+    kinks = _by_family(model, "kink_load", caps)
 
     def kink_landing(point, delta):
         # the least t > 0 at which delta carries an entity across its kink,
@@ -340,14 +321,8 @@ def _utilization_measures(model: NetworkModel, caps: np.ndarray, state: LoadStat
     box = _box_upper(model, caps)
     y = np.minimum(level, box)
     clipped = level > box
-    load, h = np.where(clipped, 0.0, state.offered), np.zeros(model.m)
-    for spec, idx in loss_groups(model):
-        family = get_family(spec.kind)
-        ends = idx[clipped[idx] & (caps[idx] > 0.0)]
-        if ends.size:
-            load[ends] = family.offered_at(y[ends], caps[ends])
-        idx = idx[(caps[idx] > 0.0) & (load[idx] > 0.0) & (y[idx] > 0.0)]
-        h[idx] = family.integral_at_load(y[idx], caps[idx], load[idx])
+    load = np.where(clipped, _by_family(model, "offered_at", y, caps, where=clipped & (caps > 0.0)), state.offered)
+    h = _by_family(model, "integral_at_load", y, caps, load, where=(caps > 0.0) & (load > 0.0) & (y > 0.0))
     return _EntityPoint(y, box, load, h)
 
 
@@ -355,7 +330,7 @@ def diagnostics(model: NetworkModel, alloc: CapacityAllocation, state: LoadState
     """Totals, the modified objective, and the correction bound at a state."""
     if not state.converged:
         raise ValueError("fixedpoint: diagnostics requires a converged state")
-    caps = np.asarray(alloc.values, dtype=float)
+    caps = _capacities(model, alloc, "fixedpoint")
     lengths = demand_matrix(model).sum(axis=0)
     total = carried_total(model, state)
     weighted = float(np.sum(lengths * state.carried_per_flow))

@@ -30,7 +30,7 @@ import numpy as np
 from .fixedpoint import LoadState, _box_upper, _EntityPoint, _load_map, _solve, _utilization_measures
 from .loss import log_loss_ceiling  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .loss import utilization, utilization_integral
-from .model import CapacityAllocation, NetworkModel, demand_matrix, loss_groups, no_blocking_loads, offered_vector
+from .model import CapacityAllocation, NetworkModel, _capacities, demand_matrix, loss_groups, no_blocking_loads, offered_vector
 
 __all__ = [
     "InnerSolution",
@@ -75,7 +75,7 @@ def _check_y(model: NetworkModel, y: np.ndarray) -> np.ndarray:
 def inner_objective(model: NetworkModel, alloc: CapacityAllocation, y: np.ndarray) -> float:
     """sum_r nu_r exp(-(A^T y)_r) + sum_j H_j(y_j, C_j)."""
     y = _check_y(model, y)
-    caps, h = np.asarray(alloc.values, dtype=float), np.empty(y.size)
+    caps, h = _capacities(model, alloc, "inner"), np.empty(y.size)
     for spec, idx in loss_groups(model):
         h[idx] = utilization_integral(spec, y[idx], caps[idx])
     return float(offered_vector(model) @ np.exp(-(demand_matrix(model).T @ y))) + float(h.sum())
@@ -84,7 +84,7 @@ def inner_objective(model: NetworkModel, alloc: CapacityAllocation, y: np.ndarra
 def inner_gradient(model: NetworkModel, alloc: CapacityAllocation, y: np.ndarray) -> np.ndarray:
     """d/dy_j = -sum_r A_jr nu_r exp(-(A^T y)_r) + U_j(y_j, C_j)."""
     y = _check_y(model, y)
-    caps, u = np.asarray(alloc.values, dtype=float), np.empty(y.size)
+    caps, u = _capacities(model, alloc, "inner"), np.empty(y.size)
     for spec, idx in loss_groups(model):
         u[idx] = utilization(spec, y[idx], caps[idx])
     demands = demand_matrix(model)
@@ -138,9 +138,7 @@ def surrogate(
     """
     if max_iters < 1:
         raise ValueError(f"inner: max_iters must be at least 1, got {max_iters!r}")
-    caps = np.asarray(alloc.values, dtype=float)
-    if caps.size != model.m:
-        raise ValueError(f"inner: allocation length {caps.size} != m={model.m}")
+    caps = _capacities(model, alloc, "inner")
     start, y0 = None, np.zeros(model.m)
     if warm_start is not None:
         hi = _box_upper(model, caps)

@@ -221,7 +221,9 @@ class LossFamily:
     load), ``blocking_slope`` (by default one more ``blocking`` call) and
     ``capacity_slope`` (by default a difference of ``integral_at_load``)
     when closed forms or array kernels exist, and ``kink_load`` where F
-    has a kink.  Register with ``register_family``.
+    has a kink.  Register with ``register_family``.  The solvers call each
+    hook once per family per evaluation, on that family's entities only and
+    never with an empty array, looking it up on the instance at each call.
 
     The default ``integral_at_load`` integrates the blocking curve with
     one fixed 64-node Gauss-Legendre rule, the head under s = x t^p and

@@ -19,7 +19,7 @@ from functools import wraps
 
 import numpy as np
 
-from .loss import LossSpec
+from .loss import LossSpec, get_family
 
 __all__ = [
     "ModelError",
@@ -115,7 +115,7 @@ def _validate(model: NetworkModel) -> None:
             raise ModelError(f"duplicate id: physical '{p.id}'")
         if not isinstance(p.ctype, str) or not p.ctype:
             raise ModelError(f"physical '{p.id}' has an empty capacity type")
-        if not (isinstance(p.capacity, (int, float)) and math.isfinite(p.capacity)):
+        if not math.isfinite(_as_number(p.capacity, f"physical '{p.id}' capacity")):
             raise ModelError(f"physical '{p.id}' capacity must be finite")
         if p.capacity < 0:
             raise ModelError(f"negative capacity on physical '{p.id}'")
@@ -127,6 +127,10 @@ def _validate(model: NetworkModel) -> None:
         if lg.id in logical_ids:
             raise ModelError(f"duplicate id: logical '{lg.id}'")
         logical_ids.add(lg.id)
+        if not isinstance(lg.loss, LossSpec):
+            raise ModelError(f"logical '{lg.id}' loss must be a LossSpec")
+        if isinstance(lg.members, str):
+            raise ModelError(f"logical '{lg.id}' members must be a list of ids")
         if len(lg.members) == 0:
             raise ModelError(f"empty member set on logical '{lg.id}'")
         seen_members = set()
@@ -147,7 +151,7 @@ def _validate(model: NetworkModel) -> None:
         if fl.id in flow_ids:
             raise ModelError(f"duplicate id: flow '{fl.id}'")
         flow_ids.add(fl.id)
-        if not (isinstance(fl.offered, (int, float)) and math.isfinite(fl.offered)):
+        if not math.isfinite(_as_number(fl.offered, f"flow '{fl.id}' offered")):
             raise ModelError(f"flow '{fl.id}' offered load must be finite")
         if fl.offered < 0:
             raise ModelError(f"negative offered load on flow '{fl.id}'")
@@ -249,6 +253,28 @@ def loss_groups(model: NetworkModel) -> tuple[tuple[LossSpec, np.ndarray], ...]:
     for i, lg in enumerate(model.logicals):
         groups.setdefault(lg.loss, []).append(i)
     return tuple((spec, np.array(idx)) for spec, idx in groups.items())
+
+
+def _by_family(model: NetworkModel, method: str, *arrays: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
+    """Each loss family's `method` on its entities' elements of `arrays` (those
+    in the mask `where`, where given), in entity order with 0 elsewhere: one
+    call per non-empty group, the hook looked up on the family instance."""
+    out = np.zeros(model.m)
+    for spec, idx in loss_groups(model):
+        if where is not None:
+            idx = idx[where[idx]]
+        if idx.size:
+            out[idx] = getattr(get_family(spec.kind), method)(*(a[idx] for a in arrays))
+    return out
+
+
+def _capacities(model: NetworkModel, alloc: CapacityAllocation, layer: str) -> np.ndarray:
+    """The allocation's capacities as floats; ValueError led by `layer` if
+    there is not one per logical entity."""
+    caps = np.asarray(alloc.values, dtype=float)
+    if caps.size != model.m:
+        raise ValueError(f"{layer}: allocation length {caps.size} != m={model.m}")
+    return caps
 
 
 def no_blocking_loads(model: NetworkModel) -> np.ndarray:

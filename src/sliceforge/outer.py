@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .inner import InnerSolution, surrogate
-from .loss import get_family
 from .loss import log_loss_ceiling, utilization_integral  # noqa: F401  (perfbench/tracer.py wraps them under this module)
-from .model import CapacityAllocation, NetworkModel, incidence, loss_groups
+from .model import CapacityAllocation, NetworkModel, _by_family, _capacities, incidence
 
 __all__ = [
     "Polytope",
@@ -211,20 +210,14 @@ def supergradient(
     iterate, zero capacities included: the gap bounds phi* minus the
     reported value.
     """
-    caps = np.asarray(alloc.values, dtype=float)
-    if caps.size != model.m:
-        raise ValueError(f"outer: allocation length {caps.size} != m={model.m}")
+    caps = _capacities(model, alloc, "outer")
     if inner is None:
         inner = surrogate(model, alloc)
-    grad = np.zeros(model.m)
-    for spec, idx in loss_groups(model):
-        grad[idx] = get_family(spec.kind).capacity_slope(inner.log_loss[idx], caps[idx], inner.load[idx])
-        bad = idx[~np.isfinite(grad[idx])]
-        if bad.size:
-            j = int(bad[0])
-            raise ValueError(
-                f"outer: {spec.kind} capacity slope at entity '{model.logicals[j].id}' is {grad[j]}, not finite"
-            )
+    grad = _by_family(model, "capacity_slope", inner.log_loss, caps, inner.load)
+    bad = np.flatnonzero(~np.isfinite(grad))
+    if bad.size:
+        entity = model.logicals[bad[0]]
+        raise ValueError(f"outer: {entity.loss.kind} capacity slope at entity '{entity.id}' is {grad[bad[0]]}, not finite")
     return grad
 
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CapacityAllocation, NetworkModel, demand_matrix, offered_vector
+from .model import CapacityAllocation, NetworkModel, _capacities, demand_matrix, offered_vector
 
 __all__ = ["SimConfig", "SimResult", "simulate"]
 
@@ -210,9 +210,7 @@ def simulate(model: NetworkModel, alloc: CapacityAllocation, config: SimConfig) 
     for lg in model.logicals:
         if lg.loss.kind != "erlang_b":
             raise ValueError(f"simulate: requires erlang_b loss on every logical entity (got '{lg.loss.kind}' on '{lg.id}')")
-    raw = np.asarray(alloc.values, dtype=float)
-    if raw.size != model.m:
-        raise ValueError(f"simulate: allocation length {raw.size} != m={model.m}")
+    raw = _capacities(model, alloc, "simulate")
     rounded = np.rint(raw)
     for lg, value, cap in zip(model.logicals, raw.tolist(), rounded.tolist()):
         if abs(value - cap) > 1e-9:

@@ -13,15 +13,25 @@ from sliceforge import (
     ModelError,
     NetworkModel,
     PhysicalEntity,
+    SimConfig,
     check_feasible,
     demand_matrix,
+    diagnostics,
     incidence,
+    inner_gradient,
+    inner_objective,
     load_model,
     loss_groups,
     no_blocking_loads,
     offered_vector,
     serialize_model,
+    simulate,
+    solve_fixed_point,
+    supergradient,
+    surrogate,
 )
+from sliceforge.loss import get_family
+from sliceforge.model import _by_family
 
 from conftest import symmetric_pair, three_potentials
 
@@ -219,3 +229,73 @@ def test_dimension_mismatch():
     model = symmetric_pair()
     with pytest.raises(ModelError, match="length"):
         check_feasible(model, CapacityAllocation([1.0]))
+
+
+def _solved_diagnostics(model, alloc):
+    return diagnostics(model, alloc, solve_fixed_point(model, CapacityAllocation([5.0, 5.0])))
+
+
+@pytest.mark.parametrize("length", [1, 3])
+@pytest.mark.parametrize(
+    "layer, call",
+    [
+        ("fixedpoint", solve_fixed_point),
+        ("fixedpoint", _solved_diagnostics),
+        ("inner", surrogate),
+        ("inner", lambda model, alloc: inner_objective(model, alloc, np.zeros(model.m))),
+        ("inner", lambda model, alloc: inner_gradient(model, alloc, np.zeros(model.m))),
+        ("outer", supergradient),
+        ("simulate", lambda model, alloc: simulate(model, alloc, SimConfig(seed=1, horizon=100.0))),
+    ],
+    ids=["solve_fixed_point", "diagnostics", "surrogate", "inner_objective", "inner_gradient", "supergradient", "simulate"],
+)
+def test_every_entry_point_checks_the_allocation_length(layer, call, length):
+    with pytest.raises(ValueError, match=rf"^{layer}: allocation length {length} != m=2$"):
+        call(symmetric_pair(), CapacityAllocation([5.0] * length))
+
+
+def _direct(capacity=1.0, members=("p",), loss=LossSpec("erlang_b"), offered=1.0):
+    return NetworkModel(
+        physicals=(PhysicalEntity("p", "u", capacity), PhysicalEntity("q", "u", 1.0)),
+        logicals=(LogicalEntity("l", members, loss),),
+        flows=(Flow("f", offered, {"l": 1}),),
+    )
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("capacity", True, "physical 'p' capacity must be a number"),
+        ("offered", True, "flow 'f' offered must be a number"),
+        ("loss", "erlang_b", "logical 'l' loss must be a LossSpec"),
+        ("members", "pq", "logical 'l' members must be a list of ids"),
+    ],
+)
+def test_a_model_built_directly_is_checked_as_a_document_is(field, value, message):
+    assert _direct().m == 1
+    with pytest.raises(ModelError, match=f"^model: {message}$"):
+        _direct(**{field: value})
+
+
+def test_by_family_calls_each_family_once_and_scatters_in_entity_order(monkeypatch):
+    kinds = ("erlang_b", "linear_clip", "erlang_b", "exp_overflow")
+    model = NetworkModel(
+        physicals=(PhysicalEntity("p", "u", 10.0),),
+        logicals=tuple(LogicalEntity(f"l{i}", ("p",), LossSpec(kind)) for i, kind in enumerate(kinds)),
+        flows=(Flow("f", 1.0, {f"l{i}": 1 for i in range(len(kinds))}),),
+    )
+    calls = []
+    for tag, kind in enumerate(("erlang_b", "linear_clip", "exp_overflow"), start=1):
+
+        def blocking(rho, cap, tag=tag):
+            calls.append((tag, rho.tolist(), cap.tolist()))
+            return 100.0 * tag + rho * cap
+
+        monkeypatch.setattr(get_family(kind), "blocking", blocking)
+    rho, caps = np.array([1.0, 2.0, 3.0, 4.0]), np.array([5.0, 6.0, 7.0, 8.0])
+    assert _by_family(model, "blocking", rho, caps).tolist() == [105.0, 212.0, 121.0, 332.0]
+    assert calls == [(1, [1.0, 3.0], [5.0, 7.0]), (2, [2.0], [6.0]), (3, [4.0], [8.0])]
+    calls.clear()
+    where = np.array([False, True, True, False])
+    assert _by_family(model, "blocking", rho, caps, where=where).tolist() == [0.0, 212.0, 121.0, 0.0]
+    assert calls == [(1, [3.0], [7.0]), (2, [2.0], [6.0])]  # no call on exp_overflow's empty group

@@ -34,6 +34,7 @@ from sliceforge.fixedpoint import Y_CAP as INNER_Y_CAP
 from sliceforge.loss import (
     _FD_STEP_FLOOR,
     _FD_STEP_REL,
+    LossFamily,
     get_family,
     log_loss_ceiling,
     register_family,
@@ -336,6 +337,28 @@ def test_supergradient_names_the_entity_of_a_slope_that_is_not_finite(monkeypatc
     monkeypatch.setattr(family, "capacity_slope", lambda y, cap, rho: np.where(np.arange(y.size) == 1, np.inf, 1.0))
     with pytest.raises(ValueError, match=r"^outer: erlang_b capacity slope at entity 'b' is inf, not finite$"):
         supergradient(model, CapacityAllocation([1.0, 1.0]))
+
+
+def test_no_solver_path_calls_a_family_hook_on_an_empty_array(monkeypatch):
+    # LossFamily's calling contract: the solvers call a hook only on its
+    # family's entities, never with an empty array.  Each hook is wrapped on
+    # the instance, as perfbench/tracer.py wraps them.
+    family, sizes = get_family("erlang_b"), []
+
+    def recording(name, hook):
+        def wrapped(*args):
+            sizes.append((name, min(np.size(a) for a in args)))
+            return hook(*args)
+
+        return wrapped
+
+    for name in [name for name, attr in vars(LossFamily).items() if callable(attr) and not name.startswith("__")]:
+        monkeypatch.setattr(family, name, recording(name, getattr(family, name)))
+    model = three_potentials()
+    maximize_surrogate(model)
+    surrogate(model, CapacityAllocation(np.zeros(model.m)))
+    assert {name for name, _ in sizes} >= {"blocking", "integral_at_load", "capacity_slope", "kink_load"}
+    assert [call for call in sizes if call[1] == 0] == []
 
 
 # --- line search ------------------------------------------------------------
