@@ -15,10 +15,11 @@ unique root for Erlang blocking (Kelly, Adv. Appl. Prob. 1986).  Where a
 family's blocking has a kink (linear_clip at rho = cap,
 ``LossFamily.kink_load``), a Newton step that crosses it was computed
 from the near side's Jacobian; a failed step may then land on the first
-kink it crosses instead, so that the next Jacobian is the far side's.  The per-flow products, and the flow-pair sums that
-assemble the Jacobian, run over the demand matrix's non-zeros only,
-compiled once per model.  Feasibility of the allocation is not required;
-the system is defined for any C >= 0.
+kink it crosses instead, so that the next Jacobian is the far side's.
+The per-flow products, and the flow-pair sums that assemble the
+Jacobian, run over the demand matrix's non-zeros only, compiled once per
+model.  Feasibility of the allocation is not required; the system is
+defined for any C >= 0.
 """
 
 from __future__ import annotations

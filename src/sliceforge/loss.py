@@ -61,11 +61,6 @@ __all__ = [
 ]
 
 RHO_BRACKET_CAP = 1e12
-# Log-loss spread at which the generic bisection stops.  Tight, so that a
-# custom family's U and H keep the digits that central differences of them
-# (the inner gradient checks) divide by steps ~1e-6.
-INVERSION_TOL = 1e-13
-INVERSION_MAX_ITERS = 200
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny  # least normal load the inversion probes
 # Capacity step of the default capacity_slope: max(_FD_STEP_FLOOR, _FD_STEP_REL * cap)
@@ -78,7 +73,10 @@ class LossDomainError(ValueError):
 
 
 class InversionError(RuntimeError):
-    """The log-loss inverse left its bracket; loss family not saturating."""
+    """A log-loss level the inversion cannot turn into an offered load:
+    the load lies above RHO_BRACKET_CAP (a family that is not saturating,
+    or a level past the box end), overflows a closed form, or erlang_b's
+    Newton did not converge.  The solvers add the entity's id."""
 
 
 # ---------------------------------------------------------------------------
@@ -96,57 +94,37 @@ def _upper_inverse(family, y, cap):
     """rho(y) = sup{rho >= 0 : -log(1 - F(rho, cap)) <= y} for checked flat
     arrays, one element per entity.
 
-    Each element brackets by doubling from max(1, cap), then bisects until
-    the bracket's log-loss spread is within INVERSION_TOL * min(1, y), or
-    the bracket is a few ulps of rho wide; both are relative at small y,
-    where rho can be tiny (~y^(1/cap) on an s^cap curve).  The sup
-    convention resolves plateaus of F from above (so e.g. linear_clip
-    gives rho(0) = cap, not 0).  Every unfinished element, doubling or
-    bisecting, shares one survival() call per step, so a batch costs what
-    its costliest element costs alone.
+    Positive floats sort like their int64 bit patterns, so bisecting the
+    patterns between the least normal load and RHO_BRACKET_CAP ends, in at
+    most 63 steps, on the largest float whose log-loss is <= y: exact, with
+    no tolerance.  Every element takes the same steps, one survival() call
+    for the whole batch each, so an element's result does not depend on
+    the rest of the batch.  The sup convention resolves plateaus of F from
+    above (so e.g. linear_clip gives rho(0) = cap, not 0).
 
-    Two kinds of element would never meet those rules, because their
-    lower end stays at 0.  Where the log-loss at the least normal load
-    already exceeds y (cap = 0, say), rho(y) = 0 at once.  At y = 0 the
-    level set is F's zero plateau, which is empty where F is positive at
-    the least normal load, so rho(0) = 0 at once there too.  Any other
-    y = 0 bisection ends where 1 - F rounds to 1; if F is still positive
+    Where the log-loss at the least normal load already exceeds y (cap = 0,
+    say), rho(y) = 0.  Where the log-loss at RHO_BRACKET_CAP is still <= y,
+    the family is not saturating there and InversionError is raised.  At
+    y = 0 the bisection ends where 1 - F rounds to 1; if F is still positive
     at half that load, the curve rises from 0 and only rounding made it
-    look flat, so rho(0) = 0 again.
+    look flat, so rho(0) = 0.
     """
     n = y.size
-    lo, hi = np.zeros(n), np.maximum(1.0, cap)
-    least = np.full(n, _TINY)
-    level_zero = y == 0.0
-    with np.errstate(over="ignore"):  # cap / rho overflows at the least load
-        f_lo, f_hi, f_least = np.split(_log_loss(family, np.concatenate((lo, hi, least)), np.tile(cap, 3)), 3)
-        settled = f_least > y
-        if level_zero.any():
-            settled[level_zero] |= family.blocking(least[level_zero], cap[level_zero]) > 0.0
-    tol = INVERSION_TOL * np.minimum(1.0, y)
-    steps = np.zeros(n, dtype=int)  # doublings while f(hi) <= y, then bisections
-    live = np.flatnonzero(~settled)
-    while True:
-        grow = f_hi[live] <= y[live]
-        spread, width = f_hi[live] - f_lo[live], hi[live] - lo[live]
-        done = ~grow & ((spread <= tol[live]) | (width <= 4.0 * _EPS * hi[live]) | (steps[live] >= INVERSION_MAX_ITERS))
-        live, grow = live[~done], grow[~done]
-        if live.size == 0:
-            rounded = np.flatnonzero(level_zero & (lo > 0.0))
-            if rounded.size:
-                lo[rounded[family.blocking(0.5 * lo[rounded], cap[rounded]) > 0.0]] = 0.0
-            return lo
-        probe = np.where(grow, 2.0 * hi[live], 0.5 * (lo[live] + hi[live]))
-        steps[live] += 1
-        if (grow & ((probe > RHO_BRACKET_CAP) | (steps[live] > INVERSION_MAX_ITERS))).any():
+    lo, hi = np.full(n, _TINY).view(np.int64), np.full(n, RHO_BRACKET_CAP).view(np.int64)
+    # probes far from the answer can overflow a family's cap / rho
+    with np.errstate(over="ignore"):
+        f_least, f_cap = np.split(_log_loss(family, np.concatenate((lo, hi)).view(float), np.tile(cap, 2)), 2)
+        if (f_cap <= y).any():
             raise InversionError(f"loss: {family.name} is non-saturating: the log-loss inverse left its bracket")
-        f = _log_loss(family, probe, cap[live])
-        # A doubling moves both ends up; a bisection moves the end on its side.
-        moves_lo, moves_hi = grow | (f <= y[live]), grow | (f > y[live])
-        lo[live[moves_lo]] = np.where(grow, hi[live], probe)[moves_lo]
-        f_lo[live[moves_lo]] = np.where(grow, f_hi[live], f)[moves_lo]
-        hi[live[moves_hi]], f_hi[live[moves_hi]] = probe[moves_hi], f[moves_hi]
-        steps[live[grow & (f > y[live])]] = 0
+        while (hi - lo > 1).any():
+            mid = lo + (hi - lo) // 2  # lo + hi overflows int64 near RHO_BRACKET_CAP
+            below = _log_loss(family, mid.view(float), cap) <= y
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        rho = np.where(f_least > y, 0.0, lo.view(float))
+        rounded = np.flatnonzero((y == 0.0) & (rho > 0.0))
+        if rounded.size:
+            rho[rounded[family.blocking(0.5 * rho[rounded], cap[rounded]) > 0.0]] = 0.0
+    return rho
 
 
 def _broadcast(rho, cap):
@@ -214,8 +192,9 @@ class LossFamily:
     entity, that the public functions have already broadcast, flattened
     and checked (finite and >= 0), and returns arrays of that length.
     Subclasses must implement ``blocking`` and must satisfy the module
-    axioms including saturation; the generic inversion, one batched
-    bisection over all elements, raises InversionError otherwise.
+    axioms including saturation; the generic inversion, one exact
+    bisection over the float loads up to 1e12, raises InversionError
+    otherwise.
     Override ``survival`` where 1 - F loses precision near F = 1,
     ``offered_at``, ``utilization``, ``integral_at_load`` (H at a known
     load), ``blocking_slope`` (by default one more ``blocking`` call) and

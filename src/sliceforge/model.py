@@ -19,7 +19,7 @@ from functools import wraps
 
 import numpy as np
 
-from .loss import LossSpec, get_family
+from .loss import InversionError, LossDomainError, LossSpec, get_family
 
 __all__ = [
     "ModelError",
@@ -258,13 +258,26 @@ def loss_groups(model: NetworkModel) -> tuple[tuple[LossSpec, np.ndarray], ...]:
 def _by_family(model: NetworkModel, method: str, *arrays: np.ndarray, where: np.ndarray | None = None) -> np.ndarray:
     """Each loss family's `method` on its entities' elements of `arrays` (those
     in the mask `where`, where given), in entity order with 0 elsewhere: one
-    call per non-empty group, the hook looked up on the family instance."""
+    call per non-empty group, the hook looked up on the family instance.
+
+    Where a hook raises InversionError or LossDomainError, it is re-run one
+    element at a time (elements never interact), and the first element's
+    own error is raised again, naming its entity."""
     out = np.zeros(model.m)
     for spec, idx in loss_groups(model):
         if where is not None:
             idx = idx[where[idx]]
         if idx.size:
-            out[idx] = getattr(get_family(spec.kind), method)(*(a[idx] for a in arrays))
+            hook = getattr(get_family(spec.kind), method)
+            try:
+                out[idx] = hook(*(a[idx] for a in arrays))
+            except (InversionError, LossDomainError):
+                for j in idx:
+                    try:
+                        hook(*(a[j : j + 1] for a in arrays))
+                    except (InversionError, LossDomainError) as exc:
+                        raise type(exc)(f"{exc} (entity '{model.logicals[j].id}')") from exc
+                raise
     return out
 
 

@@ -130,13 +130,13 @@ def test_invalid_settings_name_the_layer(capsys, argv, message):
 @pytest.mark.parametrize("argv", [("evaluate", "--alloc", "proportional"), ("solve",)], ids=["evaluate", "solve"])
 def test_an_inversion_error_is_reported_without_a_traceback(tmp_path, capsys, argv):
     # From C ~ 1e10 the Erlang box end is 1e-3; at C = 1e12 the inversion
-    # there passes the 1e12 bracket cap.
+    # there passes the 1e12 bracket cap.  The message names the entity.
     model_path = tmp_path / "m.json"
     model_path.write_text(serialize_model(single_entity(2e12, phys_cap=1e12)))
     code, out, err = invoke(capsys, argv[0], model_path, *argv[1:])
     assert code == 1
     assert out == ""
-    assert err == "error: loss: erlang_b offered load above 1e+12 at this log-loss level\n"
+    assert err == "error: loss: erlang_b offered load above 1e+12 at this log-loss level (entity 'l')\n"
 
 
 def test_evaluate_closed_form_totals(tmp_path, capsys):

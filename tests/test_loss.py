@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import sliceforge
 from sliceforge import (
@@ -22,7 +22,7 @@ from sliceforge import (
     utilization_terms,
 )
 from sliceforge.fixedpoint import Y_CAP
-from sliceforge.loss import _HEAD_T, _HEAD_W, _TAIL_T, _TAIL_W, LossFamily, _erlang_headroom, get_family
+from sliceforge.loss import _HEAD_T, _HEAD_W, _TAIL_T, _TAIL_W, LossFamily, _erlang_headroom, _log_loss, get_family
 
 from conftest import erlang_recursion
 from inner_oracle import utilization_slope
@@ -363,7 +363,7 @@ def test_default_utilization_terms_match_shipped_families():
     # blocking curve) must reproduce the shipped closed form and Newton
     # inversion, from the s^cap head at tiny y to deep saturation, with
     # y = 0 and C = 0 elements in the same batch.
-    y, cap = (a.ravel() for a in np.meshgrid([0.0, 1e-6, 0.01, 0.3, 1.0, 3.0, 8.0], [0.0, 0.4, 1.5, 2.0, 11.0]))
+    y, cap = (a.ravel() for a in np.meshgrid([0.0, 1e-6, 0.01, 0.3, 1.0, 3.0, 8.0], [0.0, 0.01, 0.032, 0.4, 1.5, 2.0, 11.0]))
     zero = y == 0.0
     for generic, shipped in ((_GenericExpOverflow(), EXP), (_GenericErlang(), ERLANG)):
         register_family(generic)
@@ -432,6 +432,57 @@ def test_default_inversion_batches_survival_calls():
         assert calls[0] <= batch + 1
         assert (h[-1], u[-1]) == (0.0, 0.0)
         assert h[:-1].tolist() == h_alone and u[:-1].tolist() == u_alone
+
+
+def test_default_inversion_makes_at_most_64_survival_calls():
+    # One call probes the least normal load and the bracket cap, then each
+    # of at most 63 bisection steps over the float bit patterns between
+    # them makes one call for the whole batch, whatever its size and its
+    # mix of levels and capacities (zero capacities, y = 0 and loads
+    # down to 1e-300 included).
+    calls = [0]
+
+    class Counted(_GenericErlang):
+        def survival(self, rho, cap):
+            calls[0] += 1
+            return super().survival(rho, cap)
+
+    rng = np.random.default_rng(3)
+    cap = 10.0 ** rng.uniform(-3.0, 2.5, 1000)
+    y = np.minimum(30.0, log_loss_ceiling(ERLANG, cap) * 10.0 ** rng.uniform(-10.0, 0.0, cap.size))
+    cap[:50], y[50:100] = 0.0, 0.0
+    for n in (1, 7, cap.size):
+        calls[0] = 0
+        Counted().offered_at(y[-n:], cap[-n:])
+        assert calls[0] <= 64
+    calls[0] = 0
+    rho = Counted().offered_at(y, cap)
+    assert calls[0] <= 64
+    assert rho[:100].tolist() == [0.0] * 100
+
+
+def _log_loss_at(family, rho, cap):
+    with np.errstate(over="ignore"):  # cap / rho overflows at the least normal load
+        return float(_log_loss(family, np.array([rho]), np.array([cap]))[0])
+
+
+@settings(max_examples=400)
+@given(
+    family=st.sampled_from([_GenericErlang(), _GenericExpOverflow()]),
+    log_cap=st.floats(-3.0, math.log10(300.0)),
+    log_frac=st.floats(-300.0, 0.0),
+)
+def test_default_inversion_is_the_largest_float_at_or_below_the_level(family, log_cap, log_frac):
+    # The default inverse is exact: where rho > 0 the log-loss is <= y at
+    # rho and above y one float up; rho = 0 only where the least normal
+    # load is already above the level.
+    cap = 10.0**log_cap
+    y = min(30.0, log_loss_ceiling(ERLANG, cap)) * 10.0**log_frac
+    rho = family.offered_at(np.array([y]), np.array([cap]))[0]
+    if rho > 0.0:
+        assert _log_loss_at(family, rho, cap) <= y < _log_loss_at(family, np.nextafter(rho, np.inf), cap)
+    else:
+        assert _log_loss_at(family, np.finfo(float).tiny, cap) > y
 
 
 # Capacities on every branch of the head's power p = ceil(5 / (1 + cap)):

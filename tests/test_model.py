@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from sliceforge import (
     CapacityAllocation,
     Flow,
+    InversionError,
     LogicalEntity,
+    LossDomainError,
     LossSpec,
     ModelError,
     NetworkModel,
@@ -299,3 +301,30 @@ def test_by_family_calls_each_family_once_and_scatters_in_entity_order(monkeypat
     where = np.array([False, True, True, False])
     assert _by_family(model, "blocking", rho, caps, where=where).tolist() == [0.0, 212.0, 121.0, 0.0]
     assert calls == [(1, [3.0], [7.0]), (2, [2.0], [6.0])]  # no call on exp_overflow's empty group
+
+
+def test_by_family_names_the_first_entity_whose_hook_fails_alone(monkeypatch):
+    # A loss hook sees arrays, not ids, so its error names no entity; the
+    # dispatcher re-runs the failing group one element at a time and names
+    # the first entity that fails alone, keeping the error's type.
+    kinds = ("erlang_b", "linear_clip", "erlang_b", "erlang_b", "exp_overflow")
+    model = NetworkModel(
+        physicals=(PhysicalEntity("p", "u", 10.0),),
+        logicals=tuple(LogicalEntity(f"l{i}", ("p",), LossSpec(kind)) for i, kind in enumerate(kinds)),
+        flows=(Flow("f", 1.0, {f"l{i}": 1 for i in range(len(kinds))}),),
+    )
+    y, caps = np.array([0.5, 800.0, 40.0, 60.0, 0.5]), np.ones(5)
+    with pytest.raises(InversionError, match=r"^loss: erlang_b offered load above 1e\+12 at this log-loss level \(entity 'l2'\)$"):
+        _by_family(model, "offered_at", y, caps)
+    with pytest.raises(InversionError, match=r"^loss: linear_clip offered load overflows at this log-loss level \(entity 'l1'\)$"):
+        _by_family(model, "offered_at", y, caps, where=np.arange(5) < 2)
+
+    def blocking(rho, cap):
+        if (rho > 2.0).any():
+            raise LossDomainError("loss: exp_overflow load above 2")
+        return rho
+
+    monkeypatch.setattr(get_family("exp_overflow"), "blocking", blocking)
+    assert _by_family(model, "blocking", y, caps, where=np.arange(5) == 4).tolist() == [0.0, 0.0, 0.0, 0.0, 0.5]
+    with pytest.raises(LossDomainError, match=r"^loss: exp_overflow load above 2 \(entity 'l4'\)$"):
+        _by_family(model, "blocking", y + 2.0, caps, where=np.arange(5) == 4)
