@@ -162,7 +162,7 @@ def _load_map(model: NetworkModel, survival: np.ndarray, rho0: np.ndarray):
 
 def _box_upper(model: NetworkModel, caps: np.ndarray) -> np.ndarray:
     """The surrogate's log-loss box ends min(Y_CAP, ``log_loss_ceiling``):
-    the ceiling keeps Erlang inversions off their non-saturating regime."""
+    the ceiling keeps Erlang loads 100x inside the inversion's bracket."""
     return np.minimum(_by_family(model, "log_loss_ceiling", caps), Y_CAP)
 
 

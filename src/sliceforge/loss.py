@@ -25,13 +25,16 @@ Derived quantities:
 * ``utilization_measure(spec, B, cap)``: H at the level y = -log(1-B);
   the capacity-cost correction attached to a blocking level B.
 
-Every family's H has one numerical route, its hook
-``LossFamily.integral_at_load``: H at a level given the offered load
-there, by its own closed form or else the default change of variables to
-offered load.  ``utilization_terms`` inverts for that load
-(``LossFamily.offered_at``) and calls it; the fixed point, which knows
-its load, calls it directly and inverts only past the box end.  The
-adaptive quadrature of U in z that checks it lives in the tests.
+Each quantity has one numerical route.  rho(y) is a family's closed form
+or else one exact bisection over the float loads on the family's
+log-odds log(F / (1 - F)) (``LossFamily.log_odds``); erlang_b takes the
+bisection.  H is the hook ``LossFamily.integral_at_load``: H at a level
+given the offered load there, by its own closed form or else the default
+change of variables to offered load.  ``utilization_terms`` inverts for
+that load (``LossFamily.offered_at``) and calls it; the fixed point,
+which knows its load, calls it directly and inverts only past the box
+end.  The adaptive quadrature of U in z that checks it lives in the
+tests.
 
 Three families ship here; more can be added with ``register_family``.
 """
@@ -61,7 +64,6 @@ __all__ = [
 ]
 
 RHO_BRACKET_CAP = 1e12
-_EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny  # least normal load the inversion probes
 # Capacity step of the default capacity_slope: max(_FD_STEP_FLOOR, _FD_STEP_REL * cap)
 _FD_STEP_FLOOR = 1e-4
@@ -75,52 +77,52 @@ class LossDomainError(ValueError):
 class InversionError(RuntimeError):
     """A log-loss level the inversion cannot turn into an offered load:
     the load lies above RHO_BRACKET_CAP (a family that is not saturating,
-    or a level past the box end), overflows a closed form, or erlang_b's
-    Newton did not converge.  The solvers add the entity's id."""
+    or a level past the box end) or overflows a closed form.  The solvers
+    add the entity's id."""
 
 
 # ---------------------------------------------------------------------------
 # numerical kernels
 
 
-def _log_loss(family, rho, cap):
-    """-log(1 - F(rho, cap)); inf where the survival is 0."""
-    s = family.survival(rho, cap)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(s > 0.0, -np.log(s), np.inf)
-
-
 def _upper_inverse(family, y, cap):
     """rho(y) = sup{rho >= 0 : -log(1 - F(rho, cap)) <= y} for checked flat
     arrays, one element per entity.
 
+    The test at a load is the log-odds form of that inequality,
+    log(F / (1 - F)) <= y + log(1 - e^(-y)) = log(e^y - 1): equal in exact
+    arithmetic, it keeps the digits of a subnormal y, which -log(1 - F)
+    cannot carry, and its level is finite wherever y is.
+
     Positive floats sort like their int64 bit patterns, so bisecting the
     patterns between the least normal load and RHO_BRACKET_CAP ends, in at
-    most 63 steps, on the largest float whose log-loss is <= y: exact, with
-    no tolerance.  Every element takes the same steps, one survival() call
+    most 63 steps, on the largest float that passes the test: exact, with
+    no tolerance.  Every element takes the same steps, one log_odds() call
     for the whole batch each, so an element's result does not depend on
     the rest of the batch.  The sup convention resolves plateaus of F from
     above (so e.g. linear_clip gives rho(0) = cap, not 0).
 
-    Where the log-loss at the least normal load already exceeds y (cap = 0,
-    say), rho(y) = 0.  Where the log-loss at RHO_BRACKET_CAP is still <= y,
-    the family is not saturating there and InversionError is raised.  At
-    y = 0 the bisection ends where 1 - F rounds to 1; if F is still positive
-    at half that load, the curve rises from 0 and only rounding made it
-    look flat, so rho(0) = 0.
+    Where the least normal load already fails the test (cap = 0, say),
+    rho(y) = 0.  Where RHO_BRACKET_CAP still passes it, the load lies above
+    the bracket (the family is not saturating there, or the level is past
+    its box end) and InversionError is raised.  At y = 0 the bisection ends
+    where F rounds to 0; if F is still positive at half that load, the
+    curve rises from 0 and only rounding made it look flat, so rho(0) = 0.
     """
     n = y.size
+    with np.errstate(divide="ignore"):  # y = 0: the level is -inf
+        level = y + np.log(-np.expm1(-y))
     lo, hi = np.full(n, _TINY).view(np.int64), np.full(n, RHO_BRACKET_CAP).view(np.int64)
     # probes far from the answer can overflow a family's cap / rho
     with np.errstate(over="ignore"):
-        f_least, f_cap = np.split(_log_loss(family, np.concatenate((lo, hi)).view(float), np.tile(cap, 2)), 2)
-        if (f_cap <= y).any():
-            raise InversionError(f"loss: {family.name} is non-saturating: the log-loss inverse left its bracket")
+        f_least, f_cap = np.split(family.log_odds(np.concatenate((lo, hi)).view(float), np.tile(cap, 2)), 2)
+        if (f_cap <= level).any():
+            raise InversionError(f"loss: {family.name} offered load above {RHO_BRACKET_CAP:g} at this log-loss level")
         while (hi - lo > 1).any():
             mid = lo + (hi - lo) // 2  # lo + hi overflows int64 near RHO_BRACKET_CAP
-            below = _log_loss(family, mid.view(float), cap) <= y
+            below = family.log_odds(mid.view(float), cap) <= level
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        rho = np.where(f_least > y, 0.0, lo.view(float))
+        rho = np.where(f_least > level, 0.0, lo.view(float))
         rounded = np.flatnonzero((y == 0.0) & (rho > 0.0))
         if rounded.size:
             rho[rounded[family.blocking(0.5 * rho[rounded], cap[rounded]) > 0.0]] = 0.0
@@ -193,10 +195,11 @@ class LossFamily:
     and checked (finite and >= 0), and returns arrays of that length.
     Subclasses must implement ``blocking`` and must satisfy the module
     axioms including saturation; the generic inversion, one exact
-    bisection over the float loads up to 1e12, raises InversionError
-    otherwise.
+    bisection on ``log_odds`` over the float loads up to 1e12, raises
+    InversionError otherwise.
     Override ``survival`` where 1 - F loses precision near F = 1,
-    ``offered_at``, ``utilization``, ``integral_at_load`` (H at a known
+    ``log_odds`` where F or 1 - F underflows (erlang_b is described by it
+    alone), ``offered_at``, ``utilization``, ``integral_at_load`` (H at a known
     load), ``blocking_slope`` (by default one more ``blocking`` call) and
     ``capacity_slope`` (by default a difference of ``integral_at_load``)
     when closed forms or array kernels exist, and ``kink_load`` where F
@@ -222,6 +225,14 @@ class LossFamily:
         """1 - F; override where the subtraction loses precision near F = 1
         (the inversion and integration kernels lean on this in saturation)."""
         return 1.0 - self.blocking(rho, cap)
+
+    def log_odds(self, rho, cap):
+        """log(F / (1 - F)), the quantity the inversion bisects on: -inf
+        where F = 0 and +inf where F = 1.  By default from one ``survival``
+        call, so it keeps only the digits 1 - F keeps."""
+        s = self.survival(rho, cap)
+        with np.errstate(divide="ignore"):
+            return np.log1p(-s) - np.log(s)
 
     def survival_scalar(self, rho, cap):
         """Scalar 1 - F through the array ``survival``.  Nothing in the
@@ -317,50 +328,34 @@ class LossFamily:
         return np.full(cap.size, np.inf)
 
 
-# Log-load floor of the Erlang inversion: levels whose rho(y) lies below
-# it (tiny capacities at small y) resolve to rho = 0.
-_LOG_RHO_MIN = math.log(1e-300)
-_NEWTON_MAX_ITERS = 100
-
-
 class _ErlangB(LossFamily):
     """Continuous-capacity Erlang-B blocking.
 
     1/B = rho * Int_0^inf e^(-rho t) (1+t)^cap dt, which equals
-    e^rho * rho^(-cap) * Gamma(cap+1, rho); see _erlang_log_rest for how B
-    and 1 - B are evaluated.  offered_at is a batched Newton inversion
-    (_erlang_invert); H then comes from the default fixed rule.
+    e^rho * rho^(-cap) * Gamma(cap+1, rho).  One kernel describes it, the
+    log-odds log(B / (1 - B)) = -log(1/B - 1) (see _erlang_log_rest); B
+    and 1 - B are its expit, without cancellation at either end.  The
+    inverse is the default bisection on it, and H the default fixed rule.
     """
 
     name = "erlang_b"
 
-    def blocking(self, rho, cap):
-        out = np.zeros(rho.size)
+    def log_odds(self, rho, cap):
+        # B = 0 at rho = 0, where no load is offered, and B = 1 at zero
+        # capacity under load
+        out = np.full(rho.size, -np.inf)
         pos = rho > 0.0
-        out[pos & (cap <= 0.0)] = 1.0
+        out[pos & (cap <= 0.0)] = np.inf
         work = pos & (cap > 0.0)
         if work.any():
-            out[work] = expit(-_erlang_log_rest(rho[work], cap[work]))
+            out[work] = -_erlang_log_rest(rho[work], cap[work])
         return out
+
+    def blocking(self, rho, cap):
+        return expit(self.log_odds(rho, cap))
 
     def survival(self, rho, cap):
-        out = np.ones(rho.size)
-        pos = rho > 0.0
-        out[pos & (cap <= 0.0)] = 0.0
-        work = pos & (cap > 0.0)
-        if work.any():
-            out[work] = expit(_erlang_log_rest(rho[work], cap[work]))
-        return out
-
-    def offered_at(self, y, cap):
-        # F strictly increasing from F(0, cap) = 0, so y = 0 <=> rho = 0;
-        # cap = 0 blocks everything offered, so rho(y) = 0 there too.  The
-        # Newton inversion always runs to rounding.
-        rho = np.zeros(y.size)
-        live = (y > 0.0) & (cap > 0.0)
-        if live.any():
-            rho[live] = _erlang_invert(y[live], cap[live])
-        return rho
+        return expit(-self.log_odds(rho, cap))
 
     def blocking_slope(self, rho, cap, b):
         # Jagerman's dB/drho = B (cap - rho S) / rho; 0 at rho = 0, where
@@ -439,8 +434,8 @@ def _erlang_log_rest(rho, cap):
     """log(rest), rest = 1/B - 1 = cap e^rho rho^-cap Gamma(cap, rho), for
     flat rho, cap > 0 (Gamma(cap+1, rho) = cap Gamma(cap, rho) + rho^cap e^-rho).
 
-    B = expit(-log rest), S = 1 - B = expit(log rest) and the log-loss
-    -log S = log(1 + 1/rest) then carry no cancellation at either end:
+    -log(rest) is the log-odds log(B / S), so B = expit(-log rest) and
+    S = 1 - B = expit(log rest) carry no cancellation at either end:
     not at low load (rest huge), not in saturation (rest -> cap/rho), and
     not for small cap, where S itself is ~cap.  log(rest) goes through
     the regularized incomplete gamma function, or through the falling-
@@ -463,104 +458,6 @@ def _erlang_log_rest(rho, cap):
         with np.errstate(divide="ignore"):
             log_rest[series] = np.log(_erlang_series(rho[series], cap[series]))
     return log_rest
-
-
-def _erlang_invert(y, cap):
-    """rho(y) for flat arrays y > 0, cap > 0: safeguarded Newton in u = log rho.
-
-    Newton runs on g(u) = log(l(u) / y), l = -log(1 - B) the log-loss,
-    whose slope follows from dB/drho = B (cap/rho - 1 + B) (Jagerman
-    1974): dl/du = B (cap - rho S) / S with S = 1 - B.  g is near linear
-    in u at low load (l ~ rho^cap / Gamma(cap+1)) and near log-linear in
-    saturation (l ~ u - log cap), so Newton from the matching asymptote
-    takes a few steps either way.  Analytic bounds bracket the root:
-
-      rho S <= cap                  gives rho <= cap e^y,
-      B <= rho^cap / Gamma(cap+1)   gives the low-load form as a lower bound,
-      B >= rho^cap e^-rho / Gamma(cap+1) caps rho below 1 at low load,
-      B <= rho / (rho + cap)        (cap >= 1) gives rho >= cap (e^y - 1).
-
-    A step that leaves the bracket falls back to the midpoint; each
-    evaluation tightens the bracket; an element that has converged is
-    frozen.  Elements never interact, so one element's result does not
-    depend on the rest of the batch.
-    """
-    # rho S <= cap gives rho <= cap e^y; where that is below the floor,
-    # rho(y) = 0 and no other bound is formed (at a subnormal cap they overflow).
-    out = np.full(y.size, -np.inf)  # log rho, -inf where no Newton runs
-    log_cap = np.log(cap)
-    idx = np.flatnonzero(log_cap + y > _LOG_RHO_MIN)
-    y, cap, log_cap = y[idx], cap[idx], log_cap[idx]
-    log_b = _log1mexp(y)  # log(1 - e^-y) = log B at the root
-    lgam = gammaln(cap + 1.0)
-    low = (lgam + log_b) / cap
-    lo = np.maximum(low, _LOG_RHO_MIN)
-    big = cap >= 1.0
-    lo[big] = np.maximum(lo[big], log_cap[big] + np.log(np.expm1(y[big])))
-    hi = log_cap + y
-    k = lgam + log_b + 1.0
-    small = k < 0.0
-    hi[small] = np.minimum(hi[small], k[small] / cap[small])
-    with np.errstate(over="ignore", divide="ignore"):
-        saturated = np.log(np.maximum(cap * np.exp(y) - 1.0, 0.0))
-    # The bounds are exact in limits (cap = 1, rho -> 0), where rounding
-    # can put the root a hair outside; a relative pad keeps Newton steps
-    # that land there from being mistaken for escapes.
-    pad = 1e-9 * (1.0 + np.abs(lo) + np.abs(hi))
-    lo, hi = lo - pad, hi + pad
-    u = np.clip(np.maximum(low, saturated), lo, hi)
-
-    # Working arrays hold the unconverged elements only; a converged
-    # element's u is written out and it leaves them.
-    live = hi > _LOG_RHO_MIN
-    idx, u, cap, lo, hi, log_y = idx[live], u[live], cap[live], lo[live], hi[live], np.log(y[live])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_NEWTON_MAX_ITERS):
-            if idx.size == 0:
-                break
-            rho = np.exp(u)
-            log_rest = _erlang_log_rest(rho, cap)
-            ell = np.logaddexp(0.0, -log_rest)
-            s = expit(log_rest)
-            log_ell = np.log(ell)
-            # A subnormal l keeps few digits, so there log l is formed in
-            # log space: log x + log(log1p(x)/x) with x = 1/rest, where the
-            # second term is -x/2 to rounding.
-            sub = ell < _TINY
-            if sub.any():
-                log_ell[sub] = -log_rest[sub] - 0.5 * np.exp(-log_rest[sub])
-            g = log_ell - log_y
-            # B/S = 1/rest.  rest * ell = log1p(x)/x with x = 1/rest lies in
-            # (0, 1] and tends to 1 where rest itself would overflow, so it
-            # is taken in log space.
-            slope = (cap - rho * s) / np.exp(log_rest + log_ell)
-            step = g / slope
-            lo = np.where(g < 0.0, u, lo)
-            hi = np.where(g > 0.0, u, hi)
-            nxt = u - step
-            inside = (nxt > lo) & (nxt < hi)  # NaN compares false
-            # A step within what rounding in u, or in l (a few ulps), can
-            # resolve ends the element; it is taken unguarded, since at
-            # that size it may round onto a bracket end.  A step below
-            # 1e-8 that stays inside ends it too: Newton's next correction
-            # would be of order step^2, below rounding.
-            scale = np.maximum(1.0, np.abs(u))
-            resolution = 8.0 * _EPS * scale
-            close = np.abs(step) <= resolution + 8.0 * _EPS / np.abs(slope)
-            u = np.where(close | inside, nxt, 0.5 * (lo + hi))
-            done = close | (inside & (np.abs(step) <= 1e-8 * scale)) | (hi - lo <= resolution)
-            if done.any():
-                out[idx[done]] = u[done]
-                keep = ~done
-                idx, u, cap, lo, hi, log_y = idx[keep], u[keep], cap[keep], lo[keep], hi[keep], log_y[keep]
-        else:
-            raise InversionError("loss: erlang_b log-loss inversion did not converge")
-    # a root below the floor ends on the bracket end just under it: rho = 0
-    out[out < _LOG_RHO_MIN] = -np.inf
-    rho = np.exp(out)
-    if (rho > RHO_BRACKET_CAP).any():
-        raise InversionError(f"loss: erlang_b offered load above {RHO_BRACKET_CAP:g} at this log-loss level")
-    return rho
 
 
 class _LinearClip(LossFamily):

@@ -187,7 +187,7 @@ def projected_newton(model, alloc, warm_start=None, max_iters=5000):
     1982; Gafni & Bertsekas 1984).
 
     The search box is [0, min(Y_CAP, per-entity ceiling)]; the ceiling
-    keeps Erlang inversions away from their non-saturating regime.  A
+    keeps Erlang loads 100x inside the inversion's bracket.  A
     warm start (e.g. the optimum at a nearby allocation) is clipped into
     the box; zero-capacity entities that flows still get through start
     at the box end.  Coordinates at a bound whose gradient points out of

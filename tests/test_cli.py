@@ -310,18 +310,16 @@ def test_report_surrogate_starts_converged_at_the_fixed_point(capsys, argv):
 
 @pytest.mark.parametrize("name", ["reference_2x3", "erlang_m20"])
 def test_evaluate_phi_solves_once_and_inverts_nothing(tmp_path, capsys, monkeypatch, ladder_model, name):
-    # One fixed point, one H and no Erlang inversion serve both the totals
-    # and the surrogate section of `evaluate --phi`.
+    # One fixed point, one H and no inversion serve both the totals and
+    # the surrogate section of `evaluate --phi`.
     import sliceforge.fixedpoint as fixedpoint
     import sliceforge.inner as inner
-
-    loss_module = sys.modules["sliceforge.loss"]  # the package's `loss` attribute is the function
 
     path = REFERENCE
     if name != "reference_2x3":
         path = tmp_path / f"{name}.json"
         path.write_text(serialize_model(ladder_model(name)))
-    calls = {"solve": 0, "measures": 0, "invert": 0}
+    calls = {"solve": 0, "measures": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -333,11 +331,12 @@ def test_evaluate_phi_solves_once_and_inverts_nothing(tmp_path, capsys, monkeypa
     for module in (fixedpoint, inner):
         monkeypatch.setattr(module, "_solve", counting("solve", fixedpoint._solve))
         monkeypatch.setattr(module, "_utilization_measures", counting("measures", fixedpoint._utilization_measures))
-    monkeypatch.setattr(loss_module, "_erlang_invert", counting("invert", loss_module._erlang_invert))
+    inversions = _count_inversions(monkeypatch)
     code, out, _ = invoke(capsys, "evaluate", path, "--alloc", "proportional", "--phi")
     assert code == 0
     assert report_of(out)["surrogate"]["converged"] is True
-    assert calls == {"solve": 1, "measures": 1, "invert": 0}
+    assert calls == {"solve": 1, "measures": 1}
+    assert inversions == []
 
 
 def _csv_oracle(fields, rows):

@@ -22,7 +22,7 @@ from sliceforge import (
     utilization_terms,
 )
 from sliceforge.fixedpoint import Y_CAP
-from sliceforge.loss import _HEAD_T, _HEAD_W, _TAIL_T, _TAIL_W, LossFamily, _erlang_headroom, _log_loss, get_family
+from sliceforge.loss import _HEAD_T, _HEAD_W, _TAIL_T, _TAIL_W, RHO_BRACKET_CAP, LossFamily, _erlang_headroom, get_family
 
 from conftest import erlang_recursion
 from inner_oracle import utilization_slope
@@ -160,8 +160,8 @@ def test_exp_overflow_rejects_a_level_whose_load_overflows():
 
 def test_erlang_inversion_at_subnormal_log_loss():
     # y = 4.3e-322 came out of the inner solver's cusp arc.  There
-    # rest = S/B ~ 1/y overflows exp(), so the Newton slope must not form
-    # it.  At this load B ~ rho^C / C!, and y carries only a few digits.
+    # rest = S/B ~ 1/y overflows exp(), so the inversion must not form it.
+    # At this load B ~ rho^C / C!, and y carries only a few digits.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for cap in (2.0, 10.0):
@@ -170,9 +170,10 @@ def test_erlang_inversion_at_subnormal_log_loss():
 
 
 def test_erlang_inversion_resolves_loads_below_its_floor_to_zero():
-    # At these (y, cap) rho(y) lies far below the 1e-300 load floor (about
-    # 5e-406 at cap = 1e-3), though the bound rho <= cap e^y does not show
-    # it.  The floor itself is no load of level y, and gave H = -1.1e-301.
+    # At these (y, cap) rho(y) lies far below the least normal load the
+    # inversion probes (about 5e-406 at cap = 1e-3), though the bound
+    # rho <= cap e^y does not show it.  A load floor is no load of level
+    # y, and taken as one gave H = -1.1e-301.
     family = get_family("erlang_b")
     rho = family.offered_at(np.array([0.5, 1.0, 0.5]), np.array([1e-3, 1e-20, 1.0]))
     assert rho[:2].tolist() == [0.0, 0.0]
@@ -181,10 +182,26 @@ def test_erlang_inversion_resolves_loads_below_its_floor_to_zero():
         assert utilization_terms(ERLANG, y, cap) == (0.0, 0.0)
 
 
+def test_erlang_levels_past_the_bracket_raise_the_one_bracket_error():
+    # A level resolves exactly where its load is at most RHO_BRACKET_CAP,
+    # that is up to the log-loss there (28.6 at C = 0.4, 27.6 at C = 1,
+    # 25.2 at C = 11); every level past it raises the one bracket error.
+    family = get_family("erlang_b")
+    ys = np.arange(24.0, 80.0, 0.5)
+    for cap in (0.4, 1.0, 11.0):
+        top = -math.log(family.survival_scalar(RHO_BRACKET_CAP, cap))
+        inside = ys <= top
+        assert 100 <= np.count_nonzero(~inside) < ys.size
+        assert np.all(utilization(ERLANG, ys[inside], cap) * np.exp(ys[inside]) <= RHO_BRACKET_CAP)
+        for y in ys[~inside]:
+            with pytest.raises(InversionError, match=r"^loss: erlang_b offered load above 1e\+12 at this log-loss level$"):
+                utilization(ERLANG, float(y), cap)
+
+
 def test_erlang_inversion_keeps_digits_at_subnormal_y():
-    # A subnormal log-loss l keeps few digits, so the Newton residual
-    # log(l / y) must not take log of l itself; U then follows the
-    # low-load form (y Gamma(C+1))^(1/C), exact here to far below 1e-12.
+    # A subnormal log-loss l keeps few digits, so the inversion compares
+    # log-odds, log(B / S) <= log(e^y - 1), never l itself; U then follows
+    # the low-load form (y Gamma(C+1))^(1/C), exact here to far below 1e-12.
     for y in (5e-324, 4.3e-322):
         for cap in (2.0, 10.0):
             low_load = math.exp((math.log(y) + math.lgamma(cap + 1.0)) / cap)
@@ -231,7 +248,9 @@ def test_measure_matches_integral_parameterization():
 
 
 def test_integral_against_trapezoid_of_pointwise_utilization():
-    # independent route: sample U(z) by bisection inversion, integrate crudely
+    # independent route: sample U(z) by bisection inversion, one batch per
+    # case (test_batched_and_scalar_values_agree_bit_for_bit pins a batch to
+    # its scalar calls), and integrate crudely
     for spec, cap, y in (
         (ERLANG, 4.0, 1.2),
         (ERLANG, 0.7, 0.8),
@@ -239,7 +258,7 @@ def test_integral_against_trapezoid_of_pointwise_utilization():
         (LINEAR, 3.0, 2.0),
     ):
         zs = np.linspace(1e-9, y, 4001)
-        us = np.array([utilization(spec, float(z), cap) for z in zs])
+        us = utilization(spec, zs, cap)
         crude = float(np.trapezoid(us, zs))
         assert utilization_integral(spec, y, cap) == pytest.approx(crude, rel=5e-3)
 
@@ -301,10 +320,10 @@ def test_custom_family_registration_and_saturation_contract():
     assert loss(spec, 3.0, 1.0) <= 0.5
     # y above the family's reachable log-loss: inversion must refuse,
     # alone or as one element of a batch that is otherwise reachable
-    with pytest.raises(InversionError, match=r"^loss: capped_test_only is non-saturating"):
+    with pytest.raises(InversionError, match=r"^loss: capped_test_only offered load above 1e\+12 at this log-loss level$"):
         utilization(spec, 2.0, 1.0)
     assert np.all(np.isfinite(utilization(spec, np.array([0.1, 0.3]), np.array([1.0, 4.0]))))
-    with pytest.raises(InversionError, match="non-saturating"):
+    with pytest.raises(InversionError, match="offered load above 1e"):
         utilization(spec, np.array([0.1, 2.0, 0.3]), np.array([1.0, 1.0, 4.0]))
 
 
@@ -360,9 +379,9 @@ def test_default_capacity_slope_matches_shipped_families():
 
 def test_default_utilization_terms_match_shipped_families():
     # The default route (bisection inversion, then fixed rules over the
-    # blocking curve) must reproduce the shipped closed form and Newton
-    # inversion, from the s^cap head at tiny y to deep saturation, with
-    # y = 0 and C = 0 elements in the same batch.
+    # blocking curve) must reproduce the shipped closed form and the
+    # inversion on erlang_b's own log-odds, from the s^cap head at tiny y
+    # to deep saturation, with y = 0 and C = 0 elements in the same batch.
     y, cap = (a.ravel() for a in np.meshgrid([0.0, 1e-6, 0.01, 0.3, 1.0, 3.0, 8.0], [0.0, 0.01, 0.032, 0.4, 1.5, 2.0, 11.0]))
     zero = y == 0.0
     for generic, shipped in ((_GenericExpOverflow(), EXP), (_GenericErlang(), ERLANG)):
@@ -461,9 +480,9 @@ def test_default_inversion_makes_at_most_64_survival_calls():
     assert rho[:100].tolist() == [0.0] * 100
 
 
-def _log_loss_at(family, rho, cap):
+def _log_odds_at(family, rho, cap):
     with np.errstate(over="ignore"):  # cap / rho overflows at the least normal load
-        return float(_log_loss(family, np.array([rho]), np.array([cap]))[0])
+        return float(family.log_odds(np.array([rho]), np.array([cap]))[0])
 
 
 @settings(max_examples=400)
@@ -473,16 +492,20 @@ def _log_loss_at(family, rho, cap):
     log_frac=st.floats(-300.0, 0.0),
 )
 def test_default_inversion_is_the_largest_float_at_or_below_the_level(family, log_cap, log_frac):
-    # The default inverse is exact: where rho > 0 the log-loss is <= y at
-    # rho and above y one float up; rho = 0 only where the least normal
-    # load is already above the level.
+    # The default inverse is exact in the comparison it makes,
+    # log(F / (1 - F)) <= log(e^y - 1), taken as y + log(1 - e^(-y)): where
+    # rho > 0 the log-odds is at or below that level at rho and above it
+    # one float up; rho = 0 only where the least normal load is already
+    # above it.  (The same statement in log-loss form fails by one float
+    # at C = 1, y = log(1e10), where -log(1 - F) rounds differently.)
     cap = 10.0**log_cap
     y = min(30.0, log_loss_ceiling(ERLANG, cap)) * 10.0**log_frac
+    level = y + math.log(-math.expm1(-y))
     rho = family.offered_at(np.array([y]), np.array([cap]))[0]
     if rho > 0.0:
-        assert _log_loss_at(family, rho, cap) <= y < _log_loss_at(family, np.nextafter(rho, np.inf), cap)
+        assert _log_odds_at(family, rho, cap) <= level < _log_odds_at(family, np.nextafter(rho, np.inf), cap)
     else:
-        assert _log_loss_at(family, np.finfo(float).tiny, cap) > y
+        assert _log_odds_at(family, np.finfo(float).tiny, cap) > level
 
 
 # Capacities on every branch of the head's power p = ceil(5 / (1 + cap)):

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import math
 from pathlib import Path
 
@@ -48,7 +47,6 @@ from test_loss import _GenericErlang, _GenericExpOverflow
 
 MODELS = Path(__file__).resolve().parent.parent / "demos" / "models"
 DEMOS = ("reference_2x3", "symmetric_pair", "three_potentials")
-loss_module = importlib.import_module("sliceforge.loss")  # the package's `loss` attribute is the function
 
 
 def demo_model(name):
@@ -313,16 +311,17 @@ def test_supergradient_inequality_below_unit_erlang_capacity():
 def test_outer_loop_inverts_nothing(monkeypatch):
     # The supergradient reads H's capacity slope at the fixed point's load,
     # and zero-capacity entities invert nothing, so Frank-Wolfe on the demo
-    # models never calls the Erlang inversion.  Iterations and probes are
+    # models never calls a family's inversion.  Iterations and probes are
     # those of the inverting supergradient it replaced.
     inversions = []
-    invert = loss_module._erlang_invert
+    for kind in ("erlang_b", "exp_overflow", "linear_clip"):
+        family = get_family(kind)
 
-    def counted(y, cap):
-        inversions.append(y.size)
-        return invert(y, cap)
+        def counted(y, cap, invert=family.offered_at):
+            inversions.append(y.size)
+            return invert(y, cap)
 
-    monkeypatch.setattr(loss_module, "_erlang_invert", counted)
+        monkeypatch.setattr(family, "offered_at", counted)
     probes = {name: maximize_surrogate(demo_model(name))[1].probes for name in DEMOS}
     assert probes == {"reference_2x3": (1, 0), "symmetric_pair": (1, 2, 0), "three_potentials": (1, 0)}
     res = solve_reconfig(ReconfigProblem(demo_model("three_potentials"), 2.0))

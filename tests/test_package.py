@@ -1,5 +1,6 @@
 """The package's public names are its layers' `__all__` lists, republished,
-and no module imports a name it does not use."""
+no module imports a name it does not use, and the suite's own pytest
+configuration reports a falsified property as one failed test."""
 
 import ast
 import importlib
@@ -91,3 +92,30 @@ def test_every_imported_name_is_used_exported_or_traced():
             unused[path.stem] = names
     patched = _tracer_patches(sorted(unused))
     assert {name: names - patched[name] for name, names in unused.items() if names - patched[name]} == {}
+
+
+def test_a_falsified_property_fails_its_test_and_the_run_goes_on(tmp_path):
+    # Hypothesis imports libcst to print a patch for a falsified property.
+    # Under the suite's warning filters a DeprecationWarning raised by that
+    # import once stopped the whole run with INTERNALERROR (exit code 3),
+    # so no later test ran.
+    root = Path(__file__).resolve().parent.parent
+    (tmp_path / "test_falsified.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_falsified(x):\n"
+        "    assert x < 10\n\n\n"
+        "def test_after():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    config = ["-c", str(root / "pyproject.toml"), "--rootdir", str(tmp_path), "-p", "no:cacheprovider"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", *config, "test_falsified.py"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=tmp_path,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout
