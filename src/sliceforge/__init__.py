@@ -4,9 +4,12 @@ The pieces, bottom to top:
 
 * ``model``: validated network descriptions (physical entities, logical
   entities over them, flows) and the JSON interchange format.
-* ``loss``: blocking-probability families (erlang_b, linear_clip,
-  exp_overflow, plus a registry for custom ones) and the utilization
-  quantities built on their log-loss inverses.
+* ``loss``: blocking-probability families (linear_clip, exp_overflow,
+  plus a registry for custom ones) and the utilization quantities built
+  on their log-loss inverses.
+* ``erlang``: the erlang_b family, the one module that needs scipy.  The
+  package does not import it; the registry does, on the first lookup of
+  ``"erlang_b"``, so only models that name it load scipy.
 * ``fixedpoint``: reduced-load fixed point giving per-entity blocking
   and per-flow carried load at a fixed allocation, with diagnostics.
 * ``inner``: the concave surrogate phi(C), a smooth convex minimization

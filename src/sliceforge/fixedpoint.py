@@ -129,7 +129,7 @@ def _flow_survival(survival: np.ndarray, entries) -> np.ndarray:
 def _flow_pairs(entries):
     """Every ordered pair (j, k) of non-zeros within one flow r: j, k, the
     product A_jr A_kr of their demands and r.  Weighted by w_r, one
-    bincount over them gives A diag(w) A^T without touching the demand
+    scatter-add over them gives A diag(w) A^T without touching the demand
     matrix's zeros."""
     rows, vals, starts = entries
     lengths = np.diff(starts, append=rows.size)
@@ -214,6 +214,12 @@ def _solve(model: NetworkModel, caps: np.ndarray, max_iters: int, start: np.ndar
     load vector, where given: `surrogate`'s warm start."""
     m = caps.size
     pair_row, pair_col, pair_demand, pair_flow = _model_flows(model)[1]
+    pair_cell = pair_row * m + pair_col
+    # The Newton matrix, refilled at each step.  A fresh m x m array per
+    # step (with LAPACK's copy of it) is served by mmap in a new process,
+    # and glibc trims the heap back after each step, so every step faults
+    # its pages in again: about 2,000 faults in a first m = 200 solve.
+    system = np.empty((m, m))
     rho0 = no_blocking_loads(model)
     if start is None:
         start = rho0
@@ -240,7 +246,8 @@ def _solve(model: NetworkModel, caps: np.ndarray, max_iters: int, start: np.ndar
             inverse[free] = 1.0 / (1.0 - point.blocking[free])
             scaled = slope * inverse
             pair_weights = pair_demand * point.weights[pair_flow] * inverse[pair_row] * scaled[pair_col]
-            system = np.bincount(pair_row * m + pair_col, weights=pair_weights, minlength=m * m).reshape(m, m)
+            system.fill(0.0)
+            np.add.at(system.reshape(-1), pair_cell, pair_weights)
             system.flat[:: m + 1] += 1.0 - point.target * scaled
             try:
                 delta = np.linalg.solve(system, point.target - point.rho)

@@ -36,17 +36,21 @@ which knows its load, calls it directly and inverts only past the box
 end.  The adaptive quadrature of U in z that checks it lives in the
 tests.
 
-Three families ship here; more can be added with ``register_family``.
+Three families ship with the package: linear_clip and exp_overflow here,
+and erlang_b in ``sliceforge.erlang``, the one module that needs scipy.
+``get_family`` imports that module on the first lookup of ``"erlang_b"``,
+so only a model that names the family loads scipy.  More families can be
+added with ``register_family``.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import expi, expit, gammaincc, gammaln, xlogy
 
 __all__ = [
     "LossSpec",
@@ -185,6 +189,44 @@ _TAIL_T, _TAIL_W = _legendre01(64)
 _HEAD_T = np.vstack([_TAIL_T**p for p in range(1, 6)])
 _HEAD_W = np.vstack([p * _TAIL_T ** (p - 1) * _TAIL_W for p in range(1, 6)])
 _HEAD_W[1:] /= _HEAD_W[1:].sum(axis=1, keepdims=True)
+
+
+# The Gauss-Laguerre rule for Int_0^inf e^(-t) f(t) dt from the eigenpairs
+# of its Jacobi matrix (Golub-Welsch): nodes are the eigenvalues, weights
+# the squared first components of the eigenvectors.  numpy's laggauss
+# weights miss the 64-node rule's first moment by 5e-14; these by 1e-15.
+def _laguerre(n):
+    t, v = np.linalg.eigh(np.diag(2.0 * np.arange(n) + 1.0) + np.diag(np.arange(1.0, n), -1))
+    return t, v[0] ** 2
+
+
+# E1 below _E1_SPLIT: the power series -gamma - log x + x P(x), with
+# P(x) = sum_{k>=1} (-x)^(k-1) / (k k!) in 22 terms (the first one dropped
+# is 1.5^22 / (22 22!) = 3e-19).  Above it, E1(x) = e^(-x) times
+# Int_0^inf e^(-t) / (x + t) dt under the 64-node rule.
+_E1_SPLIT = 1.5
+_E1_SERIES = np.array([(-1.0) ** k / ((k + 1) * math.factorial(k + 1)) for k in range(22)])
+_LAGUERRE_T, _LAGUERRE_W = _laguerre(64)
+
+
+def _e1(x):
+    """The exponential integral E1(x) = -Ei(-x) = Int_x^inf e^(-t) / t dt
+    for a flat array x >= 0, within 1.5e-15 of it relative where it is a
+    normal float; E1(0) = inf.  x below 2^-30 enters Horner's rule as 0,
+    where P = 1 is exact to x/4 of x, so no subnormal operand reaches the
+    loop."""
+    out = np.empty(x.size)
+    small = x <= _E1_SPLIT
+    xs = x[small]
+    xh = np.where(xs < 2.0**-30, 0.0, xs)
+    p = np.full(xs.size, _E1_SERIES[-1])
+    for c in _E1_SERIES[-2::-1]:
+        p = p * xh + c
+    with np.errstate(divide="ignore"):
+        out[small] = -np.euler_gamma - np.log(xs) + xs * p
+    xl = x[~small]
+    out[~small] = np.exp(-xl) * (_LAGUERRE_W / (xl[:, None] + _LAGUERRE_T)).sum(axis=1)
+    return out
 
 
 class LossFamily:
@@ -328,138 +370,6 @@ class LossFamily:
         return np.full(cap.size, np.inf)
 
 
-class _ErlangB(LossFamily):
-    """Continuous-capacity Erlang-B blocking.
-
-    1/B = rho * Int_0^inf e^(-rho t) (1+t)^cap dt, which equals
-    e^rho * rho^(-cap) * Gamma(cap+1, rho).  One kernel describes it, the
-    log-odds log(B / (1 - B)) = -log(1/B - 1) (see _erlang_log_rest); B
-    and 1 - B are its expit, without cancellation at either end.  The
-    inverse is the default bisection on it, and H the default fixed rule.
-    """
-
-    name = "erlang_b"
-
-    def log_odds(self, rho, cap):
-        # B = 0 at rho = 0, where no load is offered, and B = 1 at zero
-        # capacity under load
-        out = np.full(rho.size, -np.inf)
-        pos = rho > 0.0
-        out[pos & (cap <= 0.0)] = np.inf
-        work = pos & (cap > 0.0)
-        if work.any():
-            out[work] = -_erlang_log_rest(rho[work], cap[work])
-        return out
-
-    def blocking(self, rho, cap):
-        return expit(self.log_odds(rho, cap))
-
-    def survival(self, rho, cap):
-        return expit(-self.log_odds(rho, cap))
-
-    def blocking_slope(self, rho, cap, b):
-        # Jagerman's dB/drho = B (cap - rho S) / rho; 0 at rho = 0, where
-        # no load is offered.
-        out = np.zeros(rho.size)
-        pos = rho > 0.0
-        out[pos] = b[pos] * _erlang_headroom(rho[pos], cap[pos], b[pos]) / rho[pos]
-        return out
-
-    def log_loss_ceiling(self, cap):
-        # Carried load <= cap gives rho(y) <= cap * e^y; keeping that under
-        # 1e10 leaves a 100x margin inside the 1e12 bracket cap.  xlogy(1, z)
-        # is libm's log(z), as math.log is; numpy's vectorised log can
-        # differ from it in the last bit.
-        return np.maximum(1e-3, xlogy(1.0, 1e10 / np.maximum(cap, 1e-10)))
-
-
-_SERIES_CHUNK = np.arange(16.0)  # asymptotic-series terms per vectorised step
-
-
-def _erlang_series(rho, cap, power=0):
-    """sum_k k^power (cap)_k / rho^k over k >= 1; power 0 gives 1/B - 1
-    from the asymptotic series 1/B = sum_k (cap)_k / rho^k.
-
-    (cap)_k is the falling factorial; the series is asymptotic, so each
-    element stops at its smallest term, or once terms drop below 1e-18 of
-    the first (the sum itself is 1/B - 1 to relative accuracy).  Truncation
-    error is ~e^(cap-rho) relative, which is why callers gate it on
-    rho >= max(4 cap, 35) (``_saturated``).  Terms come 16 at a time from a
-    running product, so the loop runs a handful of times, not once per
-    term.
-    """
-    total = np.zeros(rho.size)
-    term = np.ones(rho.size)
-    prev_mag = np.full(rho.size, np.inf)
-    floor = 1e-18 * cap / rho  # the first term
-    active = np.ones(rho.size, dtype=bool)
-    for start in range(0, 128, _SERIES_CHUNK.size):
-        terms = term[:, None] * np.cumprod((cap[:, None] - (start + _SERIES_CHUNK)) / rho[:, None], axis=1)
-        mags = np.abs(terms)
-        decreasing = mags < np.concatenate([prev_mag[:, None], mags[:, :-1]], axis=1)
-        keep = np.logical_and.accumulate(decreasing & (mags > floor[:, None]), axis=1) & active[:, None]
-        weighted = terms * (start + 1.0 + _SERIES_CHUNK) ** power if power else terms
-        total += np.where(keep, weighted, 0.0).sum(axis=1)
-        active = keep[:, -1]
-        if not active.any():
-            break
-        term, prev_mag = terms[:, -1], mags[:, -1]
-    return total
-
-
-def _saturated(rho, cap):
-    """Where the falling-factorial series replaces the incomplete gamma."""
-    return rho >= np.maximum(4.0 * cap, 35.0)
-
-
-def _erlang_headroom(rho, cap, b):
-    """cap - rho S for flat rho, cap, given B = 1 - S there.
-
-    Carried load rho S tends to cap in saturation, where the difference
-    keeps no digits; there it is B sum_k k (cap)_k / rho^k (subtract
-    rho S = rho B sum_{k>=1} (cap)_k / rho^k from cap = cap B / B term by
-    term).  Below that gate the difference is at least ~B cap / rho of
-    cap, so taken as it stands it loses at most about log10(rho / B)
-    digits.  Floored at 0, since Jagerman's dB/drho = B (cap - rho S) / rho
-    is nonnegative.
-    """
-    out = cap - rho * (1.0 - b)
-    series = _saturated(rho, cap) & (cap > 0.0)
-    if series.any():
-        out[series] = b[series] * _erlang_series(rho[series], cap[series], 1)
-    return np.maximum(out, 0.0)
-
-
-def _erlang_log_rest(rho, cap):
-    """log(rest), rest = 1/B - 1 = cap e^rho rho^-cap Gamma(cap, rho), for
-    flat rho, cap > 0 (Gamma(cap+1, rho) = cap Gamma(cap, rho) + rho^cap e^-rho).
-
-    -log(rest) is the log-odds log(B / S), so B = expit(-log rest) and
-    S = 1 - B = expit(log rest) carry no cancellation at either end:
-    not at low load (rest huge), not in saturation (rest -> cap/rho), and
-    not for small cap, where S itself is ~cap.  log(rest) goes through
-    the regularized incomplete gamma function, or through the falling-
-    factorial series far above cap and where the gamma tail underflows.
-    """
-    log_rest = np.empty(rho.size)
-    series = _saturated(rho, cap)
-    direct = ~series
-    if direct.any():
-        rd, cd = rho[direct], cap[direct]
-        # gammaincc can return 0, or a value below 0 at a subnormal cap;
-        # either log is non-finite and the element takes the series
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_q = np.log(gammaincc(cd, rd))
-        log_rest[direct] = rd - cd * np.log(rd) + gammaln(cd + 1.0) + log_q
-        series = ~np.isfinite(log_rest) | series
-    if series.any():
-        # the series' first term cap / rho underflows at a subnormal cap:
-        # rest = 0, so B = 1
-        with np.errstate(divide="ignore"):
-            log_rest[series] = np.log(_erlang_series(rho[series], cap[series]))
-    return log_rest
-
-
 class _LinearClip(LossFamily):
     """B = max(0, (rho - cap)/rho): lossless below cap, overflow above."""
 
@@ -533,14 +443,14 @@ class _ExpOverflow(LossFamily):
 
     def integral_at_load(self, y, cap, rho):
         # substituting u = 1 - e^(-z) gives cap * Int_0^B du/(-log u),
-        # the logarithmic integral, expressed through Ei.
-        return -cap * expi(_log1mexp(y))
+        # the logarithmic integral, expressed through E1.
+        return cap * _e1(-_log1mexp(y))
 
     def capacity_slope(self, y, cap, rho):
-        # H is linear in cap at fixed y: -Ei(log(1 - e^(-y))), which is E1(cap / rho)
+        # H is linear in cap at fixed y: E1(-log(1 - e^(-y))), which is E1(cap / rho)
         out = np.zeros(y.size)
         live = y > 0.0
-        out[live] = -expi(_log1mexp(y[live]))
+        out[live] = _e1(-_log1mexp(y[live]))
         return out
 
     def blocking_slope(self, rho, cap, b):
@@ -567,7 +477,18 @@ def register_family(family: LossFamily) -> None:
     _REGISTRY[name] = family
 
 
+# Shipped families whose module registers them on first lookup.
+_DEFERRED = {"erlang_b": ".erlang"}
+
+
 def get_family(kind: str) -> LossFamily:
+    """The registered family named `kind`.  The first lookup of a deferred
+    name imports its module, unless a family was registered under that
+    name before; an ImportError from that import propagates."""
+    if not isinstance(kind, str):
+        raise LossDomainError(f"loss: unknown loss kind '{kind}'")
+    if kind not in _REGISTRY and kind in _DEFERRED:
+        importlib.import_module(_DEFERRED[kind], __package__)
     try:
         return _REGISTRY[kind]
     except KeyError:
@@ -575,10 +496,11 @@ def get_family(kind: str) -> LossFamily:
 
 
 def loss_kinds() -> tuple[str, ...]:
-    return tuple(_REGISTRY)
+    """Every family name ``get_family`` resolves, deferred ones included
+    (listed without importing them)."""
+    return tuple(dict.fromkeys([*_DEFERRED, *_REGISTRY]))
 
 
-register_family(_ErlangB())
 register_family(_LinearClip())
 register_family(_ExpOverflow())
 
@@ -590,8 +512,7 @@ class LossSpec:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in _REGISTRY:
-            raise LossDomainError(f"loss: unknown loss kind '{self.kind}'")
+        get_family(self.kind)
 
 
 def _check_domain(rho, cap, kind):

@@ -403,8 +403,10 @@ def load_model(text: str, lenient: bool = False) -> NetworkModel:
         kind = loss_obj["kind"]
         try:
             spec = LossSpec(kind=kind)
-        except Exception:
+        except LossDomainError:
             raise ModelError(f"unknown loss kind '{kind}' on logical '{lid}'") from None
+        except ImportError as exc:  # a family whose module (or its scipy) fails to import
+            raise ModelError(f"loss kind '{kind}' on logical '{lid}' cannot load module '{exc.name}': {exc}") from None
         logicals.append(LogicalEntity(id=lid, members=tuple(members), loss=spec))
 
     flows = []

@@ -1,6 +1,9 @@
 """Shared oracles and instance builders for the test suite."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +25,14 @@ from sliceforge import (
 # to 1.8x, which would turn a deadline into a flaky failure.
 settings.register_profile("sliceforge", derandomize=True, database=None, deadline=None, max_examples=60)
 settings.load_profile("sliceforge")
+
+
+def fresh_python(cwd, *args):
+    """A fresh interpreter with only this checkout's src/ added to the path."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, env=env, cwd=cwd)
 
 
 def erlang_recursion(nu: float, servers: int) -> float:

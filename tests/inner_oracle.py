@@ -20,14 +20,12 @@ import numpy as np
 
 from sliceforge.fixedpoint import _box_upper
 from sliceforge.inner import TOL, InnerSolution, _projected_gradient
+from sliceforge.erlang import _erlang_headroom, _erlang_series, _saturated
 from sliceforge.loss import (
     InversionError,
-    _erlang_headroom,
-    _erlang_series,
     _finish,
     _levels,
     _log1mexp,
-    _saturated,
     get_family,
     utilization,
     utilization_terms,

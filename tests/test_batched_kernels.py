@@ -16,7 +16,7 @@ from sliceforge.loss import get_family
 from conftest import single_entity, symmetric_pair
 from inner_oracle import NewtonBatch, projected_newton
 
-loss_module = importlib.import_module("sliceforge.loss")
+erlang_module = importlib.import_module("sliceforge.erlang")
 ERLANG = LossSpec("erlang_b")
 EXP = LossSpec("exp_overflow")
 
@@ -58,13 +58,13 @@ def test_batched_and_scalar_values_agree_bit_for_bit():
 
 def _count_kernel_calls(monkeypatch):
     calls = [0]
-    kernel = loss_module._erlang_log_rest
+    kernel = erlang_module._erlang_log_rest
 
     def counted(rho, cap):
         calls[0] += 1
         return kernel(rho, cap)
 
-    monkeypatch.setattr(loss_module, "_erlang_log_rest", counted)
+    monkeypatch.setattr(erlang_module, "_erlang_log_rest", counted)
     return calls
 
 

@@ -13,6 +13,11 @@ import pytest
 import sliceforge.cli
 from sliceforge import (
     CapacityAllocation,
+    Flow,
+    LogicalEntity,
+    LossSpec,
+    NetworkModel,
+    PhysicalEntity,
     inner_objective,
     load_model,
     maximize_surrogate,
@@ -25,7 +30,7 @@ from sliceforge.fixedpoint import _solve
 from sliceforge.loss import get_family
 from sliceforge.outer import SolveTrace
 
-from conftest import flat_pair, single_entity, symmetric_pair
+from conftest import flat_pair, fresh_python, single_entity, symmetric_pair
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "demos" / "models"
@@ -562,7 +567,9 @@ def test_version_flag(capsys):
 def test_cli_import_loads_no_dense_or_sparse_linear_algebra():
     # scipy.linalg alone adds about 7 MB at import, and the solver's linear
     # algebra is numpy mat-vecs; nothing on the CLI path may pull these in.
-    heavy = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
+    # Nor scipy itself: only erlang_b needs it, and it loads with a model
+    # that names that family (test_closed_family_commands_run_without_scipy).
+    heavy = ("scipy", "scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -576,11 +583,48 @@ def test_cli_import_loads_no_dense_or_sparse_linear_algebra():
     assert proc.stdout.strip() == "[]"
 
 
-def _python(cwd, *args):
-    """A fresh interpreter with only this checkout's src/ added to the path."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, env=env, cwd=cwd)
+def test_closed_family_commands_run_without_scipy(tmp_path):
+    # A model of linear_clip and exp_overflow entities needs no scipy: with
+    # every scipy import blocked, each command exits 0 and writes what an
+    # unblocked interpreter writes, up to generated_at.  A model that names
+    # erlang_b imports scipy.special while it is being loaded, before any
+    # operation runs.
+    closed = NetworkModel(
+        physicals=(PhysicalEntity("p", "bandwidth", 10.0), PhysicalEntity("q", "bandwidth", 6.0)),
+        logicals=(
+            LogicalEntity("a", ("p",), LossSpec("exp_overflow")),
+            LogicalEntity("b", ("p", "q"), LossSpec("linear_clip")),
+            LogicalEntity("c", ("q",), LossSpec("exp_overflow")),
+        ),
+        flows=(Flow("fa", 6.0, {"a": 1}), Flow("fb", 3.0, {"b": 2}), Flow("fac", 2.0, {"a": 1, "c": 1})),
+    )
+    model = tmp_path / "closed.json"
+    model.write_text(serialize_model(closed))
+    script = "import sys\n{}from sliceforge import cli\nsys.exit(cli.run(sys.argv[1:]))\n"
+    strip = lambda text: [ln for ln in text.splitlines() if '"generated_at"' not in ln]
+    for argv in (
+        ["--version"],
+        ["validate", str(model)],
+        ["evaluate", str(model), "--alloc", "proportional", "--phi"],
+        ["solve", str(model)],
+    ):
+        blocked = fresh_python(tmp_path, "-c", script.format("sys.modules['scipy'] = None\n"), *argv)
+        free = fresh_python(tmp_path, "-c", script.format(""), *argv)
+        assert (blocked.returncode, free.returncode) == (0, 0), blocked.stderr
+        assert strip(blocked.stdout) == strip(free.stdout) and blocked.stderr == free.stderr, argv
+        assert blocked.stdout.strip(), argv
+    erlang = tmp_path / "erlang.json"
+    erlang.write_text(serialize_model(single_entity(3.0)))
+    script = (
+        "import sys\n"
+        "import sliceforge\n"
+        "before = 'scipy.special' in sys.modules\n"
+        "sliceforge.load_model(open(sys.argv[1], encoding='utf-8').read())\n"
+        "print(before, 'scipy.special' in sys.modules)\n"
+    )
+    proc = fresh_python(tmp_path, "-c", script, str(erlang))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
 
 
 def test_parser_is_built_once_per_process():
@@ -598,7 +642,7 @@ def test_importing_the_cli_builds_no_parser(tmp_path):
         "after = cli._parser.cache_info()\n"
         "print(before.currsize, after.currsize, after.misses)\n"
     )
-    proc = _python(tmp_path, "-c", script)
+    proc = fresh_python(tmp_path, "-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "0 1 1"
 
@@ -630,10 +674,10 @@ def test_one_process_runs_as_separate_processes_do(tmp_path):
     one, separate = tmp_path / "one", tmp_path / "separate"
     one.mkdir()
     separate.mkdir()
-    proc = _python(tmp_path, "-c", script, json.dumps(commands(one)))
+    proc = fresh_python(tmp_path, "-c", script, json.dumps(commands(one)))
     assert proc.returncode == 0, proc.stderr
     together = json.loads(proc.stdout)
-    apart = [[p.returncode, p.stderr] for p in (_python(tmp_path, "-m", "sliceforge", *argv) for argv in commands(separate))]
+    apart = [[p.returncode, p.stderr] for p in (fresh_python(tmp_path, "-m", "sliceforge", *argv) for argv in commands(separate))]
     assert together == apart
     assert [code for code, _ in together] == [0, 0, 0, 2, 0]
 

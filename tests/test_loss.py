@@ -22,9 +22,10 @@ from sliceforge import (
     utilization_terms,
 )
 from sliceforge.fixedpoint import Y_CAP
-from sliceforge.loss import _HEAD_T, _HEAD_W, _TAIL_T, _TAIL_W, RHO_BRACKET_CAP, LossFamily, _erlang_headroom, get_family
+from sliceforge.erlang import _erlang_headroom
+from sliceforge.loss import _HEAD_T, _HEAD_W, _TAIL_T, _TAIL_W, RHO_BRACKET_CAP, LossFamily, _log1mexp, get_family
 
-from conftest import erlang_recursion
+from conftest import erlang_recursion, fresh_python
 from inner_oracle import utilization_slope
 from quad_oracle import oracle_measure
 
@@ -38,6 +39,47 @@ def test_registry_lists_shipped_kinds():
     assert set(loss_kinds()) >= {"erlang_b", "linear_clip", "exp_overflow"}
     with pytest.raises(Exception):
         LossSpec("no_such_family")
+
+
+def _fresh(script):
+    """stdout of `script` in a fresh interpreter, split into words."""
+    proc = fresh_python(None, "-c", script)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_erlang_family_is_imported_on_its_first_lookup():
+    # erlang_b's module, the one that imports scipy, loads on the first
+    # lookup of its name and not before, not even to list the kinds; every
+    # lookup returns the one instance (perfbench's tracer wraps its methods).
+    script = (
+        "import sys\n"
+        "from sliceforge.loss import LossSpec, get_family, loss_kinds\n"
+        "print(*loss_kinds(), 'sliceforge.erlang' in sys.modules, 'scipy' in sys.modules)\n"
+        "LossSpec('linear_clip'), LossSpec('exp_overflow')\n"
+        "print('scipy' in sys.modules)\n"
+        "family = get_family('erlang_b')\n"
+        "print(type(family).__module__, 'scipy.special' in sys.modules, get_family('erlang_b') is family)\n"
+        "print(*loss_kinds())\n"
+    )
+    assert _fresh(script) == [
+        "erlang_b", "linear_clip", "exp_overflow", "False", "False",
+        "False",
+        "sliceforge.erlang", "True", "True",
+        "erlang_b", "linear_clip", "exp_overflow",
+    ]
+
+
+def test_a_family_registered_first_keeps_the_erlang_name():
+    script = (
+        "import sys\n"
+        "from sliceforge.loss import LossFamily, LossSpec, get_family, register_family\n"
+        "mine = type('Mine', (LossFamily,), {'name': 'erlang_b'})()\n"
+        "register_family(mine)\n"
+        "LossSpec('erlang_b')\n"
+        "print(get_family('erlang_b') is mine, 'sliceforge.erlang' in sys.modules)\n"
+    )
+    assert _fresh(script) == ["True", "False"]
 
 
 def test_pinned_values():
@@ -609,6 +651,39 @@ def test_erlang_headroom_sums_the_series_in_saturation():
         b = 1.0 / (1.0 + 2.0 / rho + 2.0 / rho**2)
         got = _erlang_headroom(np.array([rho]), np.array([2.0]), np.array([b]))[0]
         assert got == pytest.approx(b * (2.0 / rho + 4.0 / rho**2), rel=1e-14, abs=0.0)
+
+
+def test_exp_overflow_terms_match_mpmath_e1():
+    # exp_overflow's H = cap E1(x) and its capacity slope E1(x), where
+    # x = -log(1 - e^-y) = cap / rho, against mpmath's E1.  The reference
+    # takes the float x the kernel sees: E1's relative condition number is
+    # about x, so the rounding of x alone would cost up to ~700 ulps at the
+    # top of the range.  x runs log-spaced from the least subnormal to where
+    # E1 underflows, and densely across the split between the series and
+    # the Gauss-Laguerre rule at x = 1.5; y also takes a subnormal, Y_CAP
+    # and 745, the last level whose x is not 0.  Within 4e-15 relative
+    # where E1 is a normal float, 4 subnormal steps below that.  Worst case
+    # measured: 1.5e-15, at x = 1.4 (scipy's expi, the kernel before, is
+    # within 1.1e-15 of mpmath; numpy's laggauss weights in place of the
+    # Golub-Welsch ones give 9.2e-15).
+    mp = pytest.importorskip("mpmath")
+    family = get_family("exp_overflow")
+    x = np.concatenate([np.logspace(math.log10(5e-324), math.log10(745.0), 400), np.linspace(0.25, 4.0, 61)])
+    y = np.concatenate([-_log1mexp(x), [5e-324, Y_CAP, 745.0]])
+    seen = -_log1mexp(y)
+    cap = np.full(y.size, 2.5)
+    with np.errstate(over="ignore"):
+        rho = cap / seen
+    h, slope = family.integral_at_load(y, cap, rho), family.capacity_slope(y, cap, rho)
+    bad = []
+    with mp.workdps(40):
+        for xi, hi, si in zip(seen, h, slope):
+            e1 = mp.e1(mp.mpf(float(xi)))
+            for what, got, want in (("H", hi, float(2.5 * e1)), ("slope", si, float(e1))):
+                if not abs(got - want) <= max(4e-15 * want, 4 * 5e-324):
+                    bad.append(f"{what} at x={xi!r}: {got!r} vs {want!r}")
+    assert bad == []
+    assert seen[-1] == 5e-324  # y = 745 reaches the least subnormal x
 
 
 @st.composite

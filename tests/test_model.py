@@ -35,7 +35,7 @@ from sliceforge import (
 from sliceforge.loss import get_family
 from sliceforge.model import _by_family
 
-from conftest import symmetric_pair, three_potentials
+from conftest import fresh_python, symmetric_pair, three_potentials
 
 MINIMAL = {
     "physical": [{"id": "p", "ctype": "rate_mbps", "capacity": 10}],
@@ -128,6 +128,40 @@ def test_validation_errors_name_the_offender(mutate, message):
     mutate(doc)
     with pytest.raises(ModelError, match=f"^model: {message}"):
         load_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("kind", ["pareto", 5, None, ["erlang_b"], {"name": "erlang_b"}])
+def test_unknown_or_malformed_loss_kinds_name_the_kind_and_the_logical(kind):
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["logical"][0]["loss"]["kind"] = kind
+    with pytest.raises(ModelError) as info:
+        load_model(json.dumps(doc))
+    assert str(info.value) == f"model: unknown loss kind '{kind}' on logical 'l'"
+
+
+def test_a_family_that_fails_to_import_is_not_an_unknown_kind():
+    # erlang_b's module is imported while the model is loaded; without
+    # scipy that is a named import failure, not "unknown loss kind", and
+    # the other kinds still read as before.
+    script = (
+        "import json, sys\n"
+        "sys.modules['scipy.special'] = None\n"
+        "from sliceforge import ModelError, load_model\n"
+        "doc = json.loads(sys.argv[1])\n"
+        "for kind in ('erlang_b', 'pareto', 'erlang_b'):\n"
+        "    doc['logical'][0]['loss']['kind'] = kind\n"
+        "    try:\n"
+        "        load_model(json.dumps(doc))\n"
+        "    except ModelError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = fresh_python(None, "-c", script, json.dumps(MINIMAL))
+    assert proc.returncode == 0, proc.stderr
+    missing = (
+        "model: loss kind 'erlang_b' on logical 'l' cannot load module 'scipy.special': "
+        "import of scipy.special halted; None in sys.modules"
+    )
+    assert proc.stdout.splitlines() == [missing, "model: unknown loss kind 'pareto' on logical 'l'", missing]
 
 
 def test_mixed_capacity_types_rejected():

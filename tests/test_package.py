@@ -94,6 +94,39 @@ def test_every_imported_name_is_used_exported_or_traced():
     assert {name: names - patched[name] for name, names in unused.items() if names - patched[name]} == {}
 
 
+def _imported_modules(tree):
+    """(line, module) for each import in the tree, relative ones as
+    written (".erlang"), with `from . import x` giving ".x"."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            if node.module:
+                found.append((node.lineno, base))
+            else:
+                found.extend((node.lineno, base + alias.name) for alias in node.names)
+    return found
+
+
+def test_only_the_erlang_module_imports_scipy():
+    # scipy serves erlang_b alone, so only sliceforge.erlang imports it, and
+    # the package does not import that module: loss.get_family does, on the
+    # first lookup of "erlang_b".
+    found, erlang = [], set()
+    for path in sorted(Path(sliceforge.__file__).parent.glob("*.py")):
+        for line, module in _imported_modules(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.name == "erlang.py":
+                erlang.add(module)
+            elif module.split(".")[0] == "scipy":
+                found.append(f"{path.name}:{line} imports {module}")
+            if path.name == "__init__.py" and module in (".erlang", "sliceforge.erlang"):
+                found.append(f"{path.name}:{line} imports {module}")
+    assert found == []
+    assert "scipy.special" in erlang
+
+
 def test_a_falsified_property_fails_its_test_and_the_run_goes_on(tmp_path):
     # Hypothesis imports libcst to print a patch for a falsified property.
     # Under the suite's warning filters a DeprecationWarning raised by that
